@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or input errors, 2 a verification or
-validation failure (the command ran but the mathematics disagreed).
+validation failure or a broken invariant (the command ran but the
+mathematics disagreed).
 
 File formats: trees are the edge-list text format of ``parse_tree``;
 segment families are JSON ``{"n": N, "segments": [[a, b], ...]}``;
@@ -146,10 +147,14 @@ def _load_family(path: str) -> SegmentFamily:
     if not isinstance(data, dict) or "n" not in data or "segments" not in data:
         raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
     try:
+        n = int(data["n"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: n must be an integer") from exc
+    try:
         pairs = tuple((int(a), int(b)) for a, b in data["segments"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: segments must be [a, b] pairs") from exc
-    return SegmentFamily(int(data["n"]), pairs)
+    return SegmentFamily(n, pairs)
 
 
 def _load_path(path: str) -> tuple[AlternatingPath, str]:
@@ -159,7 +164,10 @@ def _load_path(path: str) -> tuple[AlternatingPath, str]:
         raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
     if not isinstance(data, dict) or "endpoints" not in data:
         raise ValueError(f'{path}: expected {{"mode": ..., "endpoints": [...]}}')
-    endpoints = tuple(int(x) for x in data["endpoints"])
+    try:
+        endpoints = tuple(int(x) for x in data["endpoints"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: endpoints must be a list of integers") from exc
     if len(endpoints) % 2:
         raise ValueError(f"{path}: odd endpoint count")
     mode = str(data.get("mode", "simple"))
@@ -280,18 +288,11 @@ def _cmd_dual(args) -> int:
 
 def _cmd_path(args) -> int:
     family = _load_family(args.segments)
-    tree, _ = segments_to_tree(family)
     if args.mode == "compatible":
+        tree, _ = segments_to_tree(family)
         chain = compatible_path(family, max_caterpillar(tree))
     else:
         chain, _plan = among_path(family)
-    report = validate_path(
-        family, chain, "compatible" if args.mode == "compatible" else "simple"
-    )
-    if not report.ok:
-        for issue in report.issues:
-            print(f"invalid: {issue}", file=sys.stderr)
-        return 2
     _emit(_path_json(args.mode, chain), args.out)
     return 0
 
@@ -356,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"catbound: error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"catbound: broken invariant: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

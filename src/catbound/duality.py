@@ -28,11 +28,18 @@ leading to the next spine cell is not last in boundary order, the chain
 visits the chords before it, jumps to the far end, sweeps back, and leaves
 through the exit chord (the jump connector nests the skipped intervals
 instead of interleaving them).
+
+Each path the library builds is validated exactly once, as it leaves its
+public constructor: ``compatible_path`` checks its chain in 'compatible'
+mode, and ``among_path`` builds the subfamily chain unchecked and checks
+only the lifted path, in 'simple' mode.  A failed check raises
+``AssertionError``: it means the construction is wrong, not the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .contraction import (
     ContractionPlan,
@@ -92,8 +99,13 @@ class SegmentFamily:
                     )
                 stack.pop()
 
+    @cached_property
     def segment_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.pairs)
+
+    @cached_property
+    def _struct(self) -> _Structure:
+        return _structure(self)
 
 
 @dataclass(frozen=True)
@@ -198,7 +210,7 @@ def segments_to_tree(
     s: SegmentFamily,
 ) -> tuple[Tree, dict[tuple[int, int], tuple[int, int]]]:
     """The cell-adjacency tree, plus the segment behind each tree edge."""
-    st = _structure(s)
+    st = s._struct
     return st.tree, {e: st.chords[i] for e, i in st.edge_chord.items()}
 
 
@@ -262,7 +274,7 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
     if len(set(e)) != len(e):
         dups = sorted({x for x in e if e.count(x) > 1})
         issues.append(f"repeated labels {dups}")
-    family = s.segment_set()
+    family = s.segment_set
     for i in range(0, len(e) - 1, 2):
         seg = (min(e[i], e[i + 1]), max(e[i], e[i + 1]))
         if seg not in family:
@@ -327,11 +339,25 @@ def _chain_cell(
     return items[:at] + tail + [(c, q, p)]
 
 
+def _checked(s: SegmentFamily, path: AlternatingPath, mode: str) -> AlternatingPath:
+    report = validate_path(s, path, mode)
+    if not report.ok:
+        raise AssertionError(
+            "constructed path failed validation: " + "; ".join(report.issues)
+        )
+    return path
+
+
 def compatible_path(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
     """An alternating path through exactly the segments of the witness
     caterpillar (a witness over the cell tree of ``s``), crossing no other
     segment of the family."""
-    st = _structure(s)
+    return _checked(s, _compatible_chain(s, w), "compatible")
+
+
+def _compatible_chain(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
+    """``compatible_path`` without the final validation."""
+    st = s._struct
     t = st.tree
     cells = set(range(t.vertex_count))
     if not w.vertex_set <= cells or not set(w.spine) <= w.vertex_set:
@@ -398,13 +424,7 @@ def compatible_path(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
     endpoints: list[int] = []
     for _, a, b in out:
         endpoints += [a, b]
-    path = AlternatingPath(tuple(endpoints), w.size)
-    report = validate_path(s, path, "compatible")
-    if not report.ok:
-        raise AssertionError(
-            "constructed path failed validation: " + "; ".join(report.issues)
-        )
-    return path
+    return AlternatingPath(tuple(endpoints), w.size)
 
 
 # ======================================================================
@@ -418,7 +438,7 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     the contraction plan that witnesses the count.  Contracting a tree edge
     is deleting a segment: the path is built compatible with the surviving
     subfamily and may cross only the deleted segments."""
-    st = _structure(s)
+    st = s._struct
     cap = max_caterpillar_by_contraction(st.tree)
     plan = contract_to_caterpillar(st.tree, cap)
     dropped = {
@@ -430,16 +450,10 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     rank = {x: i for i, x in enumerate(labels)}
     sub = SegmentFamily(len(keep), tuple((rank[a], rank[b]) for a, b in keep))
 
-    sub_tree, _ = segments_to_tree(sub)
-    witness = max_caterpillar(sub_tree)
+    witness = max_caterpillar(sub._struct.tree)
     if witness.size != cap:
         raise AssertionError("contracted family is not the expected caterpillar")
-    inner = compatible_path(sub, witness)
+    inner = _compatible_chain(sub, witness)
     endpoints = tuple(labels[x] for x in inner.endpoints)
     path = AlternatingPath(endpoints, cap)
-    report = validate_path(s, path, "simple")
-    if not report.ok:
-        raise AssertionError(
-            "constructed path failed validation: " + "; ".join(report.issues)
-        )
-    return path, plan
+    return _checked(s, path, "simple"), plan

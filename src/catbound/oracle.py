@@ -2,10 +2,9 @@
 
 Everything the package computes by formula or by greedy construction is
 re-derivable here the slow way: free trees come from the
-Wright–Richmond–Odlyzko–McKay successor on canonical level sequences (with
-a Prüfer-code route as an independent second opinion), maximum induced
-caterpillars from exhaustive subset search, and branch sizes from the
-defining recurrence.  ``verify_all`` runs the whole battery and returns a
+Wright–Richmond–Odlyzko–McKay successor on canonical level sequences,
+maximum induced caterpillars from exhaustive subset search, and branch
+sizes from the defining recurrence.  ``verify_all`` runs the whole battery and returns a
 line-per-check report instead of raising, so a regression shows up as a
 FAIL row with a canonical-code witness attached.
 
@@ -150,30 +149,14 @@ def tree_from_pruefer(seq: tuple[int, ...], vertex_count: int) -> Tree:
     return Tree(n, tuple(edges))
 
 
-def free_trees(edge_count: int, via: str = "levels") -> Iterator[Tree]:
-    """All isomorphism classes of trees with the given number of edges.
-
-    The default route walks canonical level sequences; ``via='prufer'``
-    instead generates every labeled tree and deduplicates by canonical
-    code, which is exponentially slower but shares no machinery.
-    """
+def free_trees(edge_count: int) -> Iterator[Tree]:
+    """All isomorphism classes of trees with the given number of edges, one
+    per canonical level sequence."""
     if edge_count < 0:
         raise ValueError("edge count must be non-negative")
     if edge_count == 0:
         yield Tree(1, ())
         return
-    if via == "prufer":
-        n = edge_count + 1
-        seen = set()
-        for seq in itertools.product(range(n), repeat=n - 2):
-            t = tree_from_pruefer(seq, n)
-            code = canonical_code(t)
-            if code not in seen:
-                seen.add(code)
-                yield t
-        return
-    if via != "levels":
-        raise ValueError(f"unknown enumeration route {via!r}")
     n = edge_count + 1
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
@@ -382,7 +365,8 @@ def _scan_edge_count(edge_count: int, stride: int, offset: int) -> dict:
         if idx % stride != offset:
             continue
         count += 1
-        code = str(canonical_code(t))
+        tree_code = canonical_code(t)
+        code = str(tree_code)
         score = max_caterpillar_by_contraction(t)
         witness = max_caterpillar(t)
         brute = brute_max_caterpillar(t)
@@ -392,7 +376,7 @@ def _scan_edge_count(edge_count: int, stride: int, offset: int) -> dict:
         try:
             family = tree_to_segments(t, 0)
             back, _ = segments_to_tree(family)
-            if canonical_code(back) != canonical_code(t):
+            if canonical_code(back) != tree_code:
                 ok = False
             else:
                 compatible_path(family, witness)

@@ -29,6 +29,15 @@ class TreeParseError(ValueError):
     when one applies."""
 
 
+class _EdgeError(ValueError):
+    """A Tree validation failure caused by one edge; ``index`` is that edge's
+    position in the edges as given."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 # ======================================================================
 # core types
 # ======================================================================
@@ -41,7 +50,8 @@ class Tree:
     Edges are normalized to (min, max) pairs in sorted order, so two equal
     trees compare and hash equal.  Construction validates shape: exactly
     vertex_count - 1 edges, ids in range, no self-loops or duplicates, and
-    no cycles (which at n-1 edges forces connectivity).
+    no cycles (which at n-1 edges forces connectivity).  Edges are checked
+    in the order given, so the first offending edge is the one reported.
     """
 
     vertex_count: int
@@ -50,8 +60,7 @@ class Tree:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("a tree needs at least one vertex")
-        norm = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
-        object.__setattr__(self, "edges", norm)
+        norm = [(min(u, v), max(u, v)) for u, v in self.edges]
         n = self.vertex_count
         if len(norm) != n - 1:
             raise ValueError(
@@ -66,18 +75,19 @@ class Tree:
             return x
 
         seen: set[tuple[int, int]] = set()
-        for u, v in norm:
+        for index, (u, v) in enumerate(norm):
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+                raise _EdgeError(index, f"edge ({u}, {v}) out of range 0..{n - 1}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise _EdgeError(index, f"self-loop at vertex {u}")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise _EdgeError(index, f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             ru, rv = find(u), find(v)
             if ru == rv:
-                raise ValueError(f"edge ({u}, {v}) closes a cycle")
+                raise _EdgeError(index, f"edge ({u}, {v}) closes a cycle")
             parent[ru] = rv
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property
     def m(self) -> int:
@@ -162,7 +172,7 @@ def parse_tree(text: str) -> Tree:
             raise TreeParseError(f"line {lineno}: vertex ids must be non-negative")
         if u == v:
             raise TreeParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((min(u, v), max(u, v)))
+        edges.append((u, v))
         lines.append(lineno)
 
     if not edges:
@@ -179,25 +189,10 @@ def parse_tree(text: str) -> Tree:
         raise TreeParseError(
             f"vertex ids are not contiguous: missing {sorted(missing)}"
         )
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    seen: set[tuple[int, int]] = set()
-    for (u, v), lineno in zip(edges, lines):
-        if (u, v) in seen:
-            raise TreeParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise TreeParseError(f"line {lineno}: edge ({u}, {v}) closes a cycle")
-        parent[ru] = rv
-    return Tree(n, tuple(edges))
+    try:
+        return Tree(n, tuple(edges))
+    except _EdgeError as exc:
+        raise TreeParseError(f"line {lines[exc.index]}: {exc}") from None
 
 
 def format_tree(t: Tree) -> str:

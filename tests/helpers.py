@@ -1,8 +1,10 @@
 """Builders and hypothesis strategies shared across test modules."""
 
+import itertools
+
 import hypothesis.strategies as st
 
-from catbound import Tree, tree_from_pruefer
+from catbound import Tree, canonical_code, tree_from_pruefer
 
 
 def path_tree(n: int) -> Tree:
@@ -24,6 +26,24 @@ def spider_tree(*legs: int) -> Tree:
             prev = nxt
             nxt += 1
     return Tree(nxt, tuple(edges))
+
+
+def free_trees_via_pruefer(edge_count: int):
+    """Every isomorphism class of trees with ``edge_count`` edges, found by
+    decoding every Prüfer code and deduplicating by canonical code: an
+    exponentially slow enumeration that shares no machinery with
+    ``free_trees``."""
+    if edge_count == 0:
+        yield Tree(1, ())
+        return
+    n = edge_count + 1
+    seen = set()
+    for seq in itertools.product(range(n), repeat=n - 2):
+        t = tree_from_pruefer(seq, n)
+        code = canonical_code(t)
+        if code not in seen:
+            seen.add(code)
+            yield t
 
 
 def relabeled(t: Tree, perm: list[int]) -> Tree:

@@ -193,6 +193,24 @@ def test_path_rejects_malformed_family_files(capsys, tmp_path):
     bad.write_text("not json")
     code, _, err = run(capsys, "path", "among", "--segments", str(bad))
     assert code == 1 and "JSON" in err
+    bad.write_text('{"n": null, "segments": [[0, 1]]}')
+    code, _, err = run(capsys, "path", "among", "--segments", str(bad))
+    assert code == 1 and err == f"catbound: error: {bad}: n must be an integer\n"
+    bad.write_text('{"n": 1, "segments": [[0, 1e400]]}')
+    code, _, err = run(capsys, "path", "among", "--segments", str(bad))
+    assert code == 1 and err == f"catbound: error: {bad}: segments must be [a, b] pairs\n"
+
+
+def test_broken_invariant_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    def broken(family):
+        raise AssertionError("constructed path failed validation: stub")
+
+    monkeypatch.setattr("catbound.cli.among_path", broken)
+    seg_file = tmp_path / "fam.json"
+    seg_file.write_text('{"n": 1, "segments": [[0, 1]]}')
+    code, out, err = run(capsys, "path", "among", "--segments", str(seg_file))
+    assert code == 2 and out == ""
+    assert err == "catbound: broken invariant: constructed path failed validation: stub\n"
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +248,17 @@ def test_render_refuses_invalid_paths_with_exit_2(tmp_path, capsys):
     path_file.write_text('{"mode": "compatible", "endpoints": [2, 3, 0, 5]}')
     code, _, err = run(capsys, "render", "--segments", str(seg_file), "--path", str(path_file), "--out", str(tmp_path / "x.svg"))
     assert code == 2 and "unused segment" in err
+
+
+@pytest.mark.parametrize("endpoints", ["5", "[0, 1e400]"])
+def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints):
+    seg_file = tmp_path / "fam.json"
+    path_file = tmp_path / "chain.json"
+    seg_file.write_text('{"n": 3, "segments": [[0, 5], [1, 4], [2, 3]]}')
+    path_file.write_text('{"mode": "compatible", "endpoints": %s}' % endpoints)
+    code, _, err = run(capsys, "render", "--segments", str(seg_file), "--path", str(path_file), "--out", str(tmp_path / "x.svg"))
+    assert code == 1
+    assert err == f"catbound: error: {path_file}: endpoints must be a list of integers\n"
 
 
 def test_render_tree_output(tmp_path, capsys):

@@ -182,6 +182,24 @@ def test_among_paths_validate_and_hit_the_score(t, data):
     assert len(plan.contract_sequence) == family.n - chain.k
 
 
+def test_family_structure_is_built_once_per_family(monkeypatch):
+    from catbound import duality
+
+    structure = duality._structure
+    built = []
+
+    def counting(family):
+        built.append(family)
+        return structure(family)
+
+    monkeypatch.setattr(duality, "_structure", counting)
+    family = tree_to_segments(beautiful_tree(4)[0].tree, 0)
+    cell_tree, _ = segments_to_tree(family)
+    compatible_path(family, max_caterpillar(cell_tree))
+    among_path(family)
+    assert len(built) <= 2  # the family and its contracted subfamily
+
+
 def test_among_on_a_single_segment():
     family = SegmentFamily(1, ((0, 1),))
     chain, plan = among_path(family)

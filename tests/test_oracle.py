@@ -20,7 +20,7 @@ from catbound import (
     tree_from_pruefer,
     verify_all,
 )
-from helpers import path_tree, spider_tree, star_tree
+from helpers import free_trees_via_pruefer, path_tree, spider_tree, star_tree
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +43,7 @@ def test_enumeration_yields_distinct_classes():
 def test_both_routes_agree():
     for m in range(0, 8):
         via_levels = {canonical_code(t) for t in free_trees(m)}
-        via_codes = {canonical_code(t) for t in free_trees(m, via="prufer")}
+        via_codes = {canonical_code(t) for t in free_trees_via_pruefer(m)}
         assert via_levels == via_codes
 
 
@@ -56,11 +56,6 @@ def test_levels_route_matches_networkx():
             for g in networkx.nonisomorphic_trees(m + 1)
         )
         assert mine == theirs
-
-
-def test_unknown_route_is_rejected():
-    with pytest.raises(ValueError, match="route"):
-        next(free_trees(3, via="bfs"))
 
 
 def test_pruefer_decoding():
