@@ -7,7 +7,7 @@ mathematics disagreed).
 File formats: trees are the edge-list text format of ``parse_tree``;
 segment families are JSON ``{"n": N, "segments": [[a, b], ...]}``;
 alternating paths are JSON ``{"mode": M, "segments": K,
-"endpoints": [...]}``.
+"endpoints": [...]}``.  Their numbers must be JSON integers.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .contraction import (
     extremal_size_contraction,
     extremal_spider,
     max_caterpillar_by_contraction,
+    max_edges_diameter_leaves,
 )
 from .duality import (
     AlternatingPath,
@@ -139,6 +140,11 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: floats and booleans do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_family(path: str) -> SegmentFamily:
     try:
         data = json.loads(_read(path))
@@ -146,15 +152,18 @@ def _load_family(path: str) -> SegmentFamily:
         raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
     if not isinstance(data, dict) or "n" not in data or "segments" not in data:
         raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
+    n, segments = data["n"], data["segments"]
+    if not _is_int(n):
+        raise ValueError(f"{path}: n must be an integer")
+    if not isinstance(segments, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
+        for p in segments
+    ):
+        raise ValueError(f"{path}: segments must be [a, b] pairs")
     try:
-        n = int(data["n"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: n must be an integer") from exc
-    try:
-        pairs = tuple((int(a), int(b)) for a, b in data["segments"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: segments must be [a, b] pairs") from exc
-    return SegmentFamily(n, pairs)
+        return SegmentFamily(n, tuple((a, b) for a, b in segments))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_path(path: str) -> tuple[AlternatingPath, str]:
@@ -164,14 +173,13 @@ def _load_path(path: str) -> tuple[AlternatingPath, str]:
         raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
     if not isinstance(data, dict) or "endpoints" not in data:
         raise ValueError(f'{path}: expected {{"mode": ..., "endpoints": [...]}}')
-    try:
-        endpoints = tuple(int(x) for x in data["endpoints"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: endpoints must be a list of integers") from exc
+    endpoints = data["endpoints"]
+    if not isinstance(endpoints, list) or not all(map(_is_int, endpoints)):
+        raise ValueError(f"{path}: endpoints must be a list of integers")
     if len(endpoints) % 2:
         raise ValueError(f"{path}: odd endpoint count")
     mode = str(data.get("mode", "simple"))
-    return AlternatingPath(endpoints, len(endpoints) // 2), mode
+    return AlternatingPath(tuple(endpoints), len(endpoints) // 2), mode
 
 
 def _family_json(s: SegmentFamily) -> str:
@@ -227,22 +235,43 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_build(args) -> int:
-    def need_k() -> int:
-        if args.k is None:
-            raise ValueError(f"build {args.shape} needs --k")
-        return args.k
+# build refuses to make a tree with more edges than this
+MAX_BUILD_EDGES = 1_000_000
 
-    if args.shape == "rk":
-        tree = extremal_spider(need_k())
-    elif args.shape == "rdl":
+# edge count by closed form of each shape that takes --k
+_EDGES_BY_K = {
+    "rk": extremal_size_contraction,
+    "bk": max_branch_size,
+    "tk": extremal_size_induced,
+}
+
+
+def _cmd_build(args) -> int:
+    if args.shape == "rdl":
         if args.d is None or args.l is None:
             raise ValueError("build rdl needs --d and --l")
+        edges = max_edges_diameter_leaves(args.d, args.l)
+    else:
+        if args.k is None:
+            raise ValueError(f"build {args.shape} needs --k")
+        # each shape has at least k edges, so a k past the limit is refused
+        # without evaluating an exponential closed form; k < 1 is left to
+        # the constructor's own message
+        k = args.k
+        edges = _EDGES_BY_K[args.shape](k) if 1 <= k <= MAX_BUILD_EDGES else k
+    if edges > MAX_BUILD_EDGES:
+        raise ValueError(
+            f"build {args.shape} would have more than {MAX_BUILD_EDGES} edges"
+        )
+
+    if args.shape == "rk":
+        tree = extremal_spider(args.k)
+    elif args.shape == "rdl":
         tree = build_spider(args.d, args.l)
     elif args.shape == "bk":
-        tree = beautiful_tree(need_k())[0].tree
+        tree = beautiful_tree(args.k)[0].tree
     else:
-        tree = extremal_branch_star(need_k())
+        tree = extremal_branch_star(args.k)
     _emit(format_tree(tree), args.out)
     return 0
 

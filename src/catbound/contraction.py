@@ -16,14 +16,21 @@ here:
 ``contract_to_caterpillar`` produces a replayable :class:`ContractionPlan`
 witnessing the bound: keep all leaf edges plus one diameter path, contract
 everything else, then contract surplus edges down to the requested size.
+
+Plans are O(n) to build and to apply.  A step records only its edge in the
+source labeling.  The final tree comes from one union-find pass over all the
+contracted edges, relabelling each merged class by the rank of its smallest
+source id; that is the labeling repeated ``trees.contract_edge`` calls give,
+without building a tree per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterable
 
-from .trees import Tree, contract_edge, diameter_path, is_caterpillar, leaves
+from .trees import Tree, diameter_path, is_caterpillar, leaves
 
 
 # ======================================================================
@@ -45,11 +52,53 @@ def max_caterpillar_by_contraction(t: Tree) -> int:
 
 @dataclass(frozen=True)
 class ContractionStep:
-    """One contraction: the edge in the source tree's labeling, plus the
-    cumulative old-to-current vertex mapping after the step."""
+    """One contraction: the edge in the source tree's labeling."""
 
     edge: tuple[int, int]
-    mapping: tuple[int, ...]
+
+
+def _contract_all(t: Tree, edges: Iterable[tuple[int, int]]) -> Tree:
+    """Contract ``edges`` of ``t`` in order, in one union-find pass.
+
+    Each merged class takes the rank of its smallest original id among all
+    classes, which is the labeling repeated ``contract_edge`` produces: a
+    contraction keeps the smaller of two current ids and shifts the higher
+    ones down, so current ids always rank the classes by smallest member.
+    Raises ValueError on an edge that is not in ``t`` or whose ends are
+    already merged.
+    """
+    parent = list(range(t.vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in edges:
+        u, v = min(edge), max(edge)
+        if (u, v) not in t.edge_set:
+            raise ValueError(f"{edge} is not an edge of the source tree")
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ValueError(f"edge {edge} already collapsed")
+        parent[max(ru, rv)] = min(ru, rv)
+    # roots are class minima, so visiting ids in order numbers the classes
+    label = [-1] * t.vertex_count
+    count = 0
+    for v in range(t.vertex_count):
+        r = find(v)
+        if r == v:
+            label[v] = count
+            count += 1
+        else:
+            label[v] = label[r]
+    return Tree(
+        count,
+        tuple(
+            (label[u], label[v]) for u, v in t.edges if label[u] != label[v]
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -62,19 +111,13 @@ class ContractionPlan:
     kept_caterpillar: Tree
 
     def apply(self, source: Tree) -> Tree:
-        """Replay the plan against ``source``, checking each recorded mapping,
-        and return the final tree (equal to ``kept_caterpillar``)."""
-        current = source
-        acc = list(range(source.vertex_count))
-        for step in self.contract_sequence:
-            u0, v0 = step.edge
-            cu, cv = acc[u0], acc[v0]
-            if cu == cv:
-                raise ValueError(f"edge {step.edge} already collapsed")
-            current, mp = contract_edge(current, (cu, cv))
-            acc = [mp[x] for x in acc]
-            if tuple(acc) != step.mapping:
-                raise ValueError(f"mapping mismatch replaying {step.edge}")
+        """Replay the plan against ``source`` and return the final tree
+        (equal to ``kept_caterpillar``).  Raises ValueError when a step's
+        edge is not a source edge or is already collapsed, or when the
+        result differs from ``kept_caterpillar``."""
+        current = _contract_all(
+            source, (step.edge for step in self.contract_sequence)
+        )
         if current != self.kept_caterpillar:
             raise ValueError("replay did not reproduce kept_caterpillar")
         return current
@@ -116,18 +159,13 @@ def contract_to_caterpillar(t: Tree, k: int) -> ContractionPlan:
                 stack.append(w)
     contracted += sorted(keep)[: cap - k]
 
-    steps: list[ContractionStep] = []
-    current = t
-    acc = list(range(t.vertex_count))
-    for u0, v0 in contracted:
-        current, mp = contract_edge(current, (acc[u0], acc[v0]))
-        acc = [mp[x] for x in acc]
-        steps.append(ContractionStep((u0, v0), tuple(acc)))
-
+    current = _contract_all(t, contracted)
     ok, _ = is_caterpillar(current)
     if not ok or current.m != k:
         raise AssertionError("contraction plan failed to reach a caterpillar")
-    return ContractionPlan(k, tuple(steps), current)
+    return ContractionPlan(
+        k, tuple(ContractionStep(e) for e in contracted), current
+    )
 
 
 # ======================================================================

@@ -43,9 +43,18 @@ class CaterpillarWitness:
     size: int
 
 
-def _best_path_value(t: Tree) -> int:
-    # one pass up the tree: down[v] = best sum of (deg - 1) on a path going
-    # down from v; combine the two best child values at each vertex
+def _path_ends(t: Tree) -> tuple[int, list[int]]:
+    """The best path value over all paths, and for each vertex the best
+    value of a path ending there (a path's value is its sum of deg - 1).
+
+    One DFS order from 0 serves two passes.  Up the tree, down[v] is the
+    best value of a path going down from v.  Back down, up[v] is the best
+    value of a path from v's parent that avoids v's subtree (rerooting):
+    the parent's weight plus the best of its own up value and its other
+    children's down values.  Weights are non-negative, so a path ending at
+    v is best extended as far as it goes: v's weight plus the best of its
+    children's down values and its up value.
+    """
     n = t.vertex_count
     weight = [d - 1 for d in t.degrees]
     parent = [-2] * n
@@ -59,22 +68,28 @@ def _best_path_value(t: Tree) -> int:
             if parent[w] == -2:
                 parent[w] = u
                 stack.append(w)
-    down = [0] * n
+    top1 = [0] * n  # best down value among v's children
+    top2 = [0] * n  # second best, from a different child
+    arg1 = [-1] * n  # the child holding top1
     best = 0
     for u in reversed(order):
-        top1 = top2 = 0
-        for w in t.adjacency[u]:
-            if parent[w] == u:
-                d = down[w]
-                if d > top1:
-                    top1, top2 = d, top1
-                elif d > top2:
-                    top2 = d
-        down[u] = weight[u] + top1
-        through = weight[u] + top1 + top2
-        if through > best:
-            best = through
-    return best + 1
+        d = weight[u] + top1[u]  # down[u]
+        best = max(best, d + top2[u])
+        p = parent[u]
+        if p >= 0:
+            if d > top1[p]:
+                top1[p], top2[p], arg1[p] = d, top1[p], u
+            elif d > top2[p]:
+                top2[p] = d
+    up = [0] * n
+    ends = [0] * n
+    for u in order:
+        p = parent[u]
+        if p >= 0:
+            sibling = top2[p] if arg1[p] == u else top1[p]
+            up[u] = weight[p] + max(up[p], sibling)
+        ends[u] = weight[u] + max(top1[u], up[u])
+    return best, ends
 
 
 def max_caterpillar(t: Tree) -> CaterpillarWitness:
@@ -82,38 +97,40 @@ def max_caterpillar(t: Tree) -> CaterpillarWitness:
 
     Ties between maximum witnesses break toward the lexicographically
     smallest spine endpoint pair.
+
+    O(n): ``_path_ends`` gives the optimum and the best path value ending
+    at each vertex.  The smallest vertex ``a`` at which an optimal path
+    ends is the smallest endpoint of any optimal path, since every partner
+    of ``a`` is itself such an end.  One DFS from ``a`` then picks the
+    smallest vertex ``b`` whose a..b path is optimal (possibly ``a``
+    itself), so (a, b) is the pair a scan of start vertices in increasing
+    order would stop at.
     """
     if t.m < 1:
         raise ValueError("needs at least one edge")
     n = t.vertex_count
-    best = _best_path_value(t)
+    value, ends = _path_ends(t)
+    best = value + 1
     weight = [d - 1 for d in t.degrees]
+    a = ends.index(value)
 
-    path: list[int] = []
-    for a in range(n):
-        # depth-first sweep from a, tracking the unique a..b path value
-        hit = -1
-        parent = [-2] * n
-        parent[a] = -1
-        acc = [0] * n
-        acc[a] = weight[a]
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u >= a and acc[u] + 1 == best and (hit < 0 or u < hit):
-                hit = u
-            for w in t.adjacency[u]:
-                if parent[w] == -2:
-                    parent[w] = u
-                    acc[w] = acc[u] + weight[w]
-                    stack.append(w)
-        if hit >= 0:
-            path = [hit]
-            while path[-1] != a:
-                path.append(parent[path[-1]])
-            path.reverse()
-            break
-    assert path, "witness scan failed"
+    # depth-first sweep from a, tracking the unique a..b path value
+    parent = [-2] * n
+    parent[a] = -1
+    acc = [0] * n
+    acc[a] = weight[a]
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for w in t.adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                acc[w] = acc[u] + weight[w]
+                stack.append(w)
+    path = [acc.index(value)]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
 
     vertex_set = set(path)
     for v in path:

@@ -18,6 +18,7 @@ its predecessor) implies agreement everywhere in the range.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from math import isqrt
@@ -428,9 +429,12 @@ def verify_all(
     """Re-derive the package's guarantees and constructions from scratch
     and compare.  ``branch_size_override`` substitutes claimed branch
     sizes, which is how the tests prove a wrong table cannot slip through.
+    ``workers`` is clamped to the CPU count; the report does not depend on
+    it.
     """
     if max_edges < 1 or max_score < 1 or workers < 1:
         raise ValueError("bounds and worker count must be positive")
+    workers = min(workers, os.cpu_count() or 1)
     claimed = dict(branch_size_override or {})
     records: list[CheckRecord] = []
 

@@ -5,7 +5,13 @@ itself on construction (contiguous ids, no loops or duplicates, acyclic and
 therefore connected at n-1 edges), and caches adjacency and degree tables on
 first use.  Operations that shrink the vertex set -- edge contraction and
 vertex removal -- return explicit old-to-new id mappings so callers can track
-witnesses across transformations.
+witnesses across transformations.  ``contract_edge`` rebuilds the whole tree,
+so contracting many edges goes through one union-find pass instead (see
+``contraction``).
+
+``diameter_path`` is O(n): four breadth-first passes, not one per vertex.
+Eccentricities come from the two ends of any diametral path, and they pick
+out the endpoints of the lexicographically smallest longest path directly.
 
 The text interchange format is one edge per line: two base-10 vertex ids
 separated by whitespace.  Blank lines and lines whose first non-space
@@ -229,34 +235,33 @@ def _bfs_dists(t: Tree, src: int) -> list[int]:
 
 def diameter_path(t: Tree) -> tuple[int, ...]:
     """A longest path, endpoint pair lexicographically smallest among all
-    longest paths."""
+    longest paths.
+
+    Four breadth-first passes, O(n) in all.  The passes from 0 and from its
+    farthest vertex x find a diametral pair (x, y) and the diameter D.  In a
+    tree every eccentricity is attained at an end of any diametral path, so
+    the pass from y gives ecc(v) = max(dist(x, v), dist(y, v)) for every v.
+    The smallest endpoint ``a`` of a longest path is the smallest v with
+    ecc(v) = D: each of its partners also has eccentricity D, so is larger.
+    The pass from ``a`` then picks its partner ``b``, the smallest vertex
+    at distance D -- the same pair a scan of all pairs in lexicographic
+    order would pick first.
+    """
     n = t.vertex_count
     if n == 1:
         return (0,)
-    best = -1
-    pair = (0, 0)
-    for a in range(n):
-        dist = _bfs_dists(t, a)
-        for b in range(a + 1, n):
-            if dist[b] > best:
-                best = dist[b]
-                pair = (a, b)
-    a, b = pair
-    # unique tree path from a to b via parent pointers
-    par = [-1] * n
-    par[a] = a
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in t.adjacency[u]:
-                if par[w] < 0:
-                    par[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    path = [b]
+    d0 = _bfs_dists(t, 0)
+    x = d0.index(max(d0))
+    dx = _bfs_dists(t, x)
+    diam = max(dx)
+    dy = _bfs_dists(t, dx.index(diam))
+    a = next(v for v in range(n) if max(dx[v], dy[v]) == diam)
+    da = _bfs_dists(t, a)
+    # walk back from b: in a tree exactly one neighbor is one step closer
+    path = [da.index(diam)]
     while path[-1] != a:
-        path.append(par[path[-1]])
+        u = path[-1]
+        path.append(next(w for w in t.adjacency[u] if da[w] == da[u] - 1))
     path.reverse()
     return tuple(path)
 

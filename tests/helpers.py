@@ -1,10 +1,20 @@
 """Builders and hypothesis strategies shared across test modules."""
 
 import itertools
+import random
 
 import hypothesis.strategies as st
 
-from catbound import Tree, canonical_code, tree_from_pruefer
+from catbound import (
+    CaterpillarWitness,
+    Tree,
+    canonical_code,
+    contract_edge,
+    is_caterpillar,
+    leaves,
+    tree_from_pruefer,
+)
+from catbound.trees import _bfs_dists
 
 
 def path_tree(n: int) -> Tree:
@@ -75,3 +85,185 @@ def trees(draw, min_vertices: int = 2, max_vertices: int = 16) -> Tree:
 @st.composite
 def permutations_of(draw, n: int):
     return draw(st.permutations(list(range(n))))
+
+
+def adversarial_tree(n: int) -> tuple[Tree, list[int]]:
+    """A bare path on the low labels, hung off the middle of a heavy spine
+    on the high labels whose vertices each carry 3 pendant leaves; with the
+    ends of its optimal induced caterpillars (the two end spine vertices
+    and their leaves).  No optimal caterpillar's spine path ends on the
+    bare path, so a witness search that tries start vertices in label order
+    does one sweep per bare path vertex before its first hit."""
+    spine = 2 * n // 9
+    bare = n - 4 * spine
+    first, last = bare, bare + spine - 1
+    edges = [(i, i + 1) for i in range(bare - 1)]
+    edges += [(v, v + 1) for v in range(first, last)]
+    edges += [(first + i // 3, first + spine + i) for i in range(3 * spine)]
+    edges.append((bare - 1, first + spine // 2))
+    pendants = first + spine
+    ends = [first, last, *range(pendants, pendants + 3), *range(n - 3, n)]
+    return Tree(n, tuple(edges)), ends
+
+
+def relabeled_twin(n: int, seed: int) -> Tree:
+    """The adversarial tree with shuffled labels, then label 0 moved onto
+    one end of an optimal caterpillar, so the witness search hits at once."""
+    t, ends = adversarial_tree(n)
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    end = rng.choice(ends)
+    zero = perm.index(0)
+    perm[zero], perm[end] = perm[end], 0
+    return relabeled(t, perm)
+
+
+# ----------------------------------------------------------------------
+# slow oracles: the quadratic kernels the library replaced, kept as the
+# reference its linear versions are compared against
+# ----------------------------------------------------------------------
+
+
+def diameter_path_by_all_pairs(t: Tree) -> tuple[int, ...]:
+    """``diameter_path`` by a BFS from every vertex: the first pair (a, b),
+    a < b, in lexicographic order at the largest distance."""
+    n = t.vertex_count
+    if n == 1:
+        return (0,)
+    best = -1
+    pair = (0, 0)
+    for a in range(n):
+        dist = _bfs_dists(t, a)
+        for b in range(a + 1, n):
+            if dist[b] > best:
+                best = dist[b]
+                pair = (a, b)
+    a, b = pair
+    par = [-1] * n
+    par[a] = a
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in t.adjacency[u]:
+                if par[w] < 0:
+                    par[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    path = [b]
+    while path[-1] != a:
+        path.append(par[path[-1]])
+    path.reverse()
+    return tuple(path)
+
+
+def _best_path_value(t: Tree) -> int:
+    # down[v] = best sum of (deg - 1) on a path going down from v; combine
+    # the two best child values at each vertex
+    n = t.vertex_count
+    weight = [d - 1 for d in t.degrees]
+    parent = [-2] * n
+    order = []
+    parent[0] = -1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in t.adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                stack.append(w)
+    down = [0] * n
+    best = 0
+    for u in reversed(order):
+        top1 = top2 = 0
+        for w in t.adjacency[u]:
+            if parent[w] == u:
+                d = down[w]
+                if d > top1:
+                    top1, top2 = d, top1
+                elif d > top2:
+                    top2 = d
+        down[u] = weight[u] + top1
+        best = max(best, weight[u] + top1 + top2)
+    return best + 1
+
+
+def max_caterpillar_by_scan(t: Tree) -> CaterpillarWitness:
+    """``max_caterpillar`` by one sweep per start vertex, in increasing
+    order, stopping at the first start with an optimal path to a vertex
+    not below it."""
+    n = t.vertex_count
+    best = _best_path_value(t)
+    weight = [d - 1 for d in t.degrees]
+    path: list[int] = []
+    for a in range(n):
+        hit = -1
+        parent = [-2] * n
+        parent[a] = -1
+        acc = [0] * n
+        acc[a] = weight[a]
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            if u >= a and acc[u] + 1 == best and (hit < 0 or u < hit):
+                hit = u
+            for w in t.adjacency[u]:
+                if parent[w] == -2:
+                    parent[w] = u
+                    acc[w] = acc[u] + weight[w]
+                    stack.append(w)
+        if hit >= 0:
+            path = [hit]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            path.reverse()
+            break
+    vertex_set = set(path)
+    for v in path:
+        vertex_set.update(t.adjacency[v])
+    spine = list(path)
+    while len(spine) > 1 and t.degrees[spine[0]] == 1:
+        spine.pop(0)
+    while len(spine) > 1 and t.degrees[spine[-1]] == 1:
+        spine.pop()
+    return CaterpillarWitness(frozenset(vertex_set), tuple(spine), best)
+
+
+def contraction_plans_by_replay(t: Tree, ks) -> dict:
+    """``contract_to_caterpillar``'s edge sequence and kept caterpillar for
+    each k in ``ks``, built on the all-pairs diameter path and replayed
+    one ``contract_edge`` at a time.  A smaller k's sequence extends a
+    larger one's, so one replay serves every k, largest first."""
+    dpath = diameter_path_by_all_pairs(t)
+    keep = {(min(a, b), max(a, b)) for a, b in zip(dpath, dpath[1:])}
+    leaf_set = leaves(t)
+    keep |= {(u, v) for u, v in t.edges if u in leaf_set or v in leaf_set}
+    cap = len(leaf_set) + len(dpath) - 3
+    base = []
+    seen = [False] * t.vertex_count
+    seen[dpath[0]] = True
+    stack = [dpath[0]]
+    while stack:
+        u = stack.pop()
+        for w in reversed(t.adjacency[u]):
+            if not seen[w]:
+                seen[w] = True
+                e = (min(u, w), max(u, w))
+                if e not in keep:
+                    base.append(e)
+                stack.append(w)
+    current = t
+    acc = list(range(t.vertex_count))
+    done = 0
+    plans = {}
+    for k in sorted(set(ks), reverse=True):
+        seq = base + sorted(keep)[: cap - k]
+        for u0, v0 in seq[done:]:
+            current, mp = contract_edge(current, (acc[u0], acc[v0]))
+            acc = [mp[x] for x in acc]
+        done = len(seq)
+        assert is_caterpillar(current)[0] and current.m == k
+        plans[k] = (tuple(seq), current)
+    return plans

@@ -105,6 +105,26 @@ def test_build_to_stdout(capsys):
     assert code == 0 and out == "0 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "rk", "--k", "100000"),
+        ("build", "bk", "--k", "40"),
+        ("build", "tk", "--k", str(10**12)),
+        ("build", "rdl", "--d", "2000", "--l", "2000"),
+    ],
+)
+def test_build_refuses_trees_past_the_edge_limit(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("a tree was constructed")
+
+    for name in ("extremal_spider", "beautiful_tree", "extremal_branch_star", "build_spider"):
+        monkeypatch.setattr(f"catbound.cli.{name}", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"catbound: error: build {argv[1]} would have more than 1000000 edges\n"
+
+
 def test_build_requires_its_parameters(capsys):
     code, _, err = run(capsys, "build", "rk")
     assert code == 1 and "--k" in err
@@ -196,9 +216,34 @@ def test_path_rejects_malformed_family_files(capsys, tmp_path):
     bad.write_text('{"n": null, "segments": [[0, 1]]}')
     code, _, err = run(capsys, "path", "among", "--segments", str(bad))
     assert code == 1 and err == f"catbound: error: {bad}: n must be an integer\n"
-    bad.write_text('{"n": 1, "segments": [[0, 1e400]]}')
-    code, _, err = run(capsys, "path", "among", "--segments", str(bad))
-    assert code == 1 and err == f"catbound: error: {bad}: segments must be [a, b] pairs\n"
+    for text in (
+        '{"n": 1, "segments": [[0, 1e400]]}',
+        '{"n": 1, "segments": [[0.7, 1.2]]}',
+        '{"n": 1, "segments": [[true, 1]]}',
+        '{"n": 1, "segments": [[0, 1, 2]]}',
+    ):
+        bad.write_text(text)
+        code, _, err = run(capsys, "path", "among", "--segments", str(bad))
+        assert code == 1 and err == f"catbound: error: {bad}: segments must be [a, b] pairs\n"
+    for text in ('{"n": 1.9, "segments": [[0, 1]]}', '{"n": true, "segments": [[0, 1]]}'):
+        bad.write_text(text)
+        code, _, err = run(capsys, "path", "among", "--segments", str(bad))
+        assert code == 1 and err == f"catbound: error: {bad}: n must be an integer\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 0, "segments": []}', "need at least one segment"),
+        ('{"n": 2, "segments": [[0, 2], [1, 3]]}', "segments (0, 2) and (1, 3) cross"),
+    ],
+)
+def test_family_errors_name_the_file(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "path", "among", "--segments", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"catbound: error: {bad}: {message}\n"
 
 
 def test_broken_invariant_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
@@ -250,7 +295,7 @@ def test_render_refuses_invalid_paths_with_exit_2(tmp_path, capsys):
     assert code == 2 and "unused segment" in err
 
 
-@pytest.mark.parametrize("endpoints", ["5", "[0, 1e400]"])
+@pytest.mark.parametrize("endpoints", ["5", "[0, 1e400]", "[0.5, 1]", "[true, 1]"])
 def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints):
     seg_file = tmp_path / "fam.json"
     path_file = tmp_path / "chain.json"

@@ -1,6 +1,10 @@
 """Enumeration, brute-force oracles, and the verification harness."""
 
+from concurrent.futures import Future
+
 import pytest
+
+import catbound.oracle as oracle
 
 from catbound import (
     FREE_TREE_COUNTS,
@@ -172,6 +176,37 @@ def test_workers_do_not_change_the_report():
     solo = verify_all(max_edges=7, max_score=8, sweep_limit=500)
     team = verify_all(max_edges=7, max_score=8, sweep_limit=500, workers=3)
     assert solo.records == team.records
+
+
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    each task in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2, 2, 2]), (None, [])])
+def test_workers_are_clamped_to_the_cpu_count(monkeypatch, cpus, pools):
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=64)
+    assert InlinePool.sizes == pools
+    assert report.records == verify_all(max_edges=3, max_score=6, sweep_limit=500).records
 
 
 def test_sanity_of_bounds_arguments():
