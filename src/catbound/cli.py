@@ -178,8 +178,13 @@ def _load_path(path: str) -> tuple[AlternatingPath, str]:
         raise ValueError(f"{path}: endpoints must be a list of integers")
     if len(endpoints) % 2:
         raise ValueError(f"{path}: odd endpoint count")
-    mode = str(data.get("mode", "simple"))
-    return AlternatingPath(tuple(endpoints), len(endpoints) // 2), mode
+    mode = data.get("mode", "simple")
+    if mode not in ("simple", "among", "compatible"):
+        raise ValueError(f"{path}: unknown mode {mode!r}")
+    try:
+        return AlternatingPath(tuple(endpoints), len(endpoints) // 2), mode
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _family_json(s: SegmentFamily) -> str:

@@ -29,6 +29,9 @@ visits the chords before it, jumps to the far end, sweeps back, and leaves
 through the exit chord (the jump connector nests the skipped intervals
 instead of interleaving them).
 
+Every crossing test is one sorted parenthesis scan, ``_first_crossing``;
+``validate_path`` lists crossing pairs one by one only after it finds one.
+
 Each path the library builds is validated exactly once, as it leaves its
 public constructor: ``compatible_path`` checks its chain in 'compatible'
 mode, and ``among_path`` builds the subfamily chain unchecked and checks
@@ -38,6 +41,7 @@ only the lifted path, in 'simple' mode.  A failed check raises
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,23 +85,10 @@ class SegmentFamily:
             seen += [a, b]
         if sorted(seen) != list(range(2 * self.n)):
             raise ValueError("segments must perfectly match labels 0..2n-1")
-        # parenthesis scan: on a convex label circle, non-crossing means
-        # properly nested in linear order
-        partner = {}
-        for a, b in norm:
-            partner[a] = b
-            partner[b] = a
-        stack: list[int] = []
-        for x in range(2 * self.n):
-            if partner[x] > x:
-                stack.append(x)
-            else:
-                if not stack or stack[-1] != partner[x]:
-                    raise ValueError(
-                        f"segments ({partner[x]}, {x}) and "
-                        f"({stack[-1]}, {partner[stack[-1]]}) cross"
-                    )
-                stack.pop()
+        crossing = _first_crossing(norm)
+        if crossing is not None:
+            (a, b), (c, d) = crossing
+            raise ValueError(f"segments ({a}, {b}) and ({c}, {d}) cross")
 
     @cached_property
     def segment_set(self) -> frozenset[tuple[int, int]]:
@@ -151,6 +142,34 @@ def _interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
     return (a < c < b) != (a < d < b)
 
 
+def _first_crossing(
+    chords: Iterable[tuple[int, int]],
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Some pair of interleaving (low, high) chords, or None if none cross.
+
+    A sorted parenthesis scan.  At a shared label closings come first,
+    inner chords close first and outer ones open first, so chords that only
+    share an endpoint nest.  If a < c < b < d, (c, d) is on the stack above
+    (a, b) when (a, b) closes, and such a close returns (closing, top).
+    Degenerate chords are skipped, as ``_interleave`` never counts them."""
+    events = []
+    for chord in chords:
+        a, b = chord
+        if a < b:
+            events.append((a, 1, -b, chord))
+            events.append((b, 0, -a, chord))
+    events.sort()
+    stack: list[tuple[int, int]] = []
+    for _, opening, _, chord in events:
+        if opening:
+            stack.append(chord)
+        elif stack[-1] != chord:
+            return chord, stack[-1]
+        else:
+            stack.pop()
+    return None
+
+
 # ======================================================================
 # family structure: nesting forest, cells, boundary cycles
 # ======================================================================
@@ -158,60 +177,38 @@ def _interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
 
 @dataclass(frozen=True)
 class _Structure:
-    chords: tuple[tuple[int, int], ...]  # sorted by opening label
-    parent: tuple[int, ...]  # chord index -> enclosing chord index or -1
+    """A family's cells, numbered by chord: cell 0 is the outer cell and cell
+    i + 1 lies behind chord i, so tree edge (u, v), u < v, is chord v - 1 and
+    its parent cell u is v's smallest neighbour.  ``cell_cycles[c]`` lists
+    c's boundary chords in walk order as (chord, first, second)."""
+
     cell_cycles: tuple[tuple[tuple[int, int, int], ...], ...]
-    # cell id -> boundary chords in walk order as (chord, first, second)
     tree: Tree
-    edge_chord: dict[tuple[int, int], int]  # tree edge -> chord index
 
 
 def _structure(s: SegmentFamily) -> _Structure:
     chords = s.pairs  # already sorted by opening label
-    index_of_open = {a: i for i, (a, b) in enumerate(chords)}
-    parent = [-1] * s.n
-    children: list[list[int]] = [[] for _ in range(s.n)]
-    top: list[int] = []
-    stack: list[int] = []
-    opens = {a for a, _ in chords}
-    for x in range(2 * s.n):
-        if x in opens:
-            i = index_of_open[x]
-            if stack:
-                parent[i] = stack[-1]
-                children[stack[-1]].append(i)
-            else:
-                top.append(i)
-            stack.append(i)
-        else:
-            stack.pop()
-
-    # cell id: 0 = outer; chord i's inner cell = i + 1
-    cycles: list[tuple[tuple[int, int, int], ...]] = []
-    cycles.append(tuple((i, chords[i][0], chords[i][1]) for i in top))
-    for i in range(s.n):
-        cyc = [(j, chords[j][0], chords[j][1]) for j in children[i]]
-        cyc.append((i, chords[i][1], chords[i][0]))
-        cycles.append(tuple(cyc))
-
+    cycles: list[list[tuple[int, int, int]]] = [[] for _ in range(s.n + 1)]
     edges = []
-    edge_chord: dict[tuple[int, int], int] = {}
-    for i in range(s.n):
-        u = parent[i] + 1 if parent[i] >= 0 else 0
-        v = i + 1
-        e = (min(u, v), max(u, v))
-        edges.append(e)
-        edge_chord[e] = i
-    tree = Tree(s.n + 1, tuple(edges))
-    return _Structure(chords, tuple(parent), tuple(cycles), tree, edge_chord)
+    stack: list[int] = []  # chords enclosing the current label, innermost last
+    for i, (a, b) in enumerate(chords):
+        while stack and chords[stack[-1]][1] < a:
+            stack.pop()
+        cell = stack[-1] + 1 if stack else 0
+        cycles[cell].append((i, a, b))
+        edges.append((cell, i + 1))
+        stack.append(i)
+    for i, (a, b) in enumerate(chords):  # each inner cell's own chord comes last
+        cycles[i + 1].append((i, b, a))
+    return _Structure(tuple(map(tuple, cycles)), Tree(s.n + 1, tuple(edges)))
 
 
 def segments_to_tree(
     s: SegmentFamily,
 ) -> tuple[Tree, dict[tuple[int, int], tuple[int, int]]]:
     """The cell-adjacency tree, plus the segment behind each tree edge."""
-    st = s._struct
-    return st.tree, {e: st.chords[i] for e, i in st.edge_chord.items()}
+    t = s._struct.tree
+    return t, {(t.adjacency[v][0], v): s.pairs[v - 1] for v in range(1, t.vertex_count)}
 
 
 def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
@@ -260,7 +257,8 @@ def realize_coordinates(s: SegmentFamily) -> GeometricRealization:
 def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport:
     """Check ``p`` against ``s``.  Mode 'simple' (alias 'among') checks the
     alternation structure and self-crossings; 'compatible' additionally
-    forbids crossing any family segment absent from the chain."""
+    forbids crossing any family segment absent from the chain.  One
+    O(k log k) scan decides crossings; all pairs are listed only on failure."""
     if mode == "among":
         mode = "simple"
     if mode not in ("simple", "compatible"):
@@ -280,18 +278,20 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
         if seg not in family:
             issues.append(f"position {i}: ({e[i]}, {e[i + 1]}) is not a segment")
     edges = p.edges()
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if _interleave(edges[i], edges[j]):
-                issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
-    if mode == "compatible":
-        used = {(min(a, b), max(a, b)) for a, b in edges}
-        for seg in s.pairs:
-            if seg in used:
-                continue
-            for edge in edges:
-                if _interleave(seg, edge):
-                    issues.append(f"chain edge {edge} crosses unused segment {seg}")
+    used = {(min(a, b), max(a, b)) for a, b in edges}
+    chords = used | family if mode == "compatible" else used
+    if _first_crossing(chords) is not None:
+        for i in range(len(edges)):
+            for j in range(i + 1, len(edges)):
+                if _interleave(edges[i], edges[j]):
+                    issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
+        if mode == "compatible":
+            for seg in s.pairs:
+                if seg in used:
+                    continue
+                for edge in edges:
+                    if _interleave(seg, edge):
+                        issues.append(f"chain edge {edge} crosses unused segment {seg}")
     return PathReport(not issues, mode, tuple(issues))
 
 
@@ -364,9 +364,7 @@ def _compatible_chain(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPat
         raise ValueError("witness does not fit this family's cell tree")
 
     vs = w.vertex_set
-    witness_chords = {
-        i for e, i in st.edge_chord.items() if e[0] in vs and e[1] in vs
-    }
+    witness_chords = sorted(v - 1 for u, v in t.edges if u in vs and v in vs)
     if len(witness_chords) != w.size or w.size < 1:
         raise ValueError("witness size disagrees with its induced edges")
 
@@ -374,25 +372,21 @@ def _compatible_chain(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPat
     if not spine:
         if w.size != 1:
             raise ValueError("empty spine only fits a single-segment witness")
-        only = next(iter(witness_chords))
-        spine = [min(e for e, i in st.edge_chord.items() if i == only)[0]]
+        spine = [t.adjacency[witness_chords[0] + 1][0]]
     spine_set = set(spine)
 
     # chord -> cells it borders; split witness chords into spine connectors
     # and per-cell leaf chords
     link: dict[tuple[int, int], int] = {}
     at_cell: dict[int, list[int]] = {c: [] for c in spine}
-    for e, i in st.edge_chord.items():
-        if i not in witness_chords:
-            continue
-        a, b = e
-        both = a in spine_set and b in spine_set
-        if both:
-            link[e] = i
+    for i in witness_chords:
+        a, b = t.adjacency[i + 1][0], i + 1
+        if a in spine_set and b in spine_set:
+            link[(a, b)] = i
         else:
             host = a if a in spine_set else (b if b in spine_set else None)
             if host is None:
-                raise ValueError(f"witness segment {st.chords[i]} misses the spine")
+                raise ValueError(f"witness segment {s.pairs[i]} misses the spine")
             at_cell[host].append(i)
     for u, v in zip(spine, spine[1:]):
         if (min(u, v), max(u, v)) not in link:
@@ -438,14 +432,11 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     the contraction plan that witnesses the count.  Contracting a tree edge
     is deleting a segment: the path is built compatible with the surviving
     subfamily and may cross only the deleted segments."""
-    st = s._struct
-    cap = max_caterpillar_by_contraction(st.tree)
-    plan = contract_to_caterpillar(st.tree, cap)
-    dropped = {
-        st.edge_chord[(min(u, v), max(u, v))]
-        for (u, v) in (step.edge for step in plan.contract_sequence)
-    }
-    keep = [st.chords[i] for i in range(s.n) if i not in dropped]
+    t = s._struct.tree
+    cap = max_caterpillar_by_contraction(t)
+    plan = contract_to_caterpillar(t, cap)
+    dropped = {max(step.edge) - 1 for step in plan.contract_sequence}
+    keep = [s.pairs[i] for i in range(s.n) if i not in dropped]
     labels = sorted(x for pair in keep for x in pair)
     rank = {x: i for i, x in enumerate(labels)}
     sub = SegmentFamily(len(keep), tuple((rank[a], rank[b]) for a, b in keep))

@@ -45,7 +45,9 @@ from .induced import (
 from .trees import Tree, canonical_code
 
 #: isomorphism classes of trees with 0, 1, 2, ... edges (A000055 shifted)
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301)
+FREE_TREE_COUNTS = (
+    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629,
+)
 
 
 # ======================================================================

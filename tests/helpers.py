@@ -6,7 +6,10 @@ import random
 import hypothesis.strategies as st
 
 from catbound import (
+    AlternatingPath,
     CaterpillarWitness,
+    PathReport,
+    SegmentFamily,
     Tree,
     canonical_code,
     contract_edge,
@@ -14,6 +17,7 @@ from catbound import (
     leaves,
     tree_from_pruefer,
 )
+from catbound.duality import _interleave
 from catbound.trees import _bfs_dists
 
 
@@ -267,3 +271,64 @@ def contraction_plans_by_replay(t: Tree, ks) -> dict:
         assert is_caterpillar(current)[0] and current.m == k
         plans[k] = (tuple(seq), current)
     return plans
+
+
+def validate_path_by_all_pairs(
+    s: SegmentFamily, p: AlternatingPath, mode: str
+) -> PathReport:
+    """``validate_path`` testing every pair of chain edges for a crossing,
+    and in 'compatible' mode every unused segment against every chain edge."""
+    if mode == "among":
+        mode = "simple"
+    if mode not in ("simple", "compatible"):
+        raise ValueError(f"unknown mode {mode!r}")
+    issues: list[str] = []
+    e = p.endpoints
+    limit = 2 * s.n
+    for x in e:
+        if not 0 <= x < limit:
+            issues.append(f"label {x} out of range 0..{limit - 1}")
+    if len(set(e)) != len(e):
+        dups = sorted({x for x in e if e.count(x) > 1})
+        issues.append(f"repeated labels {dups}")
+    family = s.segment_set
+    for i in range(0, len(e) - 1, 2):
+        seg = (min(e[i], e[i + 1]), max(e[i], e[i + 1]))
+        if seg not in family:
+            issues.append(f"position {i}: ({e[i]}, {e[i + 1]}) is not a segment")
+    edges = p.edges()
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if _interleave(edges[i], edges[j]):
+                issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
+    if mode == "compatible":
+        used = {(min(a, b), max(a, b)) for a, b in edges}
+        for seg in s.pairs:
+            if seg in used:
+                continue
+            for edge in edges:
+                if _interleave(seg, edge):
+                    issues.append(f"chain edge {edge} crosses unused segment {seg}")
+    return PathReport(not issues, mode, tuple(issues))
+
+
+def matching_crossing_by_label_scan(pairs) -> str | None:
+    """The crossing error ``SegmentFamily`` raises on ``pairs``, a perfect
+    matching of 0..2n-1, found by a stack scan over the labels in order;
+    None when no two pairs cross."""
+    partner = {}
+    for a, b in pairs:
+        partner[a] = b
+        partner[b] = a
+    stack: list[int] = []
+    for x in range(len(partner)):
+        if partner[x] > x:
+            stack.append(x)
+        else:
+            if not stack or stack[-1] != partner[x]:
+                return (
+                    f"segments ({partner[x]}, {x}) and "
+                    f"({stack[-1]}, {partner[stack[-1]]}) cross"
+                )
+            stack.pop()
+    return None

@@ -1,23 +1,30 @@
 """Command layer: argument handling, file formats, exit codes, and the
 byte-for-byte determinism of everything the CLI writes."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catbound import (
     SegmentFamily,
     canonical_code,
+    format_tree,
     parse_tree,
     render_segments,
     render_tree,
     tree_to_segments,
 )
 from catbound.cli import main
-from helpers import path_tree, star_tree
+from helpers import path_tree, star_tree, trees
 
 
 def run(capsys, *argv):
@@ -306,6 +313,24 @@ def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints):
     assert err == f"catbound: error: {path_file}: endpoints must be a list of integers\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"mode": 5, "endpoints": [0, 5]}', "unknown mode 5"),
+        ('{"mode": "fancy", "endpoints": [0, 5]}', "unknown mode 'fancy'"),
+        ('{"mode": "compatible", "endpoints": []}', "endpoint count must be twice the segment count"),
+    ],
+)
+def test_path_file_errors_name_the_file(tmp_path, capsys, text, message):
+    seg_file = tmp_path / "fam.json"
+    path_file = tmp_path / "chain.json"
+    seg_file.write_text('{"n": 3, "segments": [[0, 5], [1, 4], [2, 3]]}')
+    path_file.write_text(text)
+    code, out, err = run(capsys, "render", "--segments", str(seg_file), "--path", str(path_file), "--out", str(tmp_path / "x.svg"))
+    assert code == 1 and out == ""
+    assert err == f"catbound: error: {path_file}: {message}\n"
+
+
 def test_render_tree_output(tmp_path, capsys):
     tree_file = tmp_path / "t.txt"
     tree_file.write_text("0 1\n1 2\n2 3\n")
@@ -352,6 +377,78 @@ def test_verify_json_output(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True and data["failed"] == 0
+
+
+# ----------------------------------------------------------------------
+# fuzzed input files: every outcome is an exit code, never a traceback
+# ----------------------------------------------------------------------
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "segments", "mode", "endpoints"]), inner, max_size=4),
+    max_leaves=10,
+)
+_labels = st.integers(-1, 9)
+_family_docs = st.one_of(
+    _json,
+    st.fixed_dictionaries(
+        {
+            "n": st.integers(0, 5),
+            "segments": st.lists(st.lists(_labels, min_size=2, max_size=2), max_size=5),
+        }
+    ),
+    trees(max_vertices=7).map(
+        lambda t: {"n": t.m, "segments": [list(p) for p in tree_to_segments(t).pairs]}
+    ),
+)
+_path_docs = st.one_of(
+    _json,
+    st.fixed_dictionaries(
+        {
+            "mode": st.sampled_from(["simple", "among", "compatible", 5, None]),
+            "endpoints": st.lists(_labels, max_size=8),
+        }
+    ),
+)
+_edge_lists = st.one_of(
+    st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=8).map(
+        lambda edges: "".join(f"{a} {b}\n" for a, b in edges)
+    ),
+    trees(min_vertices=1, max_vertices=8).map(format_tree),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.one_of(_family_docs.map(json.dumps), st.text(max_size=20)),
+    chain=st.one_of(_path_docs.map(json.dumps), st.text(max_size=20)),
+    tree=_edge_lists,
+    root=st.integers(-1, 8),
+)
+def test_fuzzed_files_exit_cleanly(family, chain, tree, root):
+    with tempfile.TemporaryDirectory() as work:
+        fam, path, tree_file, svg = (
+            str(Path(work) / name) for name in ("fam.json", "chain.json", "t.txt", "x.svg")
+        )
+        for name, text in ((fam, family), (path, chain), (tree_file, tree)):
+            Path(name).write_text(text, encoding="utf-8")
+        for argv in (
+            ["path", "among", "--segments", fam],
+            ["path", "compatible", "--segments", fam],
+            ["render", "--segments", fam, "--path", path, "--out", svg],
+            ["render", "--tree", tree_file, "--root", str(root), "--out", svg],
+            ["dual", "to-segments", "--tree", tree_file, "--root", str(root)],
+            ["dual", "to-tree", "--segments", fam],
+            ["analyze", "--tree", tree_file, "--witness"],
+        ):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
 
 
 # ----------------------------------------------------------------------

@@ -1,33 +1,47 @@
-"""The linear per-tree kernels against the quadratic code they replaced.
+"""The fast kernels against the quadratic code they replaced.
 
-``diameter_path``, the ``max_caterpillar`` witness and contraction plans
-must reproduce the slow oracles in ``helpers`` output for output, tie-break
-for tie-break, at sizes well past exhaustive reach.  Operation counts, not
-timings, guard against a quadratic relapse.
+``diameter_path``, the ``max_caterpillar`` witness, contraction plans and
+``validate_path`` must reproduce the slow oracles in ``helpers`` output for
+output, tie-break for tie-break, at sizes well past exhaustive reach.
+Operation counts, not timings, guard against a quadratic relapse.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import catbound.contraction as contraction
+import catbound.duality as duality
 import catbound.trees as trees
 from catbound import (
+    AlternatingPath,
+    SegmentFamily,
     Tree,
+    among_path,
+    compatible_path,
     contract_to_caterpillar,
     diameter_path,
     extremal_branch_star,
     extremal_spider,
     max_caterpillar,
     max_caterpillar_by_contraction,
+    segments_to_tree,
     tree_from_pruefer,
+    tree_to_segments,
+    validate_path,
 )
 from helpers import (
     adversarial_tree,
     contraction_plans_by_replay,
     diameter_path_by_all_pairs,
+    matching_crossing_by_label_scan,
     max_caterpillar_by_scan,
+    path_tree,
     relabeled_twin,
     trees as tree_strategy,
+    validate_path_by_all_pairs,
 )
 
 
@@ -79,6 +93,91 @@ def test_adversarial_shape_hides_the_witness_from_low_labels():
 
 
 # ----------------------------------------------------------------------
+# path validation: one parenthesis scan against all pairs
+# ----------------------------------------------------------------------
+
+
+def broken_variants(e: tuple[int, ...], limit: int, rng: random.Random):
+    """A chain with a connector reversed, a connector made degenerate, two
+    endpoints swapped, a label repeated and a label out of range
+    0..limit-1; and a segment walked there and back, such as (0, 5, 5, 0)."""
+    size = len(e)
+    out = []
+    if size >= 4:
+        c = rng.randrange(1, size - 2, 2)  # connector (e[c], e[c + 1])
+        out.append(e[:c] + (e[c + 1], e[c]) + e[c + 2 :])
+        out.append(e[: c + 1] + (e[c],) + e[c + 2 :])
+    i, j = rng.sample(range(size), 2)
+    swapped = list(e)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    out.append(tuple(swapped))
+    out.append(e[:i] + (e[j],) + e[i + 1 :])
+    out.append(e[:i] + (rng.choice([-1, limit, limit + 7]),) + e[i + 1 :])
+    out.append(e[:2] + e[1::-1])
+    return out
+
+
+def assert_reports_match_oracle(
+    family: SegmentFamily, endpoints, compatible: bool = True
+) -> None:
+    path = AlternatingPath(tuple(endpoints), len(endpoints) // 2)
+    simple = validate_path_by_all_pairs(family, path, "simple")
+    assert validate_path(family, path, "simple") == simple
+    assert validate_path(family, path, "among") == simple
+    if compatible:
+        assert validate_path(family, path, "compatible") == validate_path_by_all_pairs(
+            family, path, "compatible"
+        )
+
+
+def library_chains(family: SegmentFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    cell_tree, _ = segments_to_tree(family)
+    compatible = compatible_path(family, max_caterpillar(cell_tree)).endpoints
+    return compatible, among_path(family)[0].endpoints
+
+
+@settings(max_examples=15, deadline=None)
+@given(tree_strategy(min_vertices=2, max_vertices=40), st.data())
+def test_validation_matches_oracle_on_broken_chains(t, data):
+    family = tree_to_segments(t, data.draw(st.integers(0, t.vertex_count - 1)))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    for chain in library_chains(family):
+        assert_reports_match_oracle(family, chain)
+        for variant in broken_variants(chain, 2 * family.n, rng):
+            assert_reports_match_oracle(family, variant)
+
+
+@pytest.mark.parametrize("name", ["pruefer-1000", "path-200"])
+def test_validation_matches_oracle_at_scale(name):
+    if name == "path-200":
+        t = path_tree(201)
+    else:
+        rng = random.Random(1000)
+        t = tree_from_pruefer(tuple(rng.randrange(1000) for _ in range(998)), 1000)
+    family = tree_to_segments(t, 0)
+    compatible, among = library_chains(family)
+    assert_reports_match_oracle(family, compatible)
+    # the among chain crosses unused segments, so its 'compatible' report is
+    # the costliest oracle call; the small families above compare it
+    assert_reports_match_oracle(family, among, compatible=False)
+    reversed_connector = broken_variants(compatible, 2 * family.n, random.Random(1))[0]
+    assert_reports_match_oracle(family, reversed_connector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(list(range(2 * n)))))
+def test_family_crossing_errors_match_the_label_scan(labels):
+    pairs = tuple(zip(labels[::2], labels[1::2]))
+    want = matching_crossing_by_label_scan(pairs)
+    try:
+        SegmentFamily(len(pairs), pairs)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+
+
+# ----------------------------------------------------------------------
 # operation counts
 # ----------------------------------------------------------------------
 
@@ -115,3 +214,14 @@ def test_contraction_plans_build_no_intermediate_trees(monkeypatch):
     assert plan.apply(spider) == plan.kept_caterpillar
     assert len(steps) == 0
     assert len(built) <= 3
+
+
+def test_validating_a_valid_path_tests_no_pairs(monkeypatch):
+    family = tree_to_segments(path_tree(1001), 0)
+    cell_tree, _ = segments_to_tree(family)
+    chain = compatible_path(family, max_caterpillar(cell_tree))
+    assert chain.k == family.n == 1000
+    pairs: list = []
+    count_calls(monkeypatch, duality, "_interleave", pairs)
+    assert validate_path(family, chain, "compatible").ok
+    assert len(pairs) == 0
