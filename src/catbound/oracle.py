@@ -4,9 +4,16 @@ Everything the package computes by formula or by greedy construction is
 re-derivable here the slow way: free trees come from the
 Wright–Richmond–Odlyzko–McKay successor on canonical level sequences,
 maximum induced caterpillars from exhaustive subset search, and branch
-sizes from the defining recurrence.  ``verify_all`` runs the whole battery and returns a
-line-per-check report instead of raising, so a regression shows up as a
-FAIL row with a canonical-code witness attached.
+sizes from the defining recurrence.  ``verify_all`` runs the whole battery and
+returns a line-per-check report instead of raising, so a regression shows up
+as a FAIL row with a canonical-code witness attached.
+
+The census puts every free tree class through one check, ``_check_tree``,
+whose small picklable result records each fact about that tree and, for a
+failed duality, the step and the exception.  The same ``map`` call runs the
+checks in this process or in one process pool opened for the whole run, and
+each edge count's rows are minima over the results, so the report does not
+depend on the worker count.
 
 Guarantee functions are step functions of the edge budget, so the sweep
 section compares implementation and reference only at change points: both
@@ -20,9 +27,11 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 from math import isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .contraction import (
     contraction_guarantee,
@@ -48,6 +57,10 @@ from .trees import Tree, canonical_code
 FREE_TREE_COUNTS = (
     1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629,
 )
+
+#: trees per task sent to a worker: enough to hide the pickling round trip,
+#: few enough that both workers finish an edge count at about the same time
+_CHUNK = 32
 
 
 # ======================================================================
@@ -353,72 +366,70 @@ class VerificationReport:
         }
 
 
-def _scan_edge_count(edge_count: int, stride: int, offset: int) -> dict:
-    """Fold one residue class of the free-tree stream.
-
-    Returns per-slice minima keyed for an order-independent merge, so the
-    same totals come out whatever the worker count.
-    """
-    count = 0
-    best_contract: tuple[int, str] | None = None
-    best_induced: tuple[int, str] | None = None
-    dp_clash: str | None = None
-    duality_clash: str | None = None
-    for idx, t in enumerate(free_trees(edge_count)):
-        if idx % stride != offset:
-            continue
-        count += 1
-        tree_code = canonical_code(t)
-        code = str(tree_code)
-        score = max_caterpillar_by_contraction(t)
-        witness = max_caterpillar(t)
-        brute = brute_max_caterpillar(t)
-        if witness.size != brute and (dp_clash is None or code < dp_clash):
-            dp_clash = code
-        ok = True
-        try:
-            family = tree_to_segments(t, 0)
-            back, _ = segments_to_tree(family)
-            if canonical_code(back) != tree_code:
-                ok = False
-            else:
-                compatible_path(family, witness)
-                among_path(family)
-        except Exception:
-            ok = False
-        if not ok and (duality_clash is None or code < duality_clash):
-            duality_clash = code
-        if best_contract is None or (score, code) < best_contract:
-            best_contract = (score, code)
-        if best_induced is None or (brute, code) < best_induced:
-            best_induced = (brute, code)
-    return {
-        "count": count,
-        "contract": best_contract,
-        "induced": best_induced,
-        "dp_clash": dp_clash,
-        "duality_clash": duality_clash,
-    }
+def _check_tree(t: Tree) -> tuple[str, int, int, bool, str | None]:
+    """Everything the census asks of one tree class: its canonical code,
+    its contraction score, its subset-search maximum, whether the DP
+    witness reaches that maximum, and why the duality failed (None when it
+    holds) as ``<step>`` or ``<step>: <Type>: <message>``."""
+    tree_code = canonical_code(t)
+    score = max_caterpillar_by_contraction(t)
+    witness = max_caterpillar(t)
+    brute = brute_max_caterpillar(t)
+    failure = step = "round trip"
+    try:
+        family = tree_to_segments(t, 0)
+        back, _ = segments_to_tree(family)
+        if canonical_code(back) == tree_code:
+            step = "compatible"
+            compatible_path(family, witness)
+            step = "among"
+            among_path(family)
+            failure = None
+    except Exception as exc:
+        failure = f"{step}: {type(exc).__name__}: {exc}"
+    return str(tree_code), score, brute, witness.size == brute, failure
 
 
-def _merge_scans(parts: list[dict]) -> dict:
-    out = {
-        "count": sum(p["count"] for p in parts),
-        "contract": min(
-            (p["contract"] for p in parts if p["contract"] is not None), default=None
-        ),
-        "induced": min(
-            (p["induced"] for p in parts if p["induced"] is not None), default=None
-        ),
-        "dp_clash": min(
-            (p["dp_clash"] for p in parts if p["dp_clash"] is not None), default=None
-        ),
-        "duality_clash": min(
-            (p["duality_clash"] for p in parts if p["duality_clash"] is not None),
-            default=None,
-        ),
-    }
-    return out
+def _verdict(
+    section: str, label: str, expected: str, bad: str | None, note: str = ""
+) -> CheckRecord:
+    """A check that passes unless it found a failure, ``bad``."""
+    return CheckRecord(
+        section, label, bad is None, expected, "ok" if bad is None else bad, note
+    )
+
+
+def _fold(m: int, checks: Iterable[tuple]) -> list[CheckRecord]:
+    """The rows for edge count m from its trees' ``_check_tree`` results.
+    Each minimum breaks ties by canonical code, so the rows do not depend
+    on the order of the results."""
+    codes, scores, brutes, agrees, failures = zip(*checks)
+    label = f"m={m}"
+    rows = []
+    if m < len(FREE_TREE_COUNTS):
+        want, got = FREE_TREE_COUNTS[m], len(codes)
+        rows.append(CheckRecord("tree-census", label, got == want, str(want), str(got)))
+    for section, guarantee, values in (
+        ("contraction-bound", contraction_guarantee, scores),
+        ("induced-bound", induced_guarantee, brutes),
+    ):
+        low, code = min(zip(values, codes))
+        want, note = guarantee(m), f"worst tree {code}"
+        rows.append(CheckRecord(section, label, low == want, str(want), str(low), note))
+    clash = min((c for c, ok in zip(codes, agrees) if not ok), default=None)
+    rows.append(
+        CheckRecord(
+            "caterpillar-search",
+            label,
+            clash is None,
+            "dp equals subset search",
+            "agree" if clash is None else f"clash at {clash}",
+        )
+    )
+    failed = min(((c, why) for c, why in zip(codes, failures) if why), default=None)
+    bad = None if failed is None else "failed at {} ({})".format(*failed)
+    rows.append(_verdict("duality", label, "round trips and valid paths", bad))
+    return rows
 
 
 def verify_all(
@@ -431,8 +442,12 @@ def verify_all(
     """Re-derive the package's guarantees and constructions from scratch
     and compare.  ``branch_size_override`` substitutes claimed branch
     sizes, which is how the tests prove a wrong table cannot slip through.
-    ``workers`` is clamped to the CPU count; the report does not depend on
-    it.
+
+    Every free tree class with 1 to ``max_edges`` edges goes through one
+    ``_check_tree``, and each edge count's rows are minima over those
+    results, ties broken by canonical code.  ``workers`` is clamped to the
+    CPU count; above one, the checks run in a single process pool opened
+    for the whole call.  The report does not depend on it.
     """
     if max_edges < 1 or max_score < 1 or workers < 1:
         raise ValueError("bounds and worker count must be positive")
@@ -440,69 +455,11 @@ def verify_all(
     claimed = dict(branch_size_override or {})
     records: list[CheckRecord] = []
 
-    for m in range(1, max_edges + 1):
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_scan_edge_count, m, workers, off)
-                    for off in range(workers)
-                ]
-                scan = _merge_scans([f.result() for f in futures])
-        else:
-            scan = _scan_edge_count(m, 1, 0)
-
-        if m < len(FREE_TREE_COUNTS):
-            records.append(
-                CheckRecord(
-                    "tree-census",
-                    f"m={m}",
-                    scan["count"] == FREE_TREE_COUNTS[m],
-                    str(FREE_TREE_COUNTS[m]),
-                    str(scan["count"]),
-                )
-            )
-        low, code = scan["contract"]
-        records.append(
-            CheckRecord(
-                "contraction-bound",
-                f"m={m}",
-                low == contraction_guarantee(m),
-                str(contraction_guarantee(m)),
-                str(low),
-                f"worst tree {code}",
-            )
-        )
-        low, code = scan["induced"]
-        records.append(
-            CheckRecord(
-                "induced-bound",
-                f"m={m}",
-                low == induced_guarantee(m),
-                str(induced_guarantee(m)),
-                str(low),
-                f"worst tree {code}",
-            )
-        )
-        records.append(
-            CheckRecord(
-                "caterpillar-search",
-                f"m={m}",
-                scan["dp_clash"] is None,
-                "dp equals subset search",
-                "agree" if scan["dp_clash"] is None else f"clash at {scan['dp_clash']}",
-            )
-        )
-        records.append(
-            CheckRecord(
-                "duality",
-                f"m={m}",
-                scan["duality_clash"] is None,
-                "round trips and valid paths",
-                "ok"
-                if scan["duality_clash"] is None
-                else f"failed at {scan['duality_clash']}",
-            )
-        )
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        check = map if pool is None else partial(pool.map, chunksize=_CHUNK)
+        for m in range(1, max_edges + 1):
+            records += _fold(m, check(_check_tree, free_trees(m)))
 
     for k in range(1, max_score + 1):
         want = branch_size_recurrence(k)
@@ -513,21 +470,17 @@ def verify_all(
             )
         )
 
-    bad_ratio = None
+    bad = None
     for k in range(2, max_score + 1):
         if 5 * max_branch_size(k) < 7 * max_branch_size(k - 1):
-            bad_ratio = f"5*size({k}) < 7*size({k - 1})"
+            bad = f"5*size({k}) < 7*size({k - 1})"
             break
         if k >= 7 and 2 * max_branch_size(k) >= 3 * max_branch_size(k - 1):
-            bad_ratio = f"2*size({k}) >= 3*size({k - 1})"
+            bad = f"2*size({k}) >= 3*size({k - 1})"
             break
     records.append(
-        CheckRecord(
-            "branch-ratio",
-            f"k<={max_score}",
-            bad_ratio is None,
-            "growth stays within [7/5, 3/2)",
-            "ok" if bad_ratio is None else bad_ratio,
+        _verdict(
+            "branch-ratio", f"k<={max_score}", "growth stays within [7/5, 3/2)", bad
         )
     )
 
@@ -539,13 +492,7 @@ def verify_all(
             bad = f"k={k}: {spider.m} edges, score {score}"
             break
     records.append(
-        CheckRecord(
-            "extremal-spider",
-            f"k<={max_score}",
-            bad is None,
-            "sizes and scores match",
-            "ok" if bad is None else bad,
-        )
+        _verdict("extremal-spider", f"k<={max_score}", "sizes and scores match", bad)
     )
 
     bad = None
@@ -559,14 +506,9 @@ def verify_all(
         ):
             bad = f"k={k}: {star.m} edges, caterpillar {found}"
             break
+    label = f"k<={min(max_score, 26)}"
     records.append(
-        CheckRecord(
-            "extremal-branch-star",
-            f"k<={min(max_score, 26)}",
-            bad is None,
-            "sizes and caterpillars match",
-            "ok" if bad is None else bad,
-        )
+        _verdict("extremal-branch-star", label, "sizes and caterpillars match", bad)
     )
 
     bad = None
@@ -578,14 +520,9 @@ def verify_all(
         if rooted.tree.m != want_edges or fed != k or cat > 2 * k - 1:
             bad = f"k={k}: {rooted.tree.m} edges, hungry {fed}, caterpillar {cat}"
             break
+    label = f"k<={min(max_score, 18)}"
     records.append(
-        CheckRecord(
-            "beautiful-tree",
-            f"k<={min(max_score, 18)}",
-            bad is None,
-            "sizes, appetites, caterpillar cap",
-            "ok" if bad is None else bad,
-        )
+        _verdict("beautiful-tree", label, "sizes, appetites, caterpillar cap", bad)
     )
 
     points = guarantee_change_points(sweep_limit)
@@ -595,14 +532,12 @@ def verify_all(
             bad = f"m={m}: {induced_guarantee(m)} vs {induced_guarantee_reference(m)}"
             break
     records.append(
-        CheckRecord(
+        _verdict(
             "guarantee-sweep",
             f"m<={sweep_limit}",
-            bad is None,
             "closed form equals reference",
-            "ok" if bad is None else bad,
+            bad,
             f"{len(points)} change points",
         )
     )
-
     return VerificationReport(tuple(records))

@@ -112,12 +112,6 @@ class Tree:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
-
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)

@@ -379,6 +379,16 @@ def test_verify_json_output(capsys):
     assert data["ok"] is True and data["failed"] == 0
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_text_matches_the_golden_report(capsys, workers):
+    code, out, _ = run(
+        capsys, "verify", "--max-edges", "7", "--max-k", "12", "--sweep", "2000",
+        "--workers", workers,
+    )
+    assert code == 0
+    assert out == (Path(__file__).parent / "verify_golden.txt").read_text()
+
+
 # ----------------------------------------------------------------------
 # fuzzed input files: every outcome is an exit code, never a traceback
 # ----------------------------------------------------------------------

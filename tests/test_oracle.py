@@ -1,7 +1,5 @@
 """Enumeration, brute-force oracles, and the verification harness."""
 
-from concurrent.futures import Future
-
 import pytest
 
 import catbound.oracle as oracle
@@ -193,13 +191,11 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
 
 
-@pytest.mark.parametrize("cpus, pools", [(2, [2, 2, 2]), (None, [])])
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
 def test_workers_are_clamped_to_the_cpu_count(monkeypatch, cpus, pools):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
@@ -207,6 +203,19 @@ def test_workers_are_clamped_to_the_cpu_count(monkeypatch, cpus, pools):
     report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=64)
     assert InlinePool.sizes == pools
     assert report.records == verify_all(max_edges=3, max_score=6, sweep_limit=500).records
+
+
+def test_failed_duality_rows_name_the_step_and_the_exception(monkeypatch):
+    def broken(family):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(oracle, "among_path", broken)
+    report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=1)
+    failed = report.failures()
+    assert [r.label for r in failed] == ["m=1", "m=2", "m=3"]
+    assert all(r.section == "duality" for r in failed)
+    assert failed[0].actual == "failed at (()) (among: RuntimeError: boom)"
+    assert all("(among: RuntimeError: boom)" in r.actual for r in failed)
 
 
 def test_sanity_of_bounds_arguments():
