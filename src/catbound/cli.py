@@ -231,10 +231,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# table refuses to tabulate more rows than this; every row is held in memory
+MAX_TABLE_ROWS = 1_000_000
+
+
 def _cmd_table(args) -> int:
     flag, fn = _EVAL[args.quantity]
     if args.start > args.stop:
         raise ValueError("--from must not exceed --to")
+    if args.stop - args.start >= MAX_TABLE_ROWS:
+        raise ValueError(
+            f"table {args.quantity} would have more than {MAX_TABLE_ROWS} rows"
+        )
     rows = [(i, fn(i)) for i in range(args.start, args.stop + 1)]
     sys.stdout.write(format_table(flag.lstrip("-"), args.quantity, rows, args.csv))
     return 0

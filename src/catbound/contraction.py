@@ -16,6 +16,9 @@ here:
 ``contract_to_caterpillar`` produces a replayable :class:`ContractionPlan`
 witnessing the bound: keep all leaf edges plus one diameter path, contract
 everything else, then contract surplus edges down to the requested size.
+A plan needs the score, the diameter path and the leaf set, and so does
+``duality.among_path``; both get them from one ``_facts`` pass and build the
+plan with ``_plan``, so no caller computes a tree's diameter path twice.
 
 Plans are O(n) to build and to apply.  A step records only its edge in the
 source labeling.  The final tree comes from one union-find pass over all the
@@ -38,11 +41,19 @@ from .trees import Tree, diameter_path, is_caterpillar, leaves
 # ======================================================================
 
 
-def max_caterpillar_by_contraction(t: Tree) -> int:
-    """Largest caterpillar size reachable from ``t`` by edge contractions."""
+def _facts(t: Tree) -> tuple[int, tuple[int, ...], frozenset[int]]:
+    """``t``'s contraction score, diameter path and leaf set, each computed
+    once, for callers that need more than the score."""
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    return len(leaves(t)) + (len(diameter_path(t)) - 1) - 2
+    dpath = diameter_path(t)
+    leaf_set = leaves(t)
+    return len(leaf_set) + (len(dpath) - 1) - 2, dpath, leaf_set
+
+
+def max_caterpillar_by_contraction(t: Tree) -> int:
+    """Largest caterpillar size reachable from ``t`` by edge contractions."""
+    return _facts(t)[0]
 
 
 # ======================================================================
@@ -133,12 +144,16 @@ def contract_to_caterpillar(t: Tree, k: int) -> ContractionPlan:
     away in sorted-edge order; caterpillars are closed under contraction, so
     the order does not affect validity, only reproducibility.
     """
-    cap = max_caterpillar_by_contraction(t)
+    return _plan(t, k, *_facts(t))
+
+
+def _plan(
+    t: Tree, k: int, cap: int, dpath: tuple[int, ...], leaf_set: frozenset[int]
+) -> ContractionPlan:
+    """``contract_to_caterpillar(t, k)`` from ``_facts(t)``."""
     if not 1 <= k <= cap:
         raise ValueError(f"target size {k} outside 1..{cap}")
-    dpath = diameter_path(t)
     keep = {(min(a, b), max(a, b)) for a, b in zip(dpath, dpath[1:])}
-    leaf_set = leaves(t)
     for u, v in t.edges:
         if u in leaf_set or v in leaf_set:
             keep.add((u, v))

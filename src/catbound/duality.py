@@ -29,8 +29,11 @@ visits the chords before it, jumps to the far end, sweeps back, and leaves
 through the exit chord (the jump connector nests the skipped intervals
 instead of interleaving them).
 
-Every crossing test is one sorted parenthesis scan, ``_first_crossing``;
-``validate_path`` lists crossing pairs one by one only after it finds one.
+A family is checked in one pass over its labels: a partner array proves the
+perfect matching, and a stack scan over labels 0..2n-1 finds the first
+crossing, if any.  ``validate_path`` lists every crossing pair with one sweep
+over sorted endpoints, ``_crossing_pairs``, in O(k log k + K) for k chain
+edges and K pairs listed, so a broken path costs no more than its report.
 
 Each path the library builds is validated exactly once, as it leaves its
 public constructor: ``compatible_path`` checks its chain in 'compatible'
@@ -41,15 +44,11 @@ only the lifted path, in 'simple' mode.  A failed check raises
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .contraction import (
-    ContractionPlan,
-    contract_to_caterpillar,
-    max_caterpillar_by_contraction,
-)
+from .contraction import ContractionPlan, _facts, _plan
 from .induced import CaterpillarWitness, max_caterpillar
 from .trees import Tree
 
@@ -78,17 +77,30 @@ class SegmentFamily:
         object.__setattr__(self, "pairs", norm)
         if len(norm) != self.n:
             raise ValueError(f"expected {self.n} segments, got {len(norm)}")
-        seen: list[int] = []
         for a, b in norm:
             if a == b:
                 raise ValueError(f"degenerate segment ({a}, {b})")
-            seen += [a, b]
-        if sorted(seen) != list(range(2 * self.n)):
-            raise ValueError("segments must perfectly match labels 0..2n-1")
-        crossing = _first_crossing(norm)
-        if crossing is not None:
-            (a, b), (c, d) = crossing
-            raise ValueError(f"segments ({a}, {b}) and ({c}, {d}) cross")
+        size = 2 * self.n
+        partner = [-1] * size
+        unmatched = "segments must perfectly match labels 0..2n-1"
+        try:
+            for a, b in norm:  # a < b
+                if a < 0 or b >= size or partner[a] >= 0 or partner[b] >= 0:
+                    raise ValueError(unmatched)
+                partner[a], partner[b] = b, a
+        except TypeError:  # a label that is not an integer
+            raise ValueError(unmatched) from None
+        stack: list[int] = []  # opening labels of the open segments
+        for x, y in enumerate(partner):
+            if y > x:
+                stack.append(x)
+            elif stack[-1] == y:
+                stack.pop()
+            else:
+                top = stack[-1]
+                raise ValueError(
+                    f"segments ({y}, {x}) and ({top}, {partner[top]}) cross"
+                )
 
     @cached_property
     def segment_set(self) -> frozenset[tuple[int, int]]:
@@ -133,41 +145,41 @@ class PathReport:
     issues: tuple[str, ...]
 
 
-def _interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    """Cyclic interleaving of two endpoint pairs sharing no endpoint."""
-    a, b = min(p), max(p)
-    c, d = q
-    if len({a, b, c, d}) < 4:
-        return False
-    return (a < c < b) != (a < d < b)
+def _crossing_pairs(chords: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every pair of positions i < j whose chords cross, in sorted order.
 
-
-def _first_crossing(
-    chords: Iterable[tuple[int, int]],
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Some pair of interleaving (low, high) chords, or None if none cross.
-
-    A sorted parenthesis scan.  At a shared label closings come first,
-    inner chords close first and outer ones open first, so chords that only
-    share an endpoint nest.  If a < c < b < d, (c, d) is on the stack above
-    (a, b) when (a, b) closes, and such a close returns (closing, top).
-    Degenerate chords are skipped, as ``_interleave`` never counts them."""
+    Two chords cross when their endpoints interleave and they share none; a
+    degenerate chord crosses nothing.  A sweep over the sorted endpoints
+    keeps the open chords in opening order, and a closing chord crosses
+    exactly the chords opened after it that are still open, so finding and
+    removing it costs one step per pair reported.  At a shared label
+    closings come first, outer chords open first and later-opened chords
+    close first, so chords that share an endpoint never meet in that list.
+    O(k log k + K) for k chords and K pairs."""
     events = []
-    for chord in chords:
-        a, b = chord
+    for i, (a, b) in enumerate(chords):
+        if a > b:
+            a, b = b, a
         if a < b:
-            events.append((a, 1, -b, chord))
-            events.append((b, 0, -a, chord))
+            events.append((a, 1, -b, i))
+            events.append((b, 0, -a, -i))
     events.sort()
-    stack: list[tuple[int, int]] = []
-    for _, opening, _, chord in events:
+    opened: list[int] = []
+    pairs = []
+    for _, opening, _, i in events:
         if opening:
-            stack.append(chord)
-        elif stack[-1] != chord:
-            return chord, stack[-1]
+            opened.append(i)
+        elif opened[-1] == -i:
+            opened.pop()
         else:
-            stack.pop()
-    return None
+            i = -i
+            at = len(opened) - 1
+            while opened[at] != i:
+                at -= 1
+            pairs += [(i, j) if i < j else (j, i) for j in opened[at + 1 :]]
+            del opened[at]
+    pairs.sort()
+    return pairs
 
 
 # ======================================================================
@@ -257,8 +269,8 @@ def realize_coordinates(s: SegmentFamily) -> GeometricRealization:
 def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport:
     """Check ``p`` against ``s``.  Mode 'simple' (alias 'among') checks the
     alternation structure and self-crossings; 'compatible' additionally
-    forbids crossing any family segment absent from the chain.  One
-    O(k log k) scan decides crossings; all pairs are listed only on failure."""
+    forbids crossing any family segment absent from the chain.  Crossings
+    take one sweep, O(k log k + K) for K crossing pairs."""
     if mode == "among":
         mode = "simple"
     if mode not in ("simple", "compatible"):
@@ -270,7 +282,7 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
         if not 0 <= x < limit:
             issues.append(f"label {x} out of range 0..{limit - 1}")
     if len(set(e)) != len(e):
-        dups = sorted({x for x in e if e.count(x) > 1})
+        dups = sorted(x for x, count in Counter(e).items() if count > 1)
         issues.append(f"repeated labels {dups}")
     family = s.segment_set
     for i in range(0, len(e) - 1, 2):
@@ -278,20 +290,18 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
         if seg not in family:
             issues.append(f"position {i}: ({e[i]}, {e[i + 1]}) is not a segment")
     edges = p.edges()
-    used = {(min(a, b), max(a, b)) for a, b in edges}
-    chords = used | family if mode == "compatible" else used
-    if _first_crossing(chords) is not None:
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                if _interleave(edges[i], edges[j]):
-                    issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
-        if mode == "compatible":
-            for seg in s.pairs:
-                if seg in used:
-                    continue
-                for edge in edges:
-                    if _interleave(seg, edge):
-                        issues.append(f"chain edge {edge} crosses unused segment {seg}")
+    unused = []
+    if mode == "compatible":
+        used = {(min(a, b), max(a, b)) for a, b in edges}
+        unused = [seg for seg in s.pairs if seg not in used]
+    k = len(edges)
+    # family segments never cross each other, so j >= k means i < k
+    crossings = _crossing_pairs(edges + unused)
+    for i, j in crossings:
+        if j < k:
+            issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
+    for j, i in sorted((j, i) for i, j in crossings if j >= k):
+        issues.append(f"chain edge {edges[i]} crosses unused segment {unused[j - k]}")
     return PathReport(not issues, mode, tuple(issues))
 
 
@@ -433,8 +443,8 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     is deleting a segment: the path is built compatible with the surviving
     subfamily and may cross only the deleted segments."""
     t = s._struct.tree
-    cap = max_caterpillar_by_contraction(t)
-    plan = contract_to_caterpillar(t, cap)
+    cap, dpath, leaf_set = _facts(t)
+    plan = _plan(t, cap, cap, dpath, leaf_set)
     dropped = {max(step.edge) - 1 for step in plan.contract_sequence}
     keep = [s.pairs[i] for i in range(s.n) if i not in dropped]
     labels = sorted(x for pair in keep for x in pair)

@@ -13,7 +13,12 @@ whose small picklable result records each fact about that tree and, for a
 failed duality, the step and the exception.  The same ``map`` call runs the
 checks in this process or in one process pool opened for the whole run, and
 each edge count's rows are minima over the results, so the report does not
-depend on the worker count.
+depend on the worker count.  The duality round trip needs a second canonical
+code only when it comes back relabelled: ``free_trees`` yields trees in
+preorder, which ``tree_to_segments`` at root 0 returns identically, and
+equal labelled trees are isomorphic.  A relabelled round trip also needs its
+own caterpillar witness, because the family's cells carry the returned
+tree's ids, not the input's.
 
 Guarantee functions are step functions of the edge budget, so the sweep
 section compares implementation and reference only at change points: both
@@ -379,9 +384,11 @@ def _check_tree(t: Tree) -> tuple[str, int, int, bool, str | None]:
     try:
         family = tree_to_segments(t, 0)
         back, _ = segments_to_tree(family)
-        if canonical_code(back) == tree_code:
+        same = back == t
+        if same or canonical_code(back) == tree_code:
             step = "compatible"
-            compatible_path(family, witness)
+            # the witness must name the family's cells, which are back's ids
+            compatible_path(family, witness if same else max_caterpillar(back))
             step = "among"
             among_path(family)
             failure = None

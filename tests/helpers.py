@@ -17,7 +17,6 @@ from catbound import (
     leaves,
     tree_from_pruefer,
 )
-from catbound.duality import _interleave
 from catbound.trees import _bfs_dists
 
 
@@ -273,6 +272,15 @@ def contraction_plans_by_replay(t: Tree, ks) -> dict:
     return plans
 
 
+def _interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Cyclic interleaving of two endpoint pairs sharing no endpoint."""
+    a, b = min(p), max(p)
+    c, d = q
+    if len({a, b, c, d}) < 4:
+        return False
+    return (a < c < b) != (a < d < b)
+
+
 def validate_path_by_all_pairs(
     s: SegmentFamily, p: AlternatingPath, mode: str
 ) -> PathReport:
@@ -332,3 +340,16 @@ def matching_crossing_by_label_scan(pairs) -> str | None:
                 )
             stack.pop()
     return None
+
+
+def family_error_by_sorting(pairs) -> str | None:
+    """The error ``SegmentFamily(len(pairs), pairs)`` raises, None if none:
+    the first degenerate pair in sorted order, then a sorted comparison of
+    all labels with 0..2n-1, then ``matching_crossing_by_label_scan``."""
+    norm = sorted((min(a, b), max(a, b)) for a, b in pairs)
+    for a, b in norm:
+        if a == b:
+            return f"degenerate segment ({a}, {b})"
+    if sorted(x for pair in norm for x in pair) != list(range(2 * len(norm))):
+        return "segments must perfectly match labels 0..2n-1"
+    return matching_crossing_by_label_scan(norm)

@@ -23,6 +23,7 @@ from catbound import (
     render_tree,
     tree_to_segments,
 )
+import catbound.cli as cli
 from catbound.cli import main
 from helpers import path_tree, star_tree, trees
 
@@ -84,6 +85,21 @@ def test_table_is_deterministic(capsys):
 def test_table_range_check(capsys):
     code, _, err = run(capsys, "table", "p", "--from", "9", "--to", "3")
     assert code == 1 and "--from" in err
+
+
+def test_table_refuses_spans_past_the_row_limit(capsys, monkeypatch):
+    def never(value):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setitem(cli._EVAL, "p", ("--m", never))
+    code, out, err = run(capsys, "table", "p", "--from", "1", "--to", "100000000")
+    assert code == 1 and out == ""
+    assert err == "catbound: error: table p would have more than 1000000 rows\n"
+    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 3)
+    code, _, _ = run(capsys, "table", "q", "--from", "1", "--to", "3")
+    assert code == 0
+    code, _, err = run(capsys, "table", "q", "--from", "1", "--to", "4")
+    assert code == 1 and "more than 3 rows" in err
 
 
 # ----------------------------------------------------------------------

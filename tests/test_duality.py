@@ -40,6 +40,9 @@ def test_pairs_are_normalized_and_sorted():
         (2, ((0, 1), (1, 3)), "perfectly match"),
         (2, ((0, 2), (1, 3)), "cross"),
         (3, ((0, 4), (1, 3), (2, 5)), "cross"),
+        (1, ((0.0, 1.0),), "perfectly match"),
+        (1, ((0.5, 1),), "perfectly match"),
+        (1, (("a", "b"),), "perfectly match"),
     ],
 )
 def test_family_validation(n, pairs, hint):

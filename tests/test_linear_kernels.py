@@ -3,17 +3,20 @@
 ``diameter_path``, the ``max_caterpillar`` witness, contraction plans and
 ``validate_path`` must reproduce the slow oracles in ``helpers`` output for
 output, tie-break for tie-break, at sizes well past exhaustive reach.
-Operation counts, not timings, guard against a quadratic relapse.
+Operation counts guard against a quadratic relapse and against facts computed
+twice per tree; a time bound far above the expected cost guards the failure
+path of ``validate_path``, whose cost depends on what it reports.
 """
 
 import random
+import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import catbound.contraction as contraction
-import catbound.duality as duality
+import catbound.oracle as oracle
 import catbound.trees as trees
 from catbound import (
     AlternatingPath,
@@ -25,21 +28,26 @@ from catbound import (
     diameter_path,
     extremal_branch_star,
     extremal_spider,
+    free_trees,
     max_caterpillar,
     max_caterpillar_by_contraction,
     segments_to_tree,
     tree_from_pruefer,
     tree_to_segments,
     validate_path,
+    verify_all,
 )
+from catbound.oracle import _check_tree
 from helpers import (
     adversarial_tree,
     contraction_plans_by_replay,
     diameter_path_by_all_pairs,
-    matching_crossing_by_label_scan,
+    family_error_by_sorting,
     max_caterpillar_by_scan,
     path_tree,
+    relabeled,
     relabeled_twin,
+    spider_tree,
     trees as tree_strategy,
     validate_path_by_all_pairs,
 )
@@ -164,11 +172,24 @@ def test_validation_matches_oracle_at_scale(name):
     assert_reports_match_oracle(family, reversed_connector)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.permutations(list(range(2 * n)))))
-def test_family_crossing_errors_match_the_label_scan(labels):
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.permutations(list(range(2 * n)))),
+    st.sampled_from([None, "degenerate", "out-of-range", "repeated"]),
+    st.data(),
+)
+def test_family_crossing_errors_match_the_label_scan(labels, fault, data):
+    labels = list(labels)
+    size = len(labels)
+    i = data.draw(st.integers(0, size - 1))
+    if fault == "degenerate":
+        labels[i] = labels[i ^ 1]
+    elif fault == "out-of-range":
+        labels[i] = data.draw(st.sampled_from([-1, size, size + 5]))
+    elif fault == "repeated":
+        labels[i] = labels[data.draw(st.integers(0, size - 1).filter(lambda j: j != i))]
     pairs = tuple(zip(labels[::2], labels[1::2]))
-    want = matching_crossing_by_label_scan(pairs)
+    want = family_error_by_sorting(pairs)
     try:
         SegmentFamily(len(pairs), pairs)
     except ValueError as exc:
@@ -216,12 +237,75 @@ def test_contraction_plans_build_no_intermediate_trees(monkeypatch):
     assert len(built) <= 3
 
 
-def test_validating_a_valid_path_tests_no_pairs(monkeypatch):
-    family = tree_to_segments(path_tree(1001), 0)
+@pytest.mark.parametrize("case", ["valid", "repeated-label"])
+def test_validation_time_is_output_sensitive(case):
+    family = tree_to_segments(path_tree(2001), 0)
     cell_tree, _ = segments_to_tree(family)
-    chain = compatible_path(family, max_caterpillar(cell_tree))
-    assert chain.k == family.n == 1000
-    pairs: list = []
-    count_calls(monkeypatch, duality, "_interleave", pairs)
-    assert validate_path(family, chain, "compatible").ok
-    assert len(pairs) == 0
+    chain = compatible_path(family, max_caterpillar(cell_tree)).endpoints
+    assert len(chain) == 2 * family.n == 4000
+    if case == "repeated-label":
+        chain = chain[:-1] + chain[:1]
+    path = AlternatingPath(chain, family.n)
+    start = time.perf_counter()
+    reports = [validate_path(family, path, mode) for mode in ("simple", "compatible")]
+    elapsed = time.perf_counter() - start
+    assert [r.ok for r in reports] == [case == "valid"] * 2
+    # a pairwise listing takes seconds here; the sweep takes milliseconds
+    assert elapsed < 1.0
+
+
+def test_among_path_runs_diameter_path_once(monkeypatch):
+    family = tree_to_segments(relabeled_twin(300, seed=3), 0)
+    passes: list = []
+    for module in (trees, contraction):
+        count_calls(monkeypatch, module, "diameter_path", passes)
+    among_path(family)
+    assert len(passes) == 1
+
+
+def test_census_computes_one_canonical_code_per_class(monkeypatch):
+    codes: list = []
+    for module in (trees, oracle):
+        count_calls(monkeypatch, module, "canonical_code", codes)
+    report = verify_all(max_edges=9, max_score=6, sweep_limit=500, workers=1)
+    assert report.ok
+    assert len(codes) == sum(1 for m in range(1, 10) for _ in free_trees(m))
+
+
+# ----------------------------------------------------------------------
+# facts shared between among_path and contract_to_caterpillar, and the
+# census round-trip shortcut
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(tree_strategy(min_vertices=2, max_vertices=200), st.integers(0, 10**6))
+@example(extremal_spider(40), 0)
+def test_among_plans_are_the_public_plans(t, root):
+    family = tree_to_segments(t, root % t.vertex_count)
+    cell_tree, _ = segments_to_tree(family)
+    plan = among_path(family)[1]
+    public = contract_to_caterpillar(cell_tree, max_caterpillar_by_contraction(cell_tree))
+    assert plan.contract_sequence == public.contract_sequence
+    assert plan.kept_caterpillar == public.kept_caterpillar
+
+
+def test_relabelled_round_trips_pass_the_duality_check():
+    legs = spider_tree(1, 2, 3, 4)
+    t = relabeled(legs, list(reversed(range(legs.vertex_count))))
+    back, _ = segments_to_tree(tree_to_segments(t, 0))
+    assert back != t
+    assert _check_tree(t)[4] is None
+
+
+def test_non_isomorphic_round_trips_fail_the_duality_row(monkeypatch):
+    def wrong(family):
+        cell_tree, _ = segments_to_tree(family)
+        return path_tree(cell_tree.vertex_count + 1), {}
+
+    monkeypatch.setattr(oracle, "segments_to_tree", wrong)
+    report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=1)
+    failed = report.failures()
+    assert [r.label for r in failed] == ["m=1", "m=2", "m=3"]
+    assert all(r.section == "duality" for r in failed)
+    assert all(r.actual.endswith(" (round trip)") for r in failed)
