@@ -225,8 +225,27 @@ def _pick_argument(args) -> int:
     return value
 
 
+# eval and table print no value longer than this many digits, Python's
+# default limit on int-to-str conversion
+MAX_RESULT_DIGITS = 4300
+
+# the largest k at which each exponential closed form stays within
+# MAX_RESULT_DIGITS; all three grow with k, so a larger k is refused
+# without evaluating anything
+_MAX_PRINTABLE_K = {"f": 27_036, "g": 54_067, "e-induced": 54_067}
+
+
+def _refuse_unprintable(command: str, quantity: str, largest: int) -> None:
+    cap = _MAX_PRINTABLE_K.get(quantity)
+    if cap is not None and largest > cap:
+        raise ValueError(
+            f"{command} {quantity} would print more than {MAX_RESULT_DIGITS} digits"
+        )
+
+
 def _cmd_eval(args) -> int:
     value = _pick_argument(args)
+    _refuse_unprintable("eval", args.quantity, value)
     print(_EVAL[args.quantity][1](value))
     return 0
 
@@ -243,6 +262,7 @@ def _cmd_table(args) -> int:
         raise ValueError(
             f"table {args.quantity} would have more than {MAX_TABLE_ROWS} rows"
         )
+    _refuse_unprintable("table", args.quantity, args.stop)
     rows = [(i, fn(i)) for i in range(args.start, args.stop + 1)]
     sys.stdout.write(format_table(flag.lstrip("-"), args.quantity, rows, args.csv))
     return 0

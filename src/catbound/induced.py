@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import RootedTree, Tree
+from .trees import RootedTree, Tree, _heaviest_path, _rooted
 
 
 # ======================================================================
@@ -43,94 +43,21 @@ class CaterpillarWitness:
     size: int
 
 
-def _path_ends(t: Tree) -> tuple[int, list[int]]:
-    """The best path value over all paths, and for each vertex the best
-    value of a path ending there (a path's value is its sum of deg - 1).
-
-    One DFS order from 0 serves two passes.  Up the tree, down[v] is the
-    best value of a path going down from v.  Back down, up[v] is the best
-    value of a path from v's parent that avoids v's subtree (rerooting):
-    the parent's weight plus the best of its own up value and its other
-    children's down values.  Weights are non-negative, so a path ending at
-    v is best extended as far as it goes: v's weight plus the best of its
-    children's down values and its up value.
-    """
-    n = t.vertex_count
-    weight = [d - 1 for d in t.degrees]
-    parent = [-2] * n
-    order = []
-    parent[0] = -1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in t.adjacency[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                stack.append(w)
-    top1 = [0] * n  # best down value among v's children
-    top2 = [0] * n  # second best, from a different child
-    arg1 = [-1] * n  # the child holding top1
-    best = 0
-    for u in reversed(order):
-        d = weight[u] + top1[u]  # down[u]
-        best = max(best, d + top2[u])
-        p = parent[u]
-        if p >= 0:
-            if d > top1[p]:
-                top1[p], top2[p], arg1[p] = d, top1[p], u
-            elif d > top2[p]:
-                top2[p] = d
-    up = [0] * n
-    ends = [0] * n
-    for u in order:
-        p = parent[u]
-        if p >= 0:
-            sibling = top2[p] if arg1[p] == u else top1[p]
-            up[u] = weight[p] + max(up[p], sibling)
-        ends[u] = weight[u] + max(top1[u], up[u])
-    return best, ends
-
-
 def max_caterpillar(t: Tree) -> CaterpillarWitness:
     """Largest caterpillar among induced subgraphs of ``t``.
 
     Ties between maximum witnesses break toward the lexicographically
     smallest spine endpoint pair.
 
-    O(n): ``_path_ends`` gives the optimum and the best path value ending
-    at each vertex.  The smallest vertex ``a`` at which an optimal path
-    ends is the smallest endpoint of any optimal path, since every partner
-    of ``a`` is itself such an end.  One DFS from ``a`` then picks the
-    smallest vertex ``b`` whose a..b path is optimal (possibly ``a``
-    itself), so (a, b) is the pair a scan of start vertices in increasing
-    order would stop at.
+    O(n): the spine path is the heaviest path when vertex v weighs
+    deg(v) - 1 (``trees._heaviest_path``), and the caterpillar is that
+    path with every edge incident to it.
     """
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    n = t.vertex_count
-    value, ends = _path_ends(t)
-    best = value + 1
     weight = [d - 1 for d in t.degrees]
-    a = ends.index(value)
-
-    # depth-first sweep from a, tracking the unique a..b path value
-    parent = [-2] * n
-    parent[a] = -1
-    acc = [0] * n
-    acc[a] = weight[a]
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for w in t.adjacency[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                acc[w] = acc[u] + weight[w]
-                stack.append(w)
-    path = [acc.index(value)]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
+    path = _heaviest_path(t, weight)
+    best = sum(weight[v] for v in path) + 1
 
     vertex_set = set(path)
     for v in path:
@@ -150,18 +77,14 @@ def very_hungry_max(rt: RootedTree) -> int:
     t = rt.tree
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    weight = [d - 1 for d in t.degrees]
-    best = 0
-    stack: list[tuple[int, int, int]] = [(rt.root, -1, weight[rt.root])]
-    while stack:
-        u, par, acc = stack.pop()
-        if t.degrees[u] == 1 and u != rt.root:
-            best = max(best, acc + 1)
-            continue
-        for w in t.adjacency[u]:
-            if w != par:
-                stack.append((w, u, acc + weight[w]))
-    return best
+    order, parent = _rooted(t, rt.root)
+    # acc[v]: the sum of deg - 1 along the root..v path.  It never falls on
+    # the way down, so its maximum is reached at a leaf other than the root.
+    acc = [0] * t.vertex_count
+    acc[rt.root] = t.degrees[rt.root] - 1
+    for u in order[1:]:
+        acc[u] = acc[parent[u]] + t.degrees[u] - 1
+    return max(acc) + 1
 
 
 # ======================================================================

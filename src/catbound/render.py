@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .duality import AlternatingPath, SegmentFamily
-from .trees import Tree, centroids
+from .trees import Tree, _rooted, centroids
 
 _BG = "#ffffff"
 _RIM = "#d9dde4"
@@ -101,18 +101,10 @@ def render_tree(t: Tree, root: int | None = None) -> str:
     if not 0 <= root < t.vertex_count:
         raise ValueError("root out of range")
 
-    parent = [-1] * t.vertex_count
+    order, parent = _rooted(t, root)
     depth = [0] * t.vertex_count
-    order = [root]
-    seen = [False] * t.vertex_count
-    seen[root] = True
-    for v in order:
-        for w in t.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
 
     x = [0.0] * t.vertex_count
     next_slot = 0

@@ -9,9 +9,14 @@ witnesses across transformations.  ``contract_edge`` rebuilds the whole tree,
 so contracting many edges goes through one union-find pass instead (see
 ``contraction``).
 
-``diameter_path`` is O(n): four breadth-first passes, not one per vertex.
-Eccentricities come from the two ends of any diametral path, and they pick
-out the endpoints of the lexicographically smallest longest path directly.
+Kernels that root the tree share ``_rooted``, one breadth-first pass with
+neighbours in ascending order: centroids and canonical codes here,
+``very_hungry_max`` and ``render_tree`` elsewhere.  ``diameter_path`` and
+the induced caterpillar (``induced.max_caterpillar``) are one problem, a
+heaviest path under non-negative vertex weights: unit weights give the
+diameter, weights deg - 1 the caterpillar.  ``_heaviest_path`` solves it
+in O(n) with two rooted passes and breaks ties the same way for both,
+toward the lexicographically smallest endpoint pair.
 
 The text interchange format is one edge per line: two base-10 vertex ids
 separated by whitespace.  Blank lines and lines whose first non-space
@@ -212,52 +217,86 @@ def leaves(t: Tree) -> frozenset[int]:
     return frozenset(v for v in range(t.vertex_count) if t.degrees[v] == 1)
 
 
-def _bfs_dists(t: Tree, src: int) -> list[int]:
-    dist = [-1] * t.vertex_count
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in t.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def _rooted(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``root``, neighbours taken in ascending
+    order, and each vertex's parent (-1 at the root).  Every parent comes
+    before its children, so a reversed order visits children first.
+
+    Contraction plans and the tree-to-segments labelling keep their own
+    depth-first walks: their visiting order shows in their output."""
+    parent = [-2] * t.vertex_count
+    parent[root] = -1
+    order = [root]
+    adjacency = t.adjacency
+    for u in order:
+        for w in adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
+def _heaviest_path(t: Tree, weight: list[int]) -> tuple[int, ...]:
+    """The path of largest total weight, for non-negative vertex weights;
+    among those, the one whose endpoint pair is lexicographically smallest.
+
+    One rooting at 0 serves two passes.  Up the tree, down[v] is the best
+    value of a path going down from v.  Back down, up[v] is the best value
+    of a path from v's parent that avoids v's subtree (rerooting): the
+    parent's weight plus the best of its own up value and its other
+    children's down values.  Weights are non-negative, so a path ending at
+    v is best extended as far as it goes: v's weight plus the best of its
+    children's down values and its up value.
+
+    The smallest vertex ``a`` at which an optimal path ends is the smallest
+    endpoint of any optimal path, since every partner of ``a`` is itself
+    such an end.  A second rooting, at ``a``, then picks the smallest
+    vertex ``b`` whose a..b path is optimal (possibly ``a`` itself), so
+    (a, b) is the pair a scan of all pairs in lexicographic order would
+    stop at.
+    """
+    n = t.vertex_count
+    order, parent = _rooted(t, 0)
+    top1 = [0] * n  # best down value among v's children
+    top2 = [0] * n  # second best, from a different child
+    arg1 = [-1] * n  # the child holding top1
+    best = 0
+    for u in reversed(order):
+        d = weight[u] + top1[u]  # down[u]
+        if d + top2[u] > best:
+            best = d + top2[u]
+        p = parent[u]
+        if p >= 0:
+            if d > top1[p]:
+                top1[p], top2[p], arg1[p] = d, top1[p], u
+            elif d > top2[p]:
+                top2[p] = d
+    up = [0] * n
+    ends = [0] * n
+    for u in order:
+        p = parent[u]
+        if p >= 0:
+            sibling = top2[p] if arg1[p] == u else top1[p]
+            up[u] = weight[p] + max(up[p], sibling)
+        ends[u] = weight[u] + max(top1[u], up[u])
+    a = ends.index(best)
+
+    order, parent = _rooted(t, a)
+    acc = [0] * n  # the value of the a..v path
+    acc[a] = weight[a]
+    for u in order[1:]:
+        acc[u] = acc[parent[u]] + weight[u]
+    path = [acc.index(best)]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return tuple(path)
 
 
 def diameter_path(t: Tree) -> tuple[int, ...]:
     """A longest path, endpoint pair lexicographically smallest among all
-    longest paths.
-
-    Four breadth-first passes, O(n) in all.  The passes from 0 and from its
-    farthest vertex x find a diametral pair (x, y) and the diameter D.  In a
-    tree every eccentricity is attained at an end of any diametral path, so
-    the pass from y gives ecc(v) = max(dist(x, v), dist(y, v)) for every v.
-    The smallest endpoint ``a`` of a longest path is the smallest v with
-    ecc(v) = D: each of its partners also has eccentricity D, so is larger.
-    The pass from ``a`` then picks its partner ``b``, the smallest vertex
-    at distance D -- the same pair a scan of all pairs in lexicographic
-    order would pick first.
-    """
-    n = t.vertex_count
-    if n == 1:
-        return (0,)
-    d0 = _bfs_dists(t, 0)
-    x = d0.index(max(d0))
-    dx = _bfs_dists(t, x)
-    diam = max(dx)
-    dy = _bfs_dists(t, dx.index(diam))
-    a = next(v for v in range(n) if max(dx[v], dy[v]) == diam)
-    da = _bfs_dists(t, a)
-    # walk back from b: in a tree exactly one neighbor is one step closer
-    path = [da.index(diam)]
-    while path[-1] != a:
-        u = path[-1]
-        path.append(next(w for w in t.adjacency[u] if da[w] == da[u] - 1))
-    path.reverse()
-    return tuple(path)
+    longest paths: the heaviest path when every vertex weighs 1."""
+    return _heaviest_path(t, [1] * t.vertex_count)
 
 
 def diameter(t: Tree) -> int:
@@ -378,35 +417,16 @@ def is_spider(t: Tree) -> bool:
 # ======================================================================
 
 
-def _subtree_sizes(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Iterative DFS from root: (preorder, parent, size) arrays."""
-    n = t.vertex_count
-    parent = [-1] * n
-    order = [root]
-    parent[root] = root
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in t.adjacency[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    size = [1] * n
-    for u in reversed(order):
-        if u != root:
-            size[parent[u]] += size[u]
-    parent[root] = -1
-    return order, parent, size
-
-
 def centroids(t: Tree) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component left by their
     removal."""
     n = t.vertex_count
     if n == 1:
         return (0,)
-    order, parent, size = _subtree_sizes(t, 0)
+    order, parent = _rooted(t, 0)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
     best = n + 1
     out: list[int] = []
     for v in range(n):
@@ -422,7 +442,7 @@ def centroids(t: Tree) -> tuple[int, ...]:
 
 
 def _ahu_code(t: Tree, root: int) -> bytes:
-    order, parent, _ = _subtree_sizes(t, root)
+    order, parent = _rooted(t, root)
     codes: list[bytes | None] = [None] * t.vertex_count
     children: list[list[int]] = [[] for _ in range(t.vertex_count)]
     for v in order:

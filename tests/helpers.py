@@ -1,6 +1,5 @@
 """Builders and hypothesis strategies shared across test modules."""
 
-import itertools
 import random
 
 import hypothesis.strategies as st
@@ -17,7 +16,6 @@ from catbound import (
     leaves,
     tree_from_pruefer,
 )
-from catbound.trees import _bfs_dists
 
 
 def path_tree(n: int) -> Tree:
@@ -41,22 +39,22 @@ def spider_tree(*legs: int) -> Tree:
     return Tree(nxt, tuple(edges))
 
 
-def free_trees_via_pruefer(edge_count: int):
-    """Every isomorphism class of trees with ``edge_count`` edges, found by
-    decoding every Prüfer code and deduplicating by canonical code: an
-    exponentially slow enumeration that shares no machinery with
-    ``free_trees``."""
-    if edge_count == 0:
-        yield Tree(1, ())
-        return
-    n = edge_count + 1
-    seen = set()
-    for seq in itertools.product(range(n), repeat=n - 2):
-        t = tree_from_pruefer(seq, n)
-        code = canonical_code(t)
-        if code not in seen:
-            seen.add(code)
-            yield t
+def free_trees_by_leaf_growth(max_edges: int) -> list[list[Tree]]:
+    """One representative of every isomorphism class of trees with m edges,
+    for m = 0..max_edges, listed by m.  Each class at m + 1 edges is found
+    by attaching a leaf to every vertex of every class at m edges (removing
+    a leaf from any tree gives a smaller one) and deduplicating by canonical
+    code: an enumeration that shares no machinery with ``free_trees``."""
+    levels = [[Tree(1, ())]]
+    for _ in range(max_edges):
+        grown: dict = {}
+        for t in levels[-1]:
+            n = t.vertex_count
+            for v in range(n):
+                bigger = Tree(n + 1, t.edges + ((v, n),))
+                grown.setdefault(canonical_code(bigger), bigger)
+        levels.append(list(grown.values()))
+    return levels
 
 
 def relabeled(t: Tree, perm: list[int]) -> Tree:
@@ -134,26 +132,33 @@ def diameter_path_by_all_pairs(t: Tree) -> tuple[int, ...]:
     n = t.vertex_count
     if n == 1:
         return (0,)
+
+    def search(a: int) -> tuple[list[int], list[int]]:
+        dist = [-1] * n
+        dist[a] = 0
+        par = [a] * n
+        frontier = [a]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in t.adjacency[u]:
+                    if dist[w] < 0:
+                        dist[w] = dist[u] + 1
+                        par[w] = u
+                        nxt.append(w)
+            frontier = nxt
+        return dist, par
+
     best = -1
     pair = (0, 0)
     for a in range(n):
-        dist = _bfs_dists(t, a)
+        dist, _ = search(a)
         for b in range(a + 1, n):
             if dist[b] > best:
                 best = dist[b]
                 pair = (a, b)
     a, b = pair
-    par = [-1] * n
-    par[a] = a
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in t.adjacency[u]:
-                if par[w] < 0:
-                    par[w] = u
-                    nxt.append(w)
-        frontier = nxt
+    _, par = search(a)
     path = [b]
     while path[-1] != a:
         path.append(par[path[-1]])
@@ -232,6 +237,21 @@ def max_caterpillar_by_scan(t: Tree) -> CaterpillarWitness:
     while len(spine) > 1 and t.degrees[spine[-1]] == 1:
         spine.pop()
     return CaterpillarWitness(frozenset(vertex_set), tuple(spine), best)
+
+
+def very_hungry_max_by_paths(t: Tree, root: int) -> int:
+    """``very_hungry_max`` by listing every root-to-leaf path and counting
+    the edges that touch it."""
+    best = 0
+    stack = [(root,)]
+    while stack:
+        path = stack.pop()
+        nxt = [w for w in t.adjacency[path[-1]] if w not in path]
+        if nxt:
+            stack.extend(path + (w,) for w in nxt)
+        else:
+            best = max(best, sum(1 for u, v in t.edges if u in path or v in path))
+    return best
 
 
 def contraction_plans_by_replay(t: Tree, ks) -> dict:

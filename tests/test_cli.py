@@ -1,6 +1,7 @@
 """Command layer: argument handling, file formats, exit codes, and the
 byte-for-byte determinism of everything the CLI writes."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from catbound import (
     SegmentFamily,
     canonical_code,
+    extremal_branch_star,
     format_tree,
     parse_tree,
     render_segments,
@@ -25,7 +27,7 @@ from catbound import (
 )
 import catbound.cli as cli
 from catbound.cli import main
-from helpers import path_tree, star_tree, trees
+from helpers import path_tree, spider_tree, star_tree, trees
 
 
 def run(capsys, *argv):
@@ -100,6 +102,35 @@ def test_table_refuses_spans_past_the_row_limit(capsys, monkeypatch):
     assert code == 0
     code, _, err = run(capsys, "table", "q", "--from", "1", "--to", "4")
     assert code == 1 and "more than 3 rows" in err
+
+
+@pytest.mark.parametrize("quantity, cap", sorted(cli._MAX_PRINTABLE_K.items()))
+def test_eval_prints_up_to_the_digit_limit_and_refuses_past_it(capsys, quantity, cap):
+    fn = cli._EVAL[quantity][1]
+    # the cap is exact: its value prints and the next one would not
+    assert fn(cap) < 10**cli.MAX_RESULT_DIGITS <= fn(cap + 1)
+    code, out, _ = run(capsys, "eval", quantity, "--k", str(cap))
+    assert code == 0 and out == f"{fn(cap)}\n"
+    code, out, err = run(capsys, "eval", quantity, "--k", str(cap + 1))
+    assert code == 1 and out == ""
+    assert err == f"catbound: error: eval {quantity} would print more than 4300 digits\n"
+    code, out, err = run(capsys, "table", quantity, "--from", str(cap), "--to", str(cap + 1))
+    assert code == 1 and out == ""
+    assert err == f"catbound: error: table {quantity} would print more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("quantity", sorted(cli._MAX_PRINTABLE_K))
+def test_huge_k_is_refused_before_evaluating(capsys, monkeypatch, quantity):
+    def never(value):
+        raise AssertionError("the closed form was evaluated")
+
+    monkeypatch.setitem(cli._EVAL, quantity, ("--k", never))
+    code, out, err = run(capsys, "eval", quantity, "--k", "10000000000")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "would print more than 4300 digits" in err
+    code, out, err = run(capsys, "table", quantity, "--from", "1", "--to", "100000")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "would print more than 4300 digits" in err
 
 
 # ----------------------------------------------------------------------
@@ -366,6 +397,33 @@ def test_render_functions_are_pure():
     assert render_segments(family) == render_segments(family)
     assert render_tree(path_tree(5)) == render_tree(path_tree(5))
     assert render_tree(star_tree(5)) == render_tree(star_tree(5))
+
+
+# sha256 of render_tree output; a root of None is the default (a centroid)
+RENDER_TREE_DIGESTS = {
+    ("path-7", None): "ebb2b471df222950fa85f3b85984039b9d1b6f2fdc51e4344e7a3a8dabdc5b2c",
+    ("path-7", 6): "7df32357e2ed7a133e1050fa8cdf6f6637d7dd89c0d20b4a1d46d8b3e50f8969",
+    ("star-6", None): "c9a0329f9d205bbae8cd7a84a03ed820fe24eedecb7e01b36216db45b3baa52f",
+    ("star-6", 5): "031e4642c1b5f807fb5a69fe863d3478422dd4571a38d7b650bcb1f2a4c668e1",
+    ("spider-3-2-1", None): "34f2eb7795f7503ab6727f7cfef6d33e2866d79f449e732d57f6948c40abd531",
+    ("spider-3-2-1", 6): "34cfdd1e9f89517205d4bf2468e519123b83498836075d669712c887334189ac",
+    ("branch-star-6", None): "cb9e9ac25769e190207eb1e29f220f90628ebe34548587eb391e42e346e414f4",
+    ("branch-star-6", 1): "33c6d80848a05d725b2b1dd7ac0b26c5c29325a7f5b981562919812a650b6ce7",
+    ("branch-star-6", 8): "64c5360d8c6a0f1396543333c9a131f4276386be6d0814da652512124a85a092",
+}
+RENDER_TREES = {
+    "path-7": lambda: path_tree(7),
+    "star-6": lambda: star_tree(6),
+    "spider-3-2-1": lambda: spider_tree(3, 2, 1),
+    "branch-star-6": lambda: extremal_branch_star(6),
+}
+
+
+@pytest.mark.parametrize("name, root", sorted(RENDER_TREE_DIGESTS, key=str))
+def test_render_tree_bytes_are_pinned(name, root):
+    svg = render_tree(RENDER_TREES[name](), root)
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == RENDER_TREE_DIGESTS[name, root]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The fast kernels against the quadratic code they replaced.
 
-``diameter_path``, the ``max_caterpillar`` witness, contraction plans and
-``validate_path`` must reproduce the slow oracles in ``helpers`` output for
-output, tie-break for tie-break, at sizes well past exhaustive reach.
+``diameter_path``, the ``max_caterpillar`` witness, ``very_hungry_max``,
+contraction plans and ``validate_path`` must reproduce the slow oracles in
+``helpers`` output for output, tie-break for tie-break, at sizes well past
+exhaustive reach.
 Operation counts guard against a quadratic relapse and against facts computed
 twice per tree; a time bound far above the expected cost guards the failure
 path of ``validate_path``, whose cost depends on what it reports.
@@ -20,6 +21,7 @@ import catbound.oracle as oracle
 import catbound.trees as trees
 from catbound import (
     AlternatingPath,
+    RootedTree,
     SegmentFamily,
     Tree,
     among_path,
@@ -36,6 +38,7 @@ from catbound import (
     tree_to_segments,
     validate_path,
     verify_all,
+    very_hungry_max,
 )
 from catbound.oracle import _check_tree
 from helpers import (
@@ -50,6 +53,7 @@ from helpers import (
     spider_tree,
     trees as tree_strategy,
     validate_path_by_all_pairs,
+    very_hungry_max_by_paths,
 )
 
 
@@ -90,6 +94,14 @@ def test_kernels_match_oracles_on_random_trees(t):
         assert diameter_path(t) == diameter_path_by_all_pairs(t) == (0,)
         return
     assert_kernels_match_oracles(t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tree_strategy(min_vertices=2, max_vertices=16))
+def test_very_hungry_max_matches_path_listing_at_every_root(t):
+    for root in range(t.vertex_count):
+        fast = very_hungry_max(RootedTree(t, root))
+        assert fast == very_hungry_max_by_paths(t, root)
 
 
 def test_adversarial_shape_hides_the_witness_from_low_labels():
@@ -217,9 +229,9 @@ def test_diameter_path_makes_a_constant_number_of_passes(monkeypatch):
     n = 2000
     t = tree_from_pruefer(tuple((7 * i * i + 3) % n for i in range(n - 2)), n)
     passes: list = []
-    count_calls(monkeypatch, trees, "_bfs_dists", passes)
+    count_calls(monkeypatch, trees, "_rooted", passes)
     diameter_path(t)
-    assert len(passes) <= 4
+    assert len(passes) <= 2
 
 
 def test_contraction_plans_build_no_intermediate_trees(monkeypatch):

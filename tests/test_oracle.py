@@ -22,7 +22,7 @@ from catbound import (
     tree_from_pruefer,
     verify_all,
 )
-from helpers import free_trees_via_pruefer, path_tree, spider_tree, star_tree
+from helpers import free_trees_by_leaf_growth, path_tree, spider_tree, star_tree
 
 
 # ----------------------------------------------------------------------
@@ -43,10 +43,9 @@ def test_enumeration_yields_distinct_classes():
 
 
 def test_both_routes_agree():
-    for m in range(0, 8):
+    for m, grown in enumerate(free_trees_by_leaf_growth(12)):
         via_levels = {canonical_code(t) for t in free_trees(m)}
-        via_codes = {canonical_code(t) for t in free_trees_via_pruefer(m)}
-        assert via_levels == via_codes
+        assert via_levels == {canonical_code(t) for t in grown}
 
 
 def test_levels_route_matches_networkx():
