@@ -6,8 +6,8 @@ mathematics disagreed).
 
 File formats: trees are the edge-list text format of ``parse_tree``;
 segment families are JSON ``{"n": N, "segments": [[a, b], ...]}``;
-alternating paths are JSON ``{"mode": M, "segments": K,
-"endpoints": [...]}``.  Their numbers must be JSON integers.
+alternating paths are JSON ``{"mode": M, "segments": K, "endpoints":
+[...]}``, K optional and half the endpoint count.  Numbers are JSON integers.
 """
 
 from __future__ import annotations
@@ -60,16 +60,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[], description="Evaluate one bound.")
-    p.add_argument(
-        "quantity", choices=["p", "q", "f", "g", "e-contract", "e-induced"]
-    )
+    p.add_argument("quantity", choices=list(_EVAL))
     p.add_argument("--m", type=int, help="edge budget (p, q)")
     p.add_argument("--k", type=int, help="caterpillar size (f, g, e-*)")
 
     p = sub.add_parser("table", description="Tabulate one bound over a range.")
-    p.add_argument(
-        "quantity", choices=["p", "q", "f", "g", "e-contract", "e-induced"]
-    )
+    p.add_argument("quantity", choices=list(_EVAL))
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
     p.add_argument("--csv", action="store_true")
@@ -178,11 +174,14 @@ def _load_path(path: str) -> tuple[AlternatingPath, str]:
         raise ValueError(f"{path}: endpoints must be a list of integers")
     if len(endpoints) % 2:
         raise ValueError(f"{path}: odd endpoint count")
+    k = data.get("segments", len(endpoints) // 2)
+    if not _is_int(k) or 2 * k != len(endpoints):
+        raise ValueError(f"{path}: segments must be half the endpoint count")
     mode = data.get("mode", "simple")
     if mode not in ("simple", "among", "compatible"):
         raise ValueError(f"{path}: unknown mode {mode!r}")
     try:
-        return AlternatingPath(tuple(endpoints), len(endpoints) // 2), mode
+        return AlternatingPath(tuple(endpoints), k), mode
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -231,13 +230,17 @@ MAX_RESULT_DIGITS = 4300
 
 # the largest k at which each exponential closed form stays within
 # MAX_RESULT_DIGITS; all three grow with k, so a larger k is refused
-# without evaluating anything
+# without evaluating anything.  e-contract, about k^2 / 8, is cheap to
+# evaluate at any k, and p and q are no longer than their argument
 _MAX_PRINTABLE_K = {"f": 27_036, "g": 54_067, "e-induced": 54_067}
 
 
 def _refuse_unprintable(command: str, quantity: str, largest: int) -> None:
-    cap = _MAX_PRINTABLE_K.get(quantity)
-    if cap is not None and largest > cap:
+    if quantity == "e-contract":
+        too_long = extremal_size_contraction(largest) >= 10**MAX_RESULT_DIGITS
+    else:
+        too_long = largest > _MAX_PRINTABLE_K.get(quantity, largest)
+    if too_long:
         raise ValueError(
             f"{command} {quantity} would print more than {MAX_RESULT_DIGITS} digits"
         )

@@ -37,8 +37,8 @@ edges and K pairs listed, so a broken path costs no more than its report.
 
 Each path the library builds is validated exactly once, as it leaves its
 public constructor: ``compatible_path`` checks its chain in 'compatible'
-mode, and ``among_path`` builds the subfamily chain unchecked and checks
-only the lifted path, in 'simple' mode.  A failed check raises
+mode, and ``among_path`` chains the kept chords in the family's own labels
+and checks the result in 'simple' mode.  A failed check raises
 ``AssertionError``: it means the construction is wrong, not the input.
 """
 
@@ -108,7 +108,7 @@ class SegmentFamily:
 
     @cached_property
     def _struct(self) -> _Structure:
-        return _structure(self)
+        return _structure(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -189,18 +189,21 @@ def _crossing_pairs(chords: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _Structure:
-    """A family's cells, numbered by chord: cell 0 is the outer cell and cell
-    i + 1 lies behind chord i, so tree edge (u, v), u < v, is chord v - 1 and
-    its parent cell u is v's smallest neighbour.  ``cell_cycles[c]`` lists
-    c's boundary chords in walk order as (chord, first, second)."""
+    """The cells of ``chords``, numbered by chord: cell 0 is the outer cell and
+    cell i + 1 lies behind chords[i], so tree edge (u, v), u < v, is chord
+    v - 1 and its parent cell u is v's smallest neighbour.  ``cell_cycles[c]``
+    lists c's boundary chords in walk order as (chord, first, second)."""
 
+    chords: tuple[tuple[int, int], ...]
     cell_cycles: tuple[tuple[tuple[int, int, int], ...], ...]
     tree: Tree
 
 
-def _structure(s: SegmentFamily) -> _Structure:
-    chords = s.pairs  # already sorted by opening label
-    cycles: list[list[tuple[int, int, int]]] = [[] for _ in range(s.n + 1)]
+def _structure(chords: tuple[tuple[int, int], ...]) -> _Structure:
+    """Non-crossing (low, high) chords sorted by low; labels are only compared,
+    so a subfamily keeps its family's labels."""
+    n = len(chords)
+    cycles: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     edges = []
     stack: list[int] = []  # chords enclosing the current label, innermost last
     for i, (a, b) in enumerate(chords):
@@ -212,7 +215,7 @@ def _structure(s: SegmentFamily) -> _Structure:
         stack.append(i)
     for i, (a, b) in enumerate(chords):  # each inner cell's own chord comes last
         cycles[i + 1].append((i, b, a))
-    return _Structure(tuple(map(tuple, cycles)), Tree(s.n + 1, tuple(edges)))
+    return _Structure(chords, tuple(map(tuple, cycles)), Tree(n + 1, tuple(edges)))
 
 
 def segments_to_tree(
@@ -362,12 +365,11 @@ def compatible_path(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
     """An alternating path through exactly the segments of the witness
     caterpillar (a witness over the cell tree of ``s``), crossing no other
     segment of the family."""
-    return _checked(s, _compatible_chain(s, w), "compatible")
+    return _checked(s, _compatible_chain(s._struct, w), "compatible")
 
 
-def _compatible_chain(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
-    """``compatible_path`` without the final validation."""
-    st = s._struct
+def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
+    """``compatible_path`` without the final validation, in st's labels."""
     t = st.tree
     cells = set(range(t.vertex_count))
     if not w.vertex_set <= cells or not set(w.spine) <= w.vertex_set:
@@ -396,7 +398,7 @@ def _compatible_chain(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPat
         else:
             host = a if a in spine_set else (b if b in spine_set else None)
             if host is None:
-                raise ValueError(f"witness segment {s.pairs[i]} misses the spine")
+                raise ValueError(f"witness segment {st.chords[i]} misses the spine")
             at_cell[host].append(i)
     for u, v in zip(spine, spine[1:]):
         if (min(u, v), max(u, v)) not in link:
@@ -440,21 +442,14 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     """A self-avoiding alternating path through
     ``max_caterpillar_by_contraction`` many segments of ``s``, paired with
     the contraction plan that witnesses the count.  Contracting a tree edge
-    is deleting a segment: the path is built compatible with the surviving
-    subfamily and may cross only the deleted segments."""
+    is deleting a segment: the path is built compatible with the kept
+    chords, in their own labels, and may cross only the deleted segments."""
     t = s._struct.tree
     cap, dpath, leaf_set = _facts(t)
     plan = _plan(t, cap, cap, dpath, leaf_set)
     dropped = {max(step.edge) - 1 for step in plan.contract_sequence}
-    keep = [s.pairs[i] for i in range(s.n) if i not in dropped]
-    labels = sorted(x for pair in keep for x in pair)
-    rank = {x: i for i, x in enumerate(labels)}
-    sub = SegmentFamily(len(keep), tuple((rank[a], rank[b]) for a, b in keep))
-
-    witness = max_caterpillar(sub._struct.tree)
+    kept = _structure(tuple(c for i, c in enumerate(s.pairs) if i not in dropped))
+    witness = max_caterpillar(kept.tree)
     if witness.size != cap:
         raise AssertionError("contracted family is not the expected caterpillar")
-    inner = _compatible_chain(sub, witness)
-    endpoints = tuple(labels[x] for x in inner.endpoints)
-    path = AlternatingPath(endpoints, cap)
-    return _checked(s, path, "simple"), plan
+    return _checked(s, _compatible_chain(kept, witness), "simple"), plan

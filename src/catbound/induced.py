@@ -309,24 +309,19 @@ _RESIDUE_PARAMS = {
     5: (1, 3, 69, 11),
 }
 
-_POW3 = [1]
-
-
 def _ceil_6log3(num: int, den: int) -> int:
     """ceil(6 * log3(num/den)) for num >= den >= 1, exactly: the least j
-    with den^6 * 3^j >= num^6."""
+    with den^6 * 3^j >= num^6.  With 2^(a-1) <= num^6 and den^6 < 2^b, any
+    j <= (a - 1 - b) / log2(3) still falls short, and 1.584963 > log2(3),
+    so the search starts at most a few steps below the answer."""
     target = num**6
-    base = den**6
-    while _POW3[-1] * base < target:
-        _POW3.append(_POW3[-1] * 3)
-    lo, hi = 0, len(_POW3) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _POW3[mid] * base >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    power = den**6
+    j = max(0, (target.bit_length() - 1 - power.bit_length()) * 10**6 // 1_584_963)
+    power *= 3**j
+    while power < target:
+        power *= 3
+        j += 1
+    return j
 
 
 def induced_guarantee_residue(r: int, m: int) -> int:

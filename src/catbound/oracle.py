@@ -67,6 +67,9 @@ FREE_TREE_COUNTS = (
 #: few enough that both workers finish an edge count at about the same time
 _CHUNK = 32
 
+#: most vertices the subset search takes: it tries every vertex subset
+_SEARCH_LIMIT = 20
+
 
 # ======================================================================
 # free-tree enumeration
@@ -206,8 +209,8 @@ def brute_max_caterpillar(t: Tree) -> int:
     n = t.vertex_count
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    if n > 20:
-        raise ValueError("exhaustive search is limited to 20 vertices")
+    if n > _SEARCH_LIMIT:
+        raise ValueError(f"exhaustive search is limited to {_SEARCH_LIMIT} vertices")
     nbr = [0] * n
     for a, b in t.edges:
         nbr[a] |= 1 << b
@@ -452,12 +455,15 @@ def verify_all(
 
     Every free tree class with 1 to ``max_edges`` edges goes through one
     ``_check_tree``, and each edge count's rows are minima over those
-    results, ties broken by canonical code.  ``workers`` is clamped to the
-    CPU count; above one, the checks run in a single process pool opened
-    for the whole call.  The report does not depend on it.
+    results, ties broken by canonical code; ``max_edges`` is at most 19, so
+    that the subset search sees at most 20 vertices.  ``workers`` is clamped
+    to the CPU count; above one, the checks run in a single process pool
+    opened for the whole call.  The report does not depend on it.
     """
     if max_edges < 1 or max_score < 1 or workers < 1:
         raise ValueError("bounds and worker count must be positive")
+    if max_edges >= _SEARCH_LIMIT:
+        raise ValueError(f"max_edges must be at most {_SEARCH_LIMIT - 1}")
     workers = min(workers, os.cpu_count() or 1)
     claimed = dict(branch_size_override or {})
     records: list[CheckRecord] = []

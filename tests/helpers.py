@@ -7,15 +7,20 @@ import hypothesis.strategies as st
 from catbound import (
     AlternatingPath,
     CaterpillarWitness,
+    ContractionPlan,
     PathReport,
     SegmentFamily,
     Tree,
     canonical_code,
     contract_edge,
+    contract_to_caterpillar,
     is_caterpillar,
     leaves,
+    max_caterpillar,
+    max_caterpillar_by_contraction,
     tree_from_pruefer,
 )
+from catbound.duality import _checked, _compatible_chain
 
 
 def path_tree(n: int) -> Tree:
@@ -373,3 +378,32 @@ def family_error_by_sorting(pairs) -> str | None:
     if sorted(x for pair in norm for x in pair) != list(range(2 * len(norm))):
         return "segments must perfectly match labels 0..2n-1"
     return matching_crossing_by_label_scan(norm)
+
+
+def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
+    """``among_path`` through a relabelled subfamily: rank the labels of the
+    kept segments, build them as a new family on 0..2k-1, chain that
+    family's witness caterpillar and lift the endpoints back by rank."""
+    t = s._struct.tree
+    cap = max_caterpillar_by_contraction(t)
+    plan = contract_to_caterpillar(t, cap)
+    dropped = {max(step.edge) - 1 for step in plan.contract_sequence}
+    keep = [s.pairs[i] for i in range(s.n) if i not in dropped]
+    labels = sorted(x for pair in keep for x in pair)
+    rank = {x: i for i, x in enumerate(labels)}
+    sub = SegmentFamily(len(keep), tuple((rank[a], rank[b]) for a, b in keep))
+
+    witness = max_caterpillar(sub._struct.tree)
+    assert witness.size == cap
+    inner = _compatible_chain(sub._struct, witness)
+    endpoints = tuple(labels[x] for x in inner.endpoints)
+    return _checked(s, AlternatingPath(endpoints, cap), "simple"), plan
+
+
+def ceil_6log3_by_steps(num: int, den: int) -> int:
+    """The least j with den^6 * 3^j >= num^6, counting up from j = 0."""
+    j, power, target = 0, den**6, num**6
+    while power < target:
+        power *= 3
+        j += 1
+    return j

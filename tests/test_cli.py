@@ -4,6 +4,7 @@ byte-for-byte determinism of everything the CLI writes."""
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -117,6 +118,22 @@ def test_eval_prints_up_to_the_digit_limit_and_refuses_past_it(capsys, quantity,
     code, out, err = run(capsys, "table", quantity, "--from", str(cap), "--to", str(cap + 1))
     assert code == 1 and out == ""
     assert err == f"catbound: error: table {quantity} would print more than 4300 digits\n"
+
+
+def test_e_contract_prints_up_to_the_digit_limit_and_refuses_past_it(capsys):
+    fn = cli._EVAL["e-contract"][1]
+    limit = 10**cli.MAX_RESULT_DIGITS
+    cap = math.isqrt(8 * limit)  # fn(k) > k^2 / 8, so fn(cap + 1) >= limit
+    while fn(cap) >= limit:
+        cap -= 1
+    assert len(str(fn(cap))) == cli.MAX_RESULT_DIGITS
+    code, out, _ = run(capsys, "eval", "e-contract", "--k", str(cap))
+    assert code == 0 and out == f"{fn(cap)}\n"
+    for k in (cap + 1, 10**2200):
+        for argv in (("eval", "e-contract", "--k", str(k)), ("table", "e-contract", "--from", str(k), "--to", str(k))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == f"catbound: error: {argv[0]} e-contract would print more than 4300 digits\n"
 
 
 @pytest.mark.parametrize("quantity", sorted(cli._MAX_PRINTABLE_K))
@@ -366,6 +383,9 @@ def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints):
         ('{"mode": 5, "endpoints": [0, 5]}', "unknown mode 5"),
         ('{"mode": "fancy", "endpoints": [0, 5]}', "unknown mode 'fancy'"),
         ('{"mode": "compatible", "endpoints": []}', "endpoint count must be twice the segment count"),
+        ('{"segments": 7, "endpoints": [0, 5]}', "segments must be half the endpoint count"),
+        ('{"segments": "x", "endpoints": [0, 5]}', "segments must be half the endpoint count"),
+        ('{"segments": true, "endpoints": [0, 5]}', "segments must be half the endpoint count"),
     ],
 )
 def test_path_file_errors_name_the_file(tmp_path, capsys, text, message):

@@ -191,16 +191,16 @@ def test_family_structure_is_built_once_per_family(monkeypatch):
     structure = duality._structure
     built = []
 
-    def counting(family):
-        built.append(family)
-        return structure(family)
+    def counting(chords):
+        built.append(chords)
+        return structure(chords)
 
     monkeypatch.setattr(duality, "_structure", counting)
     family = tree_to_segments(beautiful_tree(4)[0].tree, 0)
     cell_tree, _ = segments_to_tree(family)
     compatible_path(family, max_caterpillar(cell_tree))
     among_path(family)
-    assert len(built) <= 2  # the family and its contracted subfamily
+    assert len(built) <= 2  # the family and the chords its plan keeps
 
 
 def test_among_on_a_single_segment():

@@ -1,5 +1,7 @@
 """Induced caterpillars: the search, branches, stars, and guarantee q."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,15 @@ from catbound import (
     tree_from_profile,
     very_hungry_max,
 )
-from helpers import induced_subtree, path_tree, spider_tree, star_tree, trees
+from catbound.induced import _ceil_6log3
+from helpers import (
+    ceil_6log3_by_steps,
+    induced_subtree,
+    path_tree,
+    spider_tree,
+    star_tree,
+    trees,
+)
 
 BRANCH_SIZES = [1, 2, 3, 5, 7, 11, 16, 23, 34, 49, 70]
 STAR_BOUNDS = [2, 3, 4, 6, 8, 10, 12, 15, 20, 25, 30, 35, 44]
@@ -218,6 +228,29 @@ def test_residue_forms_cover_the_maximum():
         assert best == induced_guarantee(m)
         for r in range(6):
             assert induced_guarantee_residue(r, m) % 6 == r
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 10**40), st.integers(0, 10**40))
+def test_ceil_6log3_matches_counting_up(den, extra):
+    assert _ceil_6log3(den + extra, den) == ceil_6log3_by_steps(den + extra, den)
+
+
+@pytest.mark.parametrize("digits", [1, 20, 300, 1000])
+def test_ceil_6log3_matches_counting_up_on_long_values(digits):
+    rng = random.Random(digits)
+    for _ in range(4):
+        den = rng.randrange(1, 10 ** rng.randint(1, digits) + 1)
+        for num in (den, den + 1, den + rng.randrange(10**digits)):
+            assert _ceil_6log3(num, den) == ceil_6log3_by_steps(num, den)
+    for a in range(0, 3 * digits, max(1, digits // 7)):  # exact powers of 3
+        for num in (3**a * 7, 3**a * 7 + 1, 3**a * 7 - 1):
+            assert _ceil_6log3(num, 7) == ceil_6log3_by_steps(num, 7)
+    # num^6 a power of 2 over den^6 just below one: the bit-length bound's
+    # tightest case
+    den = 2**digits - 1
+    for num in (2**t for t in range(digits, digits + 40)):
+        assert _ceil_6log3(num, den) == ceil_6log3_by_steps(num, den)
 
 
 def test_residue_domain_errors():

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import catbound.contraction as contraction
+import catbound.duality as duality
 import catbound.oracle as oracle
 import catbound.trees as trees
 from catbound import (
@@ -43,6 +44,7 @@ from catbound import (
 from catbound.oracle import _check_tree
 from helpers import (
     adversarial_tree,
+    among_path_by_subfamily,
     contraction_plans_by_replay,
     diameter_path_by_all_pairs,
     family_error_by_sorting,
@@ -211,6 +213,46 @@ def test_family_crossing_errors_match_the_label_scan(labels, fault, data):
 
 
 # ----------------------------------------------------------------------
+# among paths: the kept chords in place against a relabelled subfamily
+# ----------------------------------------------------------------------
+
+
+def assert_among_matches_subfamily(family: SegmentFamily) -> None:
+    path, plan = among_path(family)
+    want_path, want_plan = among_path_by_subfamily(family)
+    assert path.endpoints == want_path.endpoints
+    edges = tuple(step.edge for step in plan.contract_sequence)
+    assert edges == tuple(step.edge for step in want_plan.contract_sequence)
+    # the chords the plan keeps cut out exactly the plan's caterpillar
+    dropped = {max(edge) - 1 for edge in edges}
+    kept = [c for i, c in enumerate(family.pairs) if i not in dropped]
+    assert duality._structure(tuple(kept)).tree == plan.kept_caterpillar
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_strategy(min_vertices=2, max_vertices=60), st.integers(0, 10**6))
+def test_among_matches_the_subfamily_route_on_random_families(t, root):
+    assert_among_matches_subfamily(tree_to_segments(t, root % t.vertex_count))
+
+
+def test_among_matches_the_subfamily_route_on_every_small_family():
+    for m in range(1, 10):
+        for t in free_trees(m):
+            for root in range(min(3, t.vertex_count)):
+                assert_among_matches_subfamily(tree_to_segments(t, root))
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000, "path-200"])
+def test_among_matches_the_subfamily_route_at_scale(n):
+    if n == "path-200":
+        t = path_tree(201)
+    else:
+        rng = random.Random(n)
+        t = tree_from_pruefer(tuple(rng.randrange(n + 1) for _ in range(n - 1)), n + 1)
+    assert_among_matches_subfamily(tree_to_segments(t, 0))
+
+
+# ----------------------------------------------------------------------
 # operation counts
 # ----------------------------------------------------------------------
 
@@ -273,6 +315,14 @@ def test_among_path_runs_diameter_path_once(monkeypatch):
         count_calls(monkeypatch, module, "diameter_path", passes)
     among_path(family)
     assert len(passes) == 1
+
+
+def test_among_path_builds_no_second_family(monkeypatch):
+    family = tree_to_segments(relabeled_twin(300, seed=3), 0)
+    built: list = []
+    count_calls(monkeypatch, SegmentFamily, "__post_init__", built)
+    among_path(family)
+    assert len(built) == 0
 
 
 def test_census_computes_one_canonical_code_per_class(monkeypatch):

@@ -22,6 +22,7 @@ from catbound import (
     tree_from_pruefer,
     verify_all,
 )
+from catbound.cli import main
 from helpers import free_trees_by_leaf_growth, path_tree, spider_tree, star_tree
 
 
@@ -215,6 +216,23 @@ def test_failed_duality_rows_name_the_step_and_the_exception(monkeypatch):
     assert all(r.section == "duality" for r in failed)
     assert failed[0].actual == "failed at (()) (among: RuntimeError: boom)"
     assert all("(among: RuntimeError: boom)" in r.actual for r in failed)
+
+
+def test_census_past_the_subset_search_limit_is_refused_before_enumerating(
+    monkeypatch, capsys
+):
+    def never(m):
+        raise LookupError("trees were enumerated")
+
+    monkeypatch.setattr(oracle, "free_trees", never)
+    with pytest.raises(ValueError, match="at most 19"):
+        verify_all(max_edges=20)
+    with pytest.raises(LookupError):  # 19 edges pass the check
+        verify_all(max_edges=19)
+    assert main(["verify", "--max-edges", "25"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("catbound: error: max_edges must be at most 19")
 
 
 def test_sanity_of_bounds_arguments():
