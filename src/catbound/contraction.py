@@ -17,8 +17,11 @@ here:
 witnessing the bound: keep all leaf edges plus one diameter path, contract
 everything else, then contract surplus edges down to the requested size.
 A plan needs the score, the diameter path and the leaf set, and so does
-``duality.among_path``; both get them from one ``_facts`` pass and build the
-plan with ``_plan``, so no caller computes a tree's diameter path twice.
+``duality.among_path``; both get them from one ``_facts`` pass and list the
+contracted edges with ``_steps``, so no caller computes a tree's diameter path
+twice.  Each caller replays the steps once with ``_contract_all`` and checks
+the result once: ``contract_to_caterpillar`` with ``is_caterpillar``, and
+``among_path`` with the induced-caterpillar witness it chains anyway.
 
 Plans are O(n) to build and to apply.  A step records only its edge in the
 source labeling.  The final tree comes from one union-find pass over all the
@@ -144,13 +147,19 @@ def contract_to_caterpillar(t: Tree, k: int) -> ContractionPlan:
     away in sorted-edge order; caterpillars are closed under contraction, so
     the order does not affect validity, only reproducibility.
     """
-    return _plan(t, k, *_facts(t))
+    steps = _steps(t, k, *_facts(t))
+    current = _contract_all(t, steps)
+    ok, _ = is_caterpillar(current)
+    if not ok or current.m != k:
+        raise AssertionError("contraction plan failed to reach a caterpillar")
+    return ContractionPlan(k, tuple(ContractionStep(e) for e in steps), current)
 
 
-def _plan(
+def _steps(
     t: Tree, k: int, cap: int, dpath: tuple[int, ...], leaf_set: frozenset[int]
-) -> ContractionPlan:
-    """``contract_to_caterpillar(t, k)`` from ``_facts(t)``."""
+) -> list[tuple[int, int]]:
+    """The edges ``contract_to_caterpillar(t, k)`` contracts, in order, from
+    ``_facts(t)``."""
     if not 1 <= k <= cap:
         raise ValueError(f"target size {k} outside 1..{cap}")
     keep = {(min(a, b), max(a, b)) for a, b in zip(dpath, dpath[1:])}
@@ -172,15 +181,7 @@ def _plan(
                 if e not in keep:
                     contracted.append(e)
                 stack.append(w)
-    contracted += sorted(keep)[: cap - k]
-
-    current = _contract_all(t, contracted)
-    ok, _ = is_caterpillar(current)
-    if not ok or current.m != k:
-        raise AssertionError("contraction plan failed to reach a caterpillar")
-    return ContractionPlan(
-        k, tuple(ContractionStep(e) for e in contracted), current
-    )
+    return contracted + sorted(keep)[: cap - k]
 
 
 # ======================================================================

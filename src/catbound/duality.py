@@ -40,6 +40,12 @@ public constructor: ``compatible_path`` checks its chain in 'compatible'
 mode, and ``among_path`` chains the kept chords in the family's own labels
 and checks the result in 'simple' mode.  A failed check raises
 ``AssertionError``: it means the construction is wrong, not the input.
+
+``among_path`` replays its contraction steps once, and that contracted cell
+tree is the kept chords' structure: ``_structure`` takes it after checking
+that the chords' cells have exactly its edges.  Its caterpillar check is the
+witness it chains anyway: a tree whose largest induced caterpillar has every
+edge is a caterpillar.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .contraction import ContractionPlan, _facts, _plan
+from .contraction import ContractionPlan, ContractionStep, _contract_all, _facts, _steps
 from .induced import CaterpillarWitness, max_caterpillar
 from .trees import Tree
 
@@ -199,9 +205,12 @@ class _Structure:
     tree: Tree
 
 
-def _structure(chords: tuple[tuple[int, int], ...]) -> _Structure:
+def _structure(
+    chords: tuple[tuple[int, int], ...], tree: Tree | None = None
+) -> _Structure:
     """Non-crossing (low, high) chords sorted by low; labels are only compared,
-    so a subfamily keeps its family's labels."""
+    so a subfamily keeps its family's labels.  A ``tree`` already known to be
+    the cell tree is kept, once its edges are checked against the cells'."""
     n = len(chords)
     cycles: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     edges = []
@@ -215,7 +224,11 @@ def _structure(chords: tuple[tuple[int, int], ...]) -> _Structure:
         stack.append(i)
     for i, (a, b) in enumerate(chords):  # each inner cell's own chord comes last
         cycles[i + 1].append((i, b, a))
-    return _Structure(chords, tuple(map(tuple, cycles)), Tree(n + 1, tuple(edges)))
+    if tree is None:
+        tree = Tree(n + 1, tuple(edges))
+    elif tree.edges != tuple(sorted(edges)):
+        raise AssertionError("kept chords do not cut out the contracted tree")
+    return _Structure(chords, tuple(map(tuple, cycles)), tree)
 
 
 def segments_to_tree(
@@ -446,10 +459,14 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     chords, in their own labels, and may cross only the deleted segments."""
     t = s._struct.tree
     cap, dpath, leaf_set = _facts(t)
-    plan = _plan(t, cap, cap, dpath, leaf_set)
-    dropped = {max(step.edge) - 1 for step in plan.contract_sequence}
-    kept = _structure(tuple(c for i, c in enumerate(s.pairs) if i not in dropped))
-    witness = max_caterpillar(kept.tree)
-    if witness.size != cap:
-        raise AssertionError("contracted family is not the expected caterpillar")
+    steps = _steps(t, cap, cap, dpath, leaf_set)
+    current = _contract_all(t, steps)
+    witness = max_caterpillar(current)
+    if not witness.size == cap == current.m:
+        raise AssertionError("contraction plan failed to reach a caterpillar")
+    dropped = {v - 1 for _, v in steps}
+    kept = _structure(
+        tuple(c for i, c in enumerate(s.pairs) if i not in dropped), current
+    )
+    plan = ContractionPlan(cap, tuple(ContractionStep(e) for e in steps), current)
     return _checked(s, _compatible_chain(kept, witness), "simple"), plan

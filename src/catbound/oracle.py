@@ -12,13 +12,16 @@ The census puts every free tree class through one check, ``_check_tree``,
 whose small picklable result records each fact about that tree and, for a
 failed duality, the step and the exception.  The same ``map`` call runs the
 checks in this process or in one process pool opened for the whole run, and
-each edge count's rows are minima over the results, so the report does not
-depend on the worker count.  The duality round trip needs a second canonical
-code only when it comes back relabelled: ``free_trees`` yields trees in
-preorder, which ``tree_to_segments`` at root 0 returns identically, and
-equal labelled trees are isomorphic.  A relabelled round trip also needs its
-own caterpillar witness, because the family's cells carry the returned
-tree's ids, not the input's.
+``_fold`` streams each edge count's trees, paired with their results, into
+that count's rows.  Each row is a minimum, ties broken by canonical code, so
+the report does not depend on the worker count.  Canonical codes only label
+the trees a row names, so the fold computes them for those witnesses alone:
+the trees at each bound's minimum and any tree that clashes or fails.  The
+duality round trip compares codes only when it comes back relabelled:
+``free_trees`` yields trees in preorder, which ``tree_to_segments`` at root
+0 returns identically, and equal labelled trees are isomorphic.  A
+relabelled round trip also needs its own caterpillar witness, because the
+family's cells carry the returned tree's ids, not the input's.
 
 Guarantee functions are step functions of the edge budget, so the sweep
 section compares implementation and reference only at change points: both
@@ -69,6 +72,11 @@ _CHUNK = 32
 
 #: most vertices the subset search takes: it tries every vertex subset
 _SEARCH_LIMIT = 20
+
+#: largest ``max_score`` that ``verify_all`` takes: it builds and scores the
+#: extremal spider of every score up to it, about k^2/8 edges each, so its
+#: cost grows with the cube of ``max_score``
+MAX_SCORE = 200
 
 
 # ======================================================================
@@ -236,7 +244,12 @@ def brute_max_caterpillar(t: Tree) -> int:
 
 
 def brute_contraction_guarantee(edge_count: int) -> int:
-    """Worst contraction score over every tree with that many edges."""
+    """Worst contraction score over every tree class with that many edges.
+
+    Each class is scored by the ``leaves + diameter - 2`` formula of
+    ``max_caterpillar_by_contraction``; the minimum is exhaustive over
+    classes, but no sequence of contractions is searched, so this checks the
+    closed form against the formula, not the formula itself."""
     if edge_count < 1:
         raise ValueError("edge count must be positive")
     return min(max_caterpillar_by_contraction(t) for t in free_trees(edge_count))
@@ -256,10 +269,16 @@ def branch_size_recurrence(k: int) -> int:
     over equal children."""
     if k < 1:
         raise ValueError("score must be positive")
+    return _branch_sizes(k)[k]
+
+
+def _branch_sizes(k: int) -> list[int]:
+    """``branch_size_recurrence`` for every score 1..k at index k, in
+    O(k^2) steps; index 0 is the empty branch."""
     best = [0, 1]
     for j in range(2, k + 1):
         best.append(max(c * best[j - c] + 1 for c in range(1, j)))
-    return best[k]
+    return best
 
 
 # ======================================================================
@@ -374,30 +393,33 @@ class VerificationReport:
         }
 
 
-def _check_tree(t: Tree) -> tuple[str, int, int, bool, str | None]:
-    """Everything the census asks of one tree class: its canonical code,
-    its contraction score, its subset-search maximum, whether the DP
-    witness reaches that maximum, and why the duality failed (None when it
-    holds) as ``<step>`` or ``<step>: <Type>: <message>``."""
-    tree_code = canonical_code(t)
-    score = max_caterpillar_by_contraction(t)
+def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
+    """Everything the census asks of one tree class: its contraction score,
+    its subset-search maximum, whether the DP witness reaches that maximum,
+    and why the duality failed (None when it holds) as ``<step>`` or
+    ``<step>: <Type>: <message>``.  The score is the target of the among
+    path's plan, so it is computed on its own only when the duality fails
+    before that plan exists."""
     witness = max_caterpillar(t)
     brute = brute_max_caterpillar(t)
+    score = None
     failure = step = "round trip"
     try:
         family = tree_to_segments(t, 0)
         back, _ = segments_to_tree(family)
         same = back == t
-        if same or canonical_code(back) == tree_code:
+        if same or canonical_code(back) == canonical_code(t):
             step = "compatible"
             # the witness must name the family's cells, which are back's ids
             compatible_path(family, witness if same else max_caterpillar(back))
             step = "among"
-            among_path(family)
+            score = among_path(family)[1].target_size
             failure = None
     except Exception as exc:
         failure = f"{step}: {type(exc).__name__}: {exc}"
-    return str(tree_code), score, brute, witness.size == brute, failure
+    if score is None:
+        score = max_caterpillar_by_contraction(t)
+    return score, brute, witness.size == brute, failure
 
 
 def _verdict(
@@ -409,24 +431,48 @@ def _verdict(
     )
 
 
-def _fold(m: int, checks: Iterable[tuple]) -> list[CheckRecord]:
-    """The rows for edge count m from its trees' ``_check_tree`` results.
-    Each minimum breaks ties by canonical code, so the rows do not depend
-    on the order of the results."""
-    codes, scores, brutes, agrees, failures = zip(*checks)
+def _code(t: Tree) -> str:
+    return str(canonical_code(t))
+
+
+def _fold(m: int, checked: Iterable[tuple[Tree, tuple]]) -> list[CheckRecord]:
+    """The rows for edge count m from its trees paired with their
+    ``_check_tree`` results, read as a stream.
+
+    Only trees a row may name are held: for each bound the trees at the
+    running minimum, and every tree whose search clashes or whose duality
+    fails.  Canonical codes are computed for those alone, and each row names
+    the smallest, so the rows do not depend on the order of the results."""
+    count = 0
+    # per bound, the least value so far and the trees that reach it
+    lows: list[list] = [[None, []], [None, []]]
+    clashes: list[Tree] = []
+    failures: list[tuple[Tree, str]] = []
+    for t, (score, brute, agrees, failure) in checked:
+        count += 1
+        for low, value in zip(lows, (score, brute)):
+            if low[0] is None or value < low[0]:
+                low[:] = value, [t]
+            elif value == low[0]:
+                low[1].append(t)
+        if not agrees:
+            clashes.append(t)
+        if failure:
+            failures.append((t, failure))
     label = f"m={m}"
     rows = []
     if m < len(FREE_TREE_COUNTS):
-        want, got = FREE_TREE_COUNTS[m], len(codes)
-        rows.append(CheckRecord("tree-census", label, got == want, str(want), str(got)))
-    for section, guarantee, values in (
-        ("contraction-bound", contraction_guarantee, scores),
-        ("induced-bound", induced_guarantee, brutes),
+        want = FREE_TREE_COUNTS[m]
+        rows.append(
+            CheckRecord("tree-census", label, count == want, str(want), str(count))
+        )
+    for section, guarantee, (low, worst) in (
+        ("contraction-bound", contraction_guarantee, lows[0]),
+        ("induced-bound", induced_guarantee, lows[1]),
     ):
-        low, code = min(zip(values, codes))
-        want, note = guarantee(m), f"worst tree {code}"
+        want, note = guarantee(m), f"worst tree {min(map(_code, worst))}"
         rows.append(CheckRecord(section, label, low == want, str(want), str(low), note))
-    clash = min((c for c, ok in zip(codes, agrees) if not ok), default=None)
+    clash = min(map(_code, clashes), default=None)
     rows.append(
         CheckRecord(
             "caterpillar-search",
@@ -436,7 +482,7 @@ def _fold(m: int, checks: Iterable[tuple]) -> list[CheckRecord]:
             "agree" if clash is None else f"clash at {clash}",
         )
     )
-    failed = min(((c, why) for c, why in zip(codes, failures) if why), default=None)
+    failed = min(((_code(t), why) for t, why in failures), default=None)
     bad = None if failed is None else "failed at {} ({})".format(*failed)
     rows.append(_verdict("duality", label, "round trips and valid paths", bad))
     return rows
@@ -456,7 +502,9 @@ def verify_all(
     Every free tree class with 1 to ``max_edges`` edges goes through one
     ``_check_tree``, and each edge count's rows are minima over those
     results, ties broken by canonical code; ``max_edges`` is at most 19, so
-    that the subset search sees at most 20 vertices.  ``workers`` is clamped
+    that the subset search sees at most 20 vertices.  ``max_score`` is at
+    most ``MAX_SCORE``, checked before any tree is built, and the branch-size
+    recurrence is tabulated once up to it.  ``workers`` is clamped
     to the CPU count; above one, the checks run in a single process pool
     opened for the whole call.  The report does not depend on it.
     """
@@ -464,6 +512,8 @@ def verify_all(
         raise ValueError("bounds and worker count must be positive")
     if max_edges >= _SEARCH_LIMIT:
         raise ValueError(f"max_edges must be at most {_SEARCH_LIMIT - 1}")
+    if max_score > MAX_SCORE:
+        raise ValueError(f"max_score must be at most {MAX_SCORE}")
     workers = min(workers, os.cpu_count() or 1)
     claimed = dict(branch_size_override or {})
     records: list[CheckRecord] = []
@@ -472,10 +522,12 @@ def verify_all(
     with pool or nullcontext():
         check = map if pool is None else partial(pool.map, chunksize=_CHUNK)
         for m in range(1, max_edges + 1):
-            records += _fold(m, check(_check_tree, free_trees(m)))
+            mine, theirs = itertools.tee(free_trees(m))
+            records += _fold(m, zip(mine, check(_check_tree, theirs)))
 
+    recurrence = _branch_sizes(max_score)
     for k in range(1, max_score + 1):
-        want = branch_size_recurrence(k)
+        want = recurrence[k]
         got = claimed.get(k, max_branch_size(k))
         records.append(
             CheckRecord(

@@ -5,8 +5,10 @@ import random
 import hypothesis.strategies as st
 
 from catbound import (
+    FREE_TREE_COUNTS,
     AlternatingPath,
     CaterpillarWitness,
+    CheckRecord,
     ContractionPlan,
     PathReport,
     SegmentFamily,
@@ -14,6 +16,8 @@ from catbound import (
     canonical_code,
     contract_edge,
     contract_to_caterpillar,
+    contraction_guarantee,
+    induced_guarantee,
     is_caterpillar,
     leaves,
     max_caterpillar,
@@ -21,6 +25,7 @@ from catbound import (
     tree_from_pruefer,
 )
 from catbound.duality import _checked, _compatible_chain
+from catbound.oracle import _verdict
 
 
 def path_tree(n: int) -> Tree:
@@ -398,6 +403,39 @@ def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, Contract
     inner = _compatible_chain(sub._struct, witness)
     endpoints = tuple(labels[x] for x in inner.endpoints)
     return _checked(s, AlternatingPath(endpoints, cap), "simple"), plan
+
+
+def fold_by_lists(m: int, checks) -> list:
+    """The census rows for edge count m from ``(code, score, brute, agrees,
+    failure)`` tuples, one per tree: unzipped into lists, so every tree needs
+    its canonical code, and each minimum breaks ties by that code."""
+    codes, scores, brutes, agrees, failures = zip(*checks)
+    label = f"m={m}"
+    rows = []
+    if m < len(FREE_TREE_COUNTS):
+        want, got = FREE_TREE_COUNTS[m], len(codes)
+        rows.append(CheckRecord("tree-census", label, got == want, str(want), str(got)))
+    for section, guarantee, values in (
+        ("contraction-bound", contraction_guarantee, scores),
+        ("induced-bound", induced_guarantee, brutes),
+    ):
+        low, code = min(zip(values, codes))
+        want, note = guarantee(m), f"worst tree {code}"
+        rows.append(CheckRecord(section, label, low == want, str(want), str(low), note))
+    clash = min((c for c, ok in zip(codes, agrees) if not ok), default=None)
+    rows.append(
+        CheckRecord(
+            "caterpillar-search",
+            label,
+            clash is None,
+            "dp equals subset search",
+            "agree" if clash is None else f"clash at {clash}",
+        )
+    )
+    failed = min(((c, why) for c, why in zip(codes, failures) if why), default=None)
+    bad = None if failed is None else "failed at {} ({})".format(*failed)
+    rows.append(_verdict("duality", label, "round trips and valid paths", bad))
+    return rows
 
 
 def ceil_6log3_by_steps(num: int, den: int) -> int:

@@ -191,9 +191,9 @@ def test_family_structure_is_built_once_per_family(monkeypatch):
     structure = duality._structure
     built = []
 
-    def counting(chords):
+    def counting(chords, tree=None):
         built.append(chords)
-        return structure(chords)
+        return structure(chords, tree)
 
     monkeypatch.setattr(duality, "_structure", counting)
     family = tree_to_segments(beautiful_tree(4)[0].tree, 0)

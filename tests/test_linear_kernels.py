@@ -26,6 +26,7 @@ from catbound import (
     SegmentFamily,
     Tree,
     among_path,
+    canonical_code,
     compatible_path,
     contract_to_caterpillar,
     diameter_path,
@@ -48,6 +49,7 @@ from helpers import (
     contraction_plans_by_replay,
     diameter_path_by_all_pairs,
     family_error_by_sorting,
+    fold_by_lists,
     max_caterpillar_by_scan,
     path_tree,
     relabeled,
@@ -325,13 +327,32 @@ def test_among_path_builds_no_second_family(monkeypatch):
     assert len(built) == 0
 
 
-def test_census_computes_one_canonical_code_per_class(monkeypatch):
+def test_census_computes_canonical_codes_only_for_row_witnesses(monkeypatch):
     codes: list = []
     for module in (trees, oracle):
         count_calls(monkeypatch, module, "canonical_code", codes)
     report = verify_all(max_edges=9, max_score=6, sweep_limit=500, workers=1)
     assert report.ok
-    assert len(codes) == sum(1 for m in range(1, 10) for _ in free_trees(m))
+    # 200 classes; only the trees at each bound's minimum need a code
+    assert len(codes) <= 60
+
+
+@pytest.mark.parametrize("shape", ["twin-300", "spider"])
+def test_among_path_builds_one_tree_and_checks_it_once(monkeypatch, shape):
+    if shape == "twin-300":
+        family = tree_to_segments(relabeled_twin(300, seed=3), 0)
+    else:
+        family = tree_to_segments(spider_tree(1, 2, 3, 4), 2)
+    family._struct  # the family's own cell tree is not the path's cost
+    built: list = []
+    checks: list = []
+    count_calls(monkeypatch, Tree, "__post_init__", built)
+    for module in (trees, contraction, duality):
+        if hasattr(module, "is_caterpillar"):
+            count_calls(monkeypatch, module, "is_caterpillar", checks)
+    among_path(family)
+    assert len(built) == 1  # the contracted tree, also the kept structure's
+    assert len(checks) == 0  # its induced caterpillar witness is the check
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +378,9 @@ def test_relabelled_round_trips_pass_the_duality_check():
     t = relabeled(legs, list(reversed(range(legs.vertex_count))))
     back, _ = segments_to_tree(tree_to_segments(t, 0))
     assert back != t
-    assert _check_tree(t)[4] is None
+    score, _, _, failure = _check_tree(t)
+    assert failure is None
+    assert score == max_caterpillar_by_contraction(t)
 
 
 def test_non_isomorphic_round_trips_fail_the_duality_row(monkeypatch):
@@ -371,3 +394,42 @@ def test_non_isomorphic_round_trips_fail_the_duality_row(monkeypatch):
     assert [r.label for r in failed] == ["m=1", "m=2", "m=3"]
     assert all(r.section == "duality" for r in failed)
     assert all(r.actual.endswith(" (round trip)") for r in failed)
+
+
+# ----------------------------------------------------------------------
+# the census fold: streamed over (tree, result) pairs against the list
+# fold, which needs every tree's canonical code
+# ----------------------------------------------------------------------
+
+
+def folds_agree(m: int, pairs: list, rng: random.Random) -> None:
+    listed = fold_by_lists(m, [(str(canonical_code(t)), *r) for t, r in pairs])
+    assert oracle._fold(m, iter(pairs)) == listed
+    for _ in range(3):
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        assert oracle._fold(m, iter(shuffled)) == listed
+
+
+def test_streamed_fold_matches_the_list_fold_on_real_results():
+    rng = random.Random(0)
+    for m in range(1, 10):
+        folds_agree(m, [(t, _check_tree(t)) for t in free_trees(m)], rng)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_streamed_fold_matches_the_list_fold_on_synthetic_results(seed):
+    rng = random.Random(seed)
+    m = rng.randrange(2, 10)
+    level = list(free_trees(m))
+    if seed % 3 == 0:  # a short level fails the census row too
+        level = rng.sample(level, rng.randrange(1, len(level) + 1))
+    base = rng.randrange(1, m + 1)
+    pairs = []
+    for t in level:
+        score = base + rng.randrange(2)  # two values, so ties at the minimum
+        brute = base + rng.randrange(3)
+        agrees = rng.random() < 0.8
+        failure = rng.choice([None, None, "round trip", "among: ValueError: x"])
+        pairs.append((t, (score, brute, agrees, failure)))
+    folds_agree(m, pairs, rng)

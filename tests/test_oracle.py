@@ -235,6 +235,38 @@ def test_census_past_the_subset_search_limit_is_refused_before_enumerating(
     assert err.startswith("catbound: error: max_edges must be at most 19")
 
 
+def test_scores_past_the_cap_are_refused_before_any_spider_is_built(
+    monkeypatch, capsys
+):
+    def never(*args):
+        raise LookupError("an extremal tree was built")
+
+    for name in ("extremal_spider", "extremal_branch_star", "beautiful_tree"):
+        monkeypatch.setattr(oracle, name, never)
+    cap = oracle.MAX_SCORE
+    with pytest.raises(ValueError, match=f"at most {cap}"):
+        verify_all(max_edges=1, max_score=cap + 1)
+    with pytest.raises(LookupError):  # the cap itself passes the check
+        verify_all(max_edges=1, max_score=cap, sweep_limit=10)
+    assert main(["verify", "--max-edges", "2", "--max-k", str(10**9)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"catbound: error: max_score must be at most {cap}\n"
+
+
+def test_branch_size_table_is_built_once_per_run(monkeypatch):
+    tables = []
+    build = oracle._branch_sizes
+
+    def counting(k):
+        tables.append(k)
+        return build(k)
+
+    monkeypatch.setattr(oracle, "_branch_sizes", counting)
+    assert verify_all(max_edges=2, max_score=40, sweep_limit=10).ok
+    assert tables == [40]
+
+
 def test_sanity_of_bounds_arguments():
     with pytest.raises(ValueError):
         verify_all(max_edges=0)
