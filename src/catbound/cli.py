@@ -8,20 +8,25 @@ File formats: trees are the edge-list text format of ``parse_tree``;
 segment families are JSON ``{"n": N, "segments": [[a, b], ...]}``;
 alternating paths are JSON ``{"mode": M, "segments": K, "endpoints":
 [...]}``, K optional and half the endpoint count.  Numbers are JSON integers.
+
+The argument parser is built once per process, on the first ``main`` call:
+a shell command builds it once either way, and callers that run many
+commands in one process reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .contraction import (
+    _facts,
     build_spider,
     contraction_guarantee,
     extremal_size_contraction,
     extremal_spider,
-    max_caterpillar_by_contraction,
     max_edges_diameter_leaves,
 )
 from .duality import (
@@ -43,9 +48,9 @@ from .induced import (
     max_branch_size,
     max_caterpillar,
 )
-from .oracle import verify_all
+from .oracle import _SEARCH_LIMIT, MAX_SCORE, verify_all
 from .render import render_segments, render_tree
-from .trees import Tree, diameter, format_tree, is_caterpillar, is_spider, leaves, parse_tree
+from .trees import format_tree, is_caterpillar, is_spider, parse_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +60,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use: parsing leaves it
+    unchanged, and building it at import would cost every ``import
+    catbound``."""
     parser = _Parser(prog="catbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -149,15 +158,23 @@ def _load_family(path: str) -> SegmentFamily:
     if not isinstance(data, dict) or "n" not in data or "segments" not in data:
         raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
     n, segments = data["n"], data["segments"]
-    if not _is_int(n):
+    # JSON yields exact types, so ``type(x) is int`` is ``_is_int``: a
+    # bool's type is bool
+    if type(n) is not int:
         raise ValueError(f"{path}: n must be an integer")
-    if not isinstance(segments, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
-        for p in segments
-    ):
-        raise ValueError(f"{path}: segments must be [a, b] pairs")
+    not_pairs = f"{path}: segments must be [a, b] pairs"
+    if type(segments) is not list:
+        raise ValueError(not_pairs)
+    pairs = []
+    for p in segments:
+        if type(p) is not list or len(p) != 2:
+            raise ValueError(not_pairs)
+        a, b = p
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(not_pairs)
+        pairs.append((a, b))
     try:
-        return SegmentFamily(n, tuple((a, b) for a, b in segments))
+        return SegmentFamily(n, tuple(pairs))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -313,17 +330,18 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    tree = parse_tree(_read(args.tree))
+    tree = parse_tree(_read(args.tree))  # at least one edge
     cat, spine = is_caterpillar(tree)
     witness = max_caterpillar(tree)
+    score, dpath, leaf_set = _facts(tree)
     rows = [
         ("vertices", tree.vertex_count),
         ("edges", tree.m),
-        ("leaves", len(leaves(tree))),
-        ("diameter", diameter(tree)),
+        ("leaves", len(leaf_set)),
+        ("diameter", len(dpath) - 1),
         ("caterpillar", "yes" if cat else "no"),
         ("spider", "yes" if is_spider(tree) else "no"),
-        ("score by contraction", max_caterpillar_by_contraction(tree)),
+        ("score by contraction", score),
         ("largest induced caterpillar", witness.size),
     ]
     for label, value in rows:
@@ -363,6 +381,12 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # refused here so that the message names the flag, not verify_all's
+    # parameter; the library keeps its own checks
+    if args.max_edges >= _SEARCH_LIMIT:
+        raise ValueError(f"--max-edges must be at most {_SEARCH_LIMIT - 1}")
+    if args.max_k > MAX_SCORE:
+        raise ValueError(f"--max-k must be at most {MAX_SCORE}")
     override = None
     if args.corrupt_f is not None:
         override = {args.corrupt_f: max_branch_size(args.corrupt_f) + 1}

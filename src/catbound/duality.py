@@ -79,7 +79,11 @@ class SegmentFamily:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one segment")
-        norm = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
+        unmatched = "segments must perfectly match labels 0..2n-1"
+        try:
+            norm = tuple(sorted([(a, b) if a < b else (b, a) for a, b in self.pairs]))
+        except TypeError:  # labels that do not compare, such as 0 and "a"
+            raise ValueError(unmatched) from None
         object.__setattr__(self, "pairs", norm)
         if len(norm) != self.n:
             raise ValueError(f"expected {self.n} segments, got {len(norm)}")
@@ -88,7 +92,6 @@ class SegmentFamily:
                 raise ValueError(f"degenerate segment ({a}, {b})")
         size = 2 * self.n
         partner = [-1] * size
-        unmatched = "segments must perfectly match labels 0..2n-1"
         try:
             for a, b in norm:  # a < b
                 if a < 0 or b >= size or partner[a] >= 0 or partner[b] >= 0:

@@ -45,11 +45,19 @@ def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> st
     size = 640.0
     cx = cy = size / 2
     radius = 250.0
+    label_radius = radius + 24
     count = 2 * s.n
-    spots = []
+    # each endpoint's coordinates are formatted once, and its label reuses
+    # the angle's cos and sin: the same floats as computing them again
+    xs, ys, labels = [], [], []
     for i in range(count):
         angle = -math.pi / 2 + 2 * math.pi * i / count
-        spots.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        xs.append(_fmt(cx + radius * cos_a))
+        ys.append(_fmt(cy + radius * sin_a))
+        labels.append(
+            (_fmt(cx + label_radius * cos_a), _fmt(cy + label_radius * sin_a))
+        )
 
     parts = [_header(size, size)]
     parts.append(
@@ -57,34 +65,25 @@ def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> st
         f'fill="none" stroke="{_RIM}" stroke-width="1"/>\n'
     )
     for a, b in s.pairs:
-        (x1, y1), (x2, y2) = spots[a], spots[b]
         parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
             f'stroke="{_CHORD}" stroke-width="2"/>\n'
         )
     if path is not None:
-        pts = " ".join(
-            f"{_fmt(spots[e][0])},{_fmt(spots[e][1])}" for e in path.endpoints
-        )
+        pts = " ".join(f"{xs[e]},{ys[e]}" for e in path.endpoints)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{_PATH}" '
             'stroke-width="3.5" stroke-linejoin="round" opacity="0.85"/>\n'
         )
-        x0, y0 = spots[path.endpoints[0]]
+        e0 = path.endpoints[0]
         parts.append(
-            f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="7" fill="none" '
+            f'<circle cx="{xs[e0]}" cy="{ys[e0]}" r="7" fill="none" '
             f'stroke="{_PATH}" stroke-width="2"/>\n'
         )
-    label_radius = radius + 24
-    for i, (x, y) in enumerate(spots):
+    for i, (lx, ly) in enumerate(labels):
+        parts.append(f'<circle cx="{xs[i]}" cy="{ys[i]}" r="4" fill="{_DOT}"/>\n')
         parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{_DOT}"/>\n'
-        )
-        angle = -math.pi / 2 + 2 * math.pi * i / count
-        lx = cx + label_radius * math.cos(angle)
-        ly = cy + label_radius * math.sin(angle)
-        parts.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="monospace" '
+            f'<text x="{lx}" y="{ly}" font-family="monospace" '
             f'font-size="13" fill="{_TEXT}" text-anchor="middle" '
             f'dominant-baseline="central">{i}</text>\n'
         )

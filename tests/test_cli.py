@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,22 +14,27 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbound import (
     SegmentFamily,
+    among_path,
     canonical_code,
+    compatible_path,
     extremal_branch_star,
     format_tree,
+    max_caterpillar,
     parse_tree,
     render_segments,
     render_tree,
+    segments_to_tree,
+    tree_from_pruefer,
     tree_to_segments,
 )
 import catbound.cli as cli
 from catbound.cli import main
-from helpers import path_tree, spider_tree, star_tree, trees
+from helpers import load_family_by_generators, path_tree, spider_tree, star_tree, trees
 
 
 def run(capsys, *argv):
@@ -230,6 +236,11 @@ def test_analyze_bad_file(capsys, tmp_path):
     bad.write_text("0 0\n")
     code, _, err = run(capsys, "analyze", "--tree", str(bad))
     assert code == 1 and "self-loop" in err
+    empty = tmp_path / "one-vertex.txt"  # no edge lines: a lone vertex
+    empty.write_text("# a single vertex\n")
+    assert run(capsys, "analyze", "--tree", str(empty)) == (
+        1, "", "catbound: error: no edges found\n"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -446,6 +457,56 @@ def test_render_tree_bytes_are_pinned(name, root):
     assert digest == RENDER_TREE_DIGESTS[name, root]
 
 
+# sha256 of render_segments output: no path, the compatible chain on the
+# cell tree's largest induced caterpillar, and the among path; on the Pruefer
+# family those two chains take 34 and 38 of the 50 segments
+RENDER_SEGMENTS_DIGESTS = {
+    ("one", "none"): "73c9f064801717f159cce55f5364f5851a4347eaa227d8be596ab65da8d12e36",
+    ("one", "compatible"): "63d0dfe0a59294543b6a5b63de80ee610ca5adf7dbae42549571021ccf84852d",
+    ("one", "among"): "63d0dfe0a59294543b6a5b63de80ee610ca5adf7dbae42549571021ccf84852d",
+    ("star-4", "none"): "500c072d09c73a7094f1ef2a362fdd8a9380bc3d458b379c7ad67e2ad51c6b9a",
+    ("star-4", "compatible"): "ce1413f29deb6a2575674a0f930ea1a0c79f63005a0489a37c40b7a4609ab90b",
+    ("star-4", "among"): "ce1413f29deb6a2575674a0f930ea1a0c79f63005a0489a37c40b7a4609ab90b",
+    ("path-5", "none"): "cba23810e5ad01ec55ebb1a7bc8ddc09ab1e5e4a2afdbd7d0259de1f0e1a292d",
+    ("path-5", "compatible"): "5bd99e7f2d47350bdb6cc554dc3247732cfab29bbe591750b2443c676c36e5d0",
+    ("path-5", "among"): "5bd99e7f2d47350bdb6cc554dc3247732cfab29bbe591750b2443c676c36e5d0",
+    ("nested-4", "none"): "aa2ccb610352160538ff063502fd57c4cfd326b29f4d1748dd86203dbf3636a6",
+    ("nested-4", "compatible"): "a2a48c24900e720eddeb7220caeeca3d6e534f18e10c061c4dd551e414910a05",
+    ("nested-4", "among"): "a2a48c24900e720eddeb7220caeeca3d6e534f18e10c061c4dd551e414910a05",
+    ("pruefer-50", "none"): "75bbffa001a6166384a9fe8277ef3f488d77a74ccb61f4dcddc2a17ed79af9d0",
+    ("pruefer-50", "compatible"): "bfe1e7ad0c23a312a28b4b4ad0cedf71562625ccddc9993820e18af986c4359e",
+    ("pruefer-50", "among"): "3584661f6aeeeab248a3f901548e965d1d6d615fa09a71d52a6185a8498a3a9e",
+}
+
+
+def _pruefer_family(edges: int, seed: int) -> SegmentFamily:
+    rng = random.Random(seed)
+    n = edges + 1
+    code = tuple(rng.randrange(n) for _ in range(n - 2))
+    return tree_to_segments(tree_from_pruefer(code, n), 0)
+
+
+RENDER_FAMILIES = {
+    "one": lambda: SegmentFamily(1, ((0, 1),)),
+    "star-4": lambda: tree_to_segments(star_tree(5), 0),
+    "path-5": lambda: tree_to_segments(path_tree(6), 0),
+    "nested-4": lambda: SegmentFamily(4, ((0, 7), (1, 2), (3, 6), (4, 5))),
+    "pruefer-50": lambda: _pruefer_family(50, 7),
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(RENDER_SEGMENTS_DIGESTS))
+def test_render_segments_bytes_are_pinned(name, kind):
+    family = RENDER_FAMILIES[name]()
+    chain = None
+    if kind == "compatible":
+        chain = compatible_path(family, max_caterpillar(segments_to_tree(family)[0]))
+    elif kind == "among":
+        chain = among_path(family)[0]
+    svg = render_segments(family, chain)
+    assert hashlib.sha256(svg.encode()).hexdigest() == RENDER_SEGMENTS_DIGESTS[name, kind]
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
@@ -555,6 +616,44 @@ def test_fuzzed_files_exit_cleanly(family, chain, tree, root):
                 assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
 
 
+def _load_outcome(load, path: str) -> tuple:
+    """(exit code, message or pairs) of one family load."""
+    try:
+        family = load(path)
+    except ValueError as exc:
+        return 1, str(exc)
+    return 0, (family.n, family.pairs)
+
+
+_odd_label = _labels | st.booleans() | st.floats(0, 3) | st.none()
+_near_pairs = st.one_of(
+    st.lists(st.lists(_odd_label, min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(st.lists(_labels, max_size=3) | _labels, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    doc=st.one_of(
+        _family_docs,
+        st.fixed_dictionaries({"n": st.integers(0, 4) | st.booleans(), "segments": _near_pairs}),
+    )
+)
+@example(doc={"n": 1, "segments": [[0, True]]})
+@example(doc={"n": 1, "segments": [[0, 1.0]]})
+@example(doc={"n": True, "segments": [[0, 1]]})
+@example(doc={"n": 1, "segments": [[0, 1, 2]]})
+@example(doc={"n": 2, "segments": [[0, 1], 2]})
+@example(doc={"n": 2, "segments": [[0, 2], [1, 3]]})
+def test_family_loader_matches_the_generator_loader(doc):
+    with tempfile.TemporaryDirectory() as work:
+        fam = str(Path(work) / "fam.json")
+        Path(fam).write_text(json.dumps(doc), encoding="utf-8")
+        assert _load_outcome(cli._load_family, fam) == _load_outcome(
+            load_family_by_generators, fam
+        )
+
+
 # ----------------------------------------------------------------------
 # process-level behavior
 # ----------------------------------------------------------------------
@@ -574,3 +673,48 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "catbound":  # not a subcommand's parser
+                built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli._build_parser.cache_clear()
+    try:
+        for quantity in ("p", "q", "f"):
+            assert main(["eval", quantity, "--m" if quantity != "f" else "--k", "8"]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"n": 4, "segments": [[0, 7], [1, 2], [3, 6], [4, 5]]}))
+    runs = (
+        ["verify", "--max-edges", "2", "--json"],
+        ["verify", "--max-edges", "2"],
+        ["path", "sideways", "--segments", str(fam)],  # a usage error
+        ["path", "among", "--segments", str(fam)],
+        ["path", "compatible", "--segments", str(fam)],
+    )
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "catbound", *argv], capture_output=True, text=True
+        )
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv

@@ -232,7 +232,7 @@ def test_census_past_the_subset_search_limit_is_refused_before_enumerating(
     assert main(["verify", "--max-edges", "25"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("catbound: error: max_edges must be at most 19")
+    assert err == "catbound: error: --max-edges must be at most 19\n"
 
 
 def test_scores_past_the_cap_are_refused_before_any_spider_is_built(
@@ -251,7 +251,7 @@ def test_scores_past_the_cap_are_refused_before_any_spider_is_built(
     assert main(["verify", "--max-edges", "2", "--max-k", str(10**9)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"catbound: error: max_score must be at most {cap}\n"
+    assert err == f"catbound: error: --max-k must be at most {cap}\n"
 
 
 def test_branch_size_table_is_built_once_per_run(monkeypatch):
