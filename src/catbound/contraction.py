@@ -81,27 +81,28 @@ def _contract_all(t: Tree, edges: Iterable[tuple[int, int]]) -> Tree:
     Raises ValueError on an edge that is not in ``t`` or whose ends are
     already merged.
     """
-    parent = list(range(t.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(t.vertex_count))  # union-find, halved on each walk
+    edge_set = t.edge_set
     for edge in edges:
         u, v = min(edge), max(edge)
-        if (u, v) not in t.edge_set:
+        if (u, v) not in edge_set:
             raise ValueError(f"{edge} is not an edge of the source tree")
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             raise ValueError(f"edge {edge} already collapsed")
-        parent[max(ru, rv)] = min(ru, rv)
-    # roots are class minima, so visiting ids in order numbers the classes
+        if u < v:
+            parent[v] = u
+        else:
+            parent[u] = v
+    # roots are class minima and every link leads to a smaller id of the
+    # same class, so visiting ids in order numbers the classes and finds
+    # each link's class label already set
     label = [-1] * t.vertex_count
     count = 0
-    for v in range(t.vertex_count):
-        r = find(v)
+    for v, r in enumerate(parent):
         if r == v:
             label[v] = count
             count += 1
@@ -162,7 +163,7 @@ def _steps(
     ``_facts(t)``."""
     if not 1 <= k <= cap:
         raise ValueError(f"target size {k} outside 1..{cap}")
-    keep = {(min(a, b), max(a, b)) for a, b in zip(dpath, dpath[1:])}
+    keep = {(a, b) if a < b else (b, a) for a, b in zip(dpath, dpath[1:])}
     for u, v in t.edges:
         if u in leaf_set or v in leaf_set:
             keep.add((u, v))
@@ -172,12 +173,13 @@ def _steps(
     seen = [False] * t.vertex_count
     seen[dpath[0]] = True
     stack = [dpath[0]]
+    adjacency = t.adjacency
     while stack:
         u = stack.pop()
-        for w in reversed(t.adjacency[u]):
+        for w in reversed(adjacency[u]):
             if not seen[w]:
                 seen[w] = True
-                e = (min(u, w), max(u, w))
+                e = (u, w) if u < w else (w, u)
                 if e not in keep:
                     contracted.append(e)
                 stack.append(w)

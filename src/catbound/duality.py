@@ -29,11 +29,17 @@ visits the chords before it, jumps to the far end, sweeps back, and leaves
 through the exit chord (the jump connector nests the skipped intervals
 instead of interleaving them).
 
-A family is checked in one pass over its labels: a partner array proves the
-perfect matching, and a stack scan over labels 0..2n-1 finds the first
-crossing, if any.  ``validate_path`` lists every crossing pair with one sweep
-over sorted endpoints, ``_crossing_pairs``, in O(k log k + K) for k chain
-edges and K pairs listed, so a broken path costs no more than its report.
+A family is checked in O(n log n): one sort of its normalised pairs (a pair
+that is not two comparable labels fails the perfect-matching check there),
+a partner array that proves the perfect matching, and a stack scan over
+labels 0..2n-1 that finds the first crossing, if any.  ``_structure`` finds
+every chord's cell in one O(n) scan with a stack of (closing label, cell)
+pairs, and ``_chain_cell`` orders a cell's chords in O(cell size).
+``validate_path`` checks labels against the range one by one only when the
+smallest or largest is out of it, and lists every crossing pair with one
+sweep over sorted endpoints, ``_crossing_pairs``, in O(k log k + K) for k
+chain edges and K pairs listed, so a broken path costs no more than its
+report.
 
 Each path the library builds is validated exactly once, as it leaves its
 public constructor: ``compatible_path`` checks its chain in 'compatible'
@@ -83,6 +89,8 @@ class SegmentFamily:
         try:
             norm = tuple(sorted([(a, b) if a < b else (b, a) for a, b in self.pairs]))
         except TypeError:  # labels that do not compare, such as 0 and "a"
+            raise ValueError(unmatched) from None
+        except ValueError:  # a pair of the wrong length, such as (0, 1, 2)
             raise ValueError(unmatched) from None
         object.__setattr__(self, "pairs", norm)
         if len(norm) != self.n:
@@ -134,7 +142,7 @@ class AlternatingPath:
 
     def edges(self) -> list[tuple[int, int]]:
         e = self.endpoints
-        return [(e[i], e[i + 1]) for i in range(len(e) - 1)]
+        return list(zip(e, e[1:]))
 
 
 @dataclass(frozen=True)
@@ -217,14 +225,16 @@ def _structure(
     n = len(chords)
     cycles: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     edges = []
-    stack: list[int] = []  # chords enclosing the current label, innermost last
+    # (closing label, cell behind it) of the chords enclosing the current
+    # label, innermost last
+    stack: list[tuple[int, int]] = []
     for i, (a, b) in enumerate(chords):
-        while stack and chords[stack[-1]][1] < a:
+        while stack and stack[-1][0] < a:
             stack.pop()
-        cell = stack[-1] + 1 if stack else 0
+        cell = stack[-1][1] if stack else 0
         cycles[cell].append((i, a, b))
         edges.append((cell, i + 1))
-        stack.append(i)
+        stack.append((b, i + 1))
     for i, (a, b) in enumerate(chords):  # each inner cell's own chord comes last
         cycles[i + 1].append((i, b, a))
     if tree is None:
@@ -239,7 +249,8 @@ def segments_to_tree(
 ) -> tuple[Tree, dict[tuple[int, int], tuple[int, int]]]:
     """The cell-adjacency tree, plus the segment behind each tree edge."""
     t = s._struct.tree
-    return t, {(t.adjacency[v][0], v): s.pairs[v - 1] for v in range(1, t.vertex_count)}
+    adjacency = t.adjacency
+    return t, {(adjacency[v][0], v): pair for v, pair in enumerate(s.pairs, 1)}
 
 
 def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
@@ -250,28 +261,27 @@ def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
         raise ValueError("needs at least one edge")
     if not 0 <= root < t.vertex_count:
         raise ValueError("root out of range")
+    adjacency = t.adjacency
+    seen = [False] * t.vertex_count
+    seen[root] = True
     pairs: list[tuple[int, int]] = []
     counter = 0
-    # stack holds (vertex, parent, open_label or -1 for 'not yet entered')
-    stack: list[tuple[int, int, int]] = [(root, -1, -1)]
-    opened: dict[int, int] = {}
-    seen = [False] * t.vertex_count
+    # a vertex to enter, or ~label: leave the vertex whose edge opened label
+    stack = list(reversed(adjacency[root]))
+    for w in stack:
+        seen[w] = True
     while stack:
-        v, par, phase = stack.pop()
-        if phase == -1:
-            seen[v] = True
-            if par >= 0:
-                opened[v] = counter
-                counter += 1
-            stack.append((v, par, 1))
-            for w in reversed(t.adjacency[v]):
-                if not seen[w]:
-                    stack.append((w, v, -1))
+        v = stack.pop()
+        if v < 0:
+            pairs.append((~v, counter))
         else:
-            if par >= 0:
-                pairs.append((opened[v], counter))
-                counter += 1
-    return SegmentFamily(t.m, tuple(sorted(pairs)))
+            stack.append(~counter)
+            for w in reversed(adjacency[v]):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        counter += 1
+    return SegmentFamily(t.m, tuple(pairs))  # the family sorts its pairs
 
 
 def realize_coordinates(s: SegmentFamily) -> GeometricRealization:
@@ -297,21 +307,22 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
     issues: list[str] = []
     e = p.endpoints
     limit = 2 * s.n
-    for x in e:
-        if not 0 <= x < limit:
-            issues.append(f"label {x} out of range 0..{limit - 1}")
+    if min(e) < 0 or max(e) >= limit:
+        for x in e:
+            if not 0 <= x < limit:
+                issues.append(f"label {x} out of range 0..{limit - 1}")
     if len(set(e)) != len(e):
         dups = sorted(x for x, count in Counter(e).items() if count > 1)
         issues.append(f"repeated labels {dups}")
     family = s.segment_set
     for i in range(0, len(e) - 1, 2):
-        seg = (min(e[i], e[i + 1]), max(e[i], e[i + 1]))
-        if seg not in family:
-            issues.append(f"position {i}: ({e[i]}, {e[i + 1]}) is not a segment")
+        a, b = e[i], e[i + 1]
+        if ((a, b) if a <= b else (b, a)) not in family:
+            issues.append(f"position {i}: ({a}, {b}) is not a segment")
     edges = p.edges()
     unused = []
     if mode == "compatible":
-        used = {(min(a, b), max(a, b)) for a, b in edges}
+        used = {(a, b) if a <= b else (b, a) for a, b in edges}
         unused = [seg for seg in s.pairs if seg not in used]
     k = len(edges)
     # family segments never cross each other, so j >= k means i < k
@@ -340,27 +351,30 @@ def _chain_cell(
     leave).  See the module docstring for why the result cannot cross."""
     if entry is None:
         items = [it for it in cycle if it[0] in wanted]
-        if exit_chord is not None:
-            at = next(i for i, it in enumerate(items) if it[0] == exit_chord)
-            items = items[at + 1 :] + items[:at] + [items[at]]
-        return items
-
-    pos = next(i for i, it in enumerate(cycle) if it[0] == entry)
-    _, p_e, q_e = cycle[pos]
-    size = len(cycle)
-    if entry_point == q_e:  # walk on, in boundary order
-        sweep = [cycle[(pos + 1 + i) % size] for i in range(size - 1)]
-    elif entry_point == p_e:  # walk back against boundary order
-        sweep = [
-            (c, q, p)
-            for c, p, q in (cycle[(pos - 1 - i) % size] for i in range(size - 1))
-        ]
     else:
-        raise AssertionError("entry point not on entry chord")
-    items = [it for it in sweep if it[0] in wanted]
+        pos = 0
+        for it in cycle:
+            if it[0] == entry:
+                break
+            pos += 1
+        _, p_e, q_e = cycle[pos]
+        # the other chords, in boundary order from the entry chord on
+        rest = cycle[pos + 1 :] + cycle[:pos]
+        if entry_point == q_e:  # walk on, in boundary order
+            items = [it for it in rest if it[0] in wanted]
+        elif entry_point == p_e:  # walk back against boundary order
+            items = [(c, q, p) for c, p, q in reversed(rest) if c in wanted]
+        else:
+            raise AssertionError("entry point not on entry chord")
     if exit_chord is None:
         return items
-    at = next(i for i, it in enumerate(items) if it[0] == exit_chord)
+    at = 0
+    for it in items:
+        if it[0] == exit_chord:
+            break
+        at += 1
+    if entry is None:  # start just past the exit chord, leave through it
+        return items[at + 1 :] + items[:at] + [items[at]]
     if at == len(items) - 1:
         return items
     tail = [(c, q, p) for c, p, q in reversed(items[at + 1 :])]
@@ -387,20 +401,21 @@ def compatible_path(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
 def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
     """``compatible_path`` without the final validation, in st's labels."""
     t = st.tree
-    cells = set(range(t.vertex_count))
-    if not w.vertex_set <= cells or not set(w.spine) <= w.vertex_set:
+    vs = w.vertex_set
+    if not vs <= set(range(t.vertex_count)) or not vs.issuperset(w.spine):
         raise ValueError("witness does not fit this family's cell tree")
 
-    vs = w.vertex_set
-    witness_chords = sorted(v - 1 for u, v in t.edges if u in vs and v in vs)
+    witness_chords = [v - 1 for u, v in t.edges if u in vs and v in vs]
+    witness_chords.sort()
     if len(witness_chords) != w.size or w.size < 1:
         raise ValueError("witness size disagrees with its induced edges")
 
+    adjacency = t.adjacency
     spine = list(w.spine)
     if not spine:
         if w.size != 1:
             raise ValueError("empty spine only fits a single-segment witness")
-        spine = [t.adjacency[witness_chords[0] + 1][0]]
+        spine = [adjacency[witness_chords[0] + 1][0]]
     spine_set = set(spine)
 
     # chord -> cells it borders; split witness chords into spine connectors
@@ -408,16 +423,18 @@ def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
     link: dict[tuple[int, int], int] = {}
     at_cell: dict[int, list[int]] = {c: [] for c in spine}
     for i in witness_chords:
-        a, b = t.adjacency[i + 1][0], i + 1
-        if a in spine_set and b in spine_set:
-            link[(a, b)] = i
+        a, b = adjacency[i + 1][0], i + 1
+        if a in spine_set:
+            if b in spine_set:
+                link[(a, b)] = i
+            else:
+                at_cell[a].append(i)
+        elif b in spine_set:
+            at_cell[b].append(i)
         else:
-            host = a if a in spine_set else (b if b in spine_set else None)
-            if host is None:
-                raise ValueError(f"witness segment {st.chords[i]} misses the spine")
-            at_cell[host].append(i)
+            raise ValueError(f"witness segment {st.chords[i]} misses the spine")
     for u, v in zip(spine, spine[1:]):
-        if (min(u, v), max(u, v)) not in link:
+        if ((u, v) if u < v else (v, u)) not in link:
             raise ValueError("spine cells are not joined by witness segments")
     if len(link) != max(len(spine) - 1, 0):
         raise ValueError("witness segments join non-consecutive spine cells")
@@ -425,27 +442,22 @@ def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
     out: list[tuple[int, int, int]] = []
     point: int | None = None
     entry: int | None = None
+    last = len(spine) - 1
     for idx, cell in enumerate(spine):
-        exit_chord = None
-        if idx + 1 < len(spine):
-            u, v = spine[idx], spine[idx + 1]
-            exit_chord = link[(min(u, v), max(u, v))]
         wanted = set(at_cell[cell])
-        if exit_chord is not None:
+        exit_chord = None
+        if idx < last:
+            v = spine[idx + 1]
+            exit_chord = link[(cell, v) if cell < v else (v, cell)]
             wanted.add(exit_chord)
         if entry is None and not wanted:
             raise ValueError("spine cell carries no witness segment")
         if wanted:
-            chained = _chain_cell(
-                st.cell_cycles[cell], wanted, entry, point, exit_chord
-            )
-            out.extend(chained)
+            out += _chain_cell(st.cell_cycles[cell], wanted, entry, point, exit_chord)
             point = out[-1][2]
         entry = exit_chord
 
-    endpoints: list[int] = []
-    for _, a, b in out:
-        endpoints += [a, b]
+    endpoints = [x for _, a, b in out for x in (a, b)]
     return AlternatingPath(tuple(endpoints), w.size)
 
 

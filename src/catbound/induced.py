@@ -55,21 +55,25 @@ def max_caterpillar(t: Tree) -> CaterpillarWitness:
     """
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    weight = [d - 1 for d in t.degrees]
+    degrees = t.degrees
+    weight = [d - 1 for d in degrees]
     path = _heaviest_path(t, weight)
-    best = sum(weight[v] for v in path) + 1
 
+    adjacency = t.adjacency
+    best = 1
     vertex_set = set(path)
     for v in path:
-        vertex_set.update(t.adjacency[v])
-    spine = list(path)
-    while len(spine) > 1 and t.degrees[spine[0]] == 1:
-        spine.pop(0)
-    while len(spine) > 1 and t.degrees[spine[-1]] == 1:
-        spine.pop()
-    induced = sum(1 for u, v in t.edges if u in vertex_set and v in vertex_set)
+        best += weight[v]
+        vertex_set.update(adjacency[v])
+    # only the path's ends can be leaves; the spine drops them
+    lo, hi = 0, len(path)
+    while hi - lo > 1 and degrees[path[lo]] == 1:
+        lo += 1
+    while hi - lo > 1 and degrees[path[hi - 1]] == 1:
+        hi -= 1
+    induced = len([1 for u, v in t.edges if u in vertex_set and v in vertex_set])
     assert induced == best, "witness edge count disagrees with optimum"
-    return CaterpillarWitness(frozenset(vertex_set), tuple(spine), best)
+    return CaterpillarWitness(frozenset(vertex_set), path[lo:hi], best)
 
 
 def very_hungry_max(rt: RootedTree) -> int:

@@ -3,8 +3,14 @@
 A :class:`Tree` stores a vertex count and a normalized edge tuple, validates
 itself on construction (contiguous ids, no loops or duplicates, acyclic and
 therefore connected at n-1 edges), and caches adjacency and degree tables on
-first use.  Operations that shrink the vertex set -- edge contraction and
-vertex removal -- return explicit old-to-new id mappings so callers can track
+first use.  Validation is one union-find pass with path halving, and keeps
+no set of seen edges: an edge whose ends are already joined is a duplicate
+if an earlier edge equals it and closes a cycle otherwise, and a repeated
+edge always lands there, because its first copy joined its ends.  Edges are
+stored sorted, so each adjacency list comes out ascending without a sort.
+
+Operations that shrink the vertex set -- edge contraction and vertex
+removal -- return explicit old-to-new id mappings so callers can track
 witnesses across transformations.  ``contract_edge`` rebuilds the whole tree,
 so contracting many edges goes through one union-find pass instead (see
 ``contraction``).
@@ -69,36 +75,35 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError("a tree needs at least one vertex")
-        norm = [(min(u, v), max(u, v)) for u, v in self.edges]
         n = self.vertex_count
+        if n < 1:
+            raise ValueError("a tree needs at least one vertex")
+        norm = [(u, v) if u <= v else (v, u) for u, v in self.edges]
         if len(norm) != n - 1:
             raise ValueError(
                 f"{n} vertices need {n - 1} edges, got {len(norm)}"
             )
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        seen: set[tuple[int, int]] = set()
+        parent = list(range(n))  # union-find forest, halved on each walk
         for index, (u, v) in enumerate(norm):
-            if not (0 <= u < n and 0 <= v < n):
+            if u < 0 or v >= n:  # u <= v
                 raise _EdgeError(index, f"edge ({u}, {v}) out of range 0..{n - 1}")
             if u == v:
                 raise _EdgeError(index, f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                raise _EdgeError(index, f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            ru, rv = find(u), find(v)
+            ru = u
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            rv = v
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
             if ru == rv:
+                # an earlier copy of this edge joined its ends, so a
+                # duplicate always lands here
+                if (u, v) in norm[:index]:
+                    raise _EdgeError(index, f"duplicate edge ({u}, {v})")
                 raise _EdgeError(index, f"edge ({u}, {v}) closes a cycle")
             parent[ru] = rv
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        norm.sort()
+        object.__setattr__(self, "edges", tuple(norm))
 
     @property
     def m(self) -> int:
@@ -107,15 +112,18 @@ class Tree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # edges are sorted, so vertex x first meets its smaller neighbours
+        # w in edges (w, x), ascending, then its larger ones in edges
+        # (x, w), ascending: every list comes out in ascending order
         nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -250,10 +258,10 @@ def _heaviest_path(t: Tree, weight: list[int]) -> tuple[int, ...]:
 
     The smallest vertex ``a`` at which an optimal path ends is the smallest
     endpoint of any optimal path, since every partner of ``a`` is itself
-    such an end.  A second rooting, at ``a``, then picks the smallest
-    vertex ``b`` whose a..b path is optimal (possibly ``a`` itself), so
-    (a, b) is the pair a scan of all pairs in lexicographic order would
-    stop at.
+    such an end; the pass back down finds it.  A second rooting, at ``a``,
+    sums each a..v path as it goes and picks the smallest vertex ``b``
+    whose a..b path is optimal (possibly ``a`` itself), so (a, b) is the
+    pair a scan of all pairs in lexicographic order would stop at.
     """
     n = t.vertex_count
     order, parent = _rooted(t, 0)
@@ -268,27 +276,47 @@ def _heaviest_path(t: Tree, weight: list[int]) -> tuple[int, ...]:
         p = parent[u]
         if p >= 0:
             if d > top1[p]:
-                top1[p], top2[p], arg1[p] = d, top1[p], u
+                top2[p] = top1[p]
+                top1[p] = d
+                arg1[p] = u
             elif d > top2[p]:
                 top2[p] = d
     up = [0] * n
-    ends = [0] * n
+    a = n
     for u in order:
+        end = top1[u]
         p = parent[u]
         if p >= 0:
             sibling = top2[p] if arg1[p] == u else top1[p]
-            up[u] = weight[p] + max(up[p], sibling)
-        ends[u] = weight[u] + max(top1[u], up[u])
-    a = ends.index(best)
+            above = up[p]
+            x = weight[p] + (above if above > sibling else sibling)
+            up[u] = x
+            if x > end:
+                end = x
+        if u < a and weight[u] + end == best:
+            a = u
 
-    order, parent = _rooted(t, a)
-    acc = [0] * n  # the value of the a..v path
+    # root at a, keeping the value of each a..v path
+    parent = [-2] * n
+    parent[a] = -1
+    acc = [0] * n
     acc[a] = weight[a]
-    for u in order[1:]:
-        acc[u] = acc[parent[u]] + weight[u]
-    path = [acc.index(best)]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
+    b = a if weight[a] == best else n
+    order = [a]
+    adjacency = t.adjacency
+    for u in order:
+        x = acc[u]
+        for w in adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                y = acc[w] = x + weight[w]
+                if y == best and w < b:
+                    b = w
+                order.append(w)
+    path = [b]
+    while b != a:
+        b = parent[b]
+        path.append(b)
     path.reverse()
     return tuple(path)
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 
@@ -26,8 +27,9 @@ from catbound import (
     tree_from_pruefer,
 )
 from catbound.cli import _is_int, _read
-from catbound.duality import _checked, _compatible_chain
+from catbound.duality import _checked, _compatible_chain, _crossing_pairs, _Structure
 from catbound.oracle import _verdict
+from catbound.trees import _EdgeError, _rooted
 
 
 def path_tree(n: int) -> Tree:
@@ -470,3 +472,298 @@ def ceil_6log3_by_steps(num: int, den: int) -> int:
         power *= 3
         j += 1
     return j
+
+
+# ----------------------------------------------------------------------
+# the per-tree kernels before their inner loops were tightened, kept as
+# the reference the current ones must reproduce check for check
+# ----------------------------------------------------------------------
+
+
+def tree_by_set_check(n: int, edges) -> tuple:
+    """``Tree(n, edges)``'s validation with a set of seen edges and a
+    ``find`` closure, checked in the order range, self-loop, duplicate,
+    cycle.  Returns the stored edges, adjacency (each list sorted) and
+    degrees, or raises what ``Tree`` raises."""
+    if n < 1:
+        raise ValueError("a tree needs at least one vertex")
+    norm = [(min(u, v), max(u, v)) for u, v in edges]
+    if len(norm) != n - 1:
+        raise ValueError(f"{n} vertices need {n - 1} edges, got {len(norm)}")
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    seen: set = set()
+    for index, (u, v) in enumerate(norm):
+        if not (0 <= u < n and 0 <= v < n):
+            raise _EdgeError(index, f"edge ({u}, {v}) out of range 0..{n - 1}")
+        if u == v:
+            raise _EdgeError(index, f"self-loop at vertex {u}")
+        if (u, v) in seen:
+            raise _EdgeError(index, f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise _EdgeError(index, f"edge ({u}, {v}) closes a cycle")
+        parent[ru] = rv
+    stored = tuple(sorted(norm))
+    nbrs: list = [[] for _ in range(n)]
+    for u, v in stored:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
+    return stored, adjacency, tuple(len(a) for a in adjacency)
+
+
+def heaviest_path_by_index_scan(t: Tree, weight: list) -> tuple:
+    """``trees._heaviest_path`` listing every vertex's best path end value
+    and taking ``ends.index(best)``, then rooting again at that end with
+    ``_rooted`` and taking ``acc.index(best)``."""
+    n = t.vertex_count
+    order, parent = _rooted(t, 0)
+    top1 = [0] * n
+    top2 = [0] * n
+    arg1 = [-1] * n
+    best = 0
+    for u in reversed(order):
+        d = weight[u] + top1[u]
+        if d + top2[u] > best:
+            best = d + top2[u]
+        p = parent[u]
+        if p >= 0:
+            if d > top1[p]:
+                top1[p], top2[p], arg1[p] = d, top1[p], u
+            elif d > top2[p]:
+                top2[p] = d
+    up = [0] * n
+    ends = [0] * n
+    for u in order:
+        p = parent[u]
+        if p >= 0:
+            sibling = top2[p] if arg1[p] == u else top1[p]
+            up[u] = weight[p] + max(up[p], sibling)
+        ends[u] = weight[u] + max(top1[u], up[u])
+    a = ends.index(best)
+    order, parent = _rooted(t, a)
+    acc = [0] * n
+    acc[a] = weight[a]
+    for u in order[1:]:
+        acc[u] = acc[parent[u]] + weight[u]
+    path = [acc.index(best)]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return tuple(path)
+
+
+def tree_to_segments_by_phase_stack(t: Tree, root: int = 0) -> SegmentFamily:
+    """``tree_to_segments`` with a stack of (vertex, parent, phase) entries,
+    a dict of open labels, and the pairs sorted before the family sorts
+    them again."""
+    pairs = []
+    counter = 0
+    stack = [(root, -1, -1)]
+    opened = {}
+    seen = [False] * t.vertex_count
+    while stack:
+        v, par, phase = stack.pop()
+        if phase == -1:
+            seen[v] = True
+            if par >= 0:
+                opened[v] = counter
+                counter += 1
+            stack.append((v, par, 1))
+            for w in reversed(t.adjacency[v]):
+                if not seen[w]:
+                    stack.append((w, v, -1))
+        elif par >= 0:
+            pairs.append((opened[v], counter))
+            counter += 1
+    return SegmentFamily(t.m, tuple(sorted(pairs)))
+
+
+def structure_by_index_stack(chords, tree: Tree | None = None) -> _Structure:
+    """``duality._structure`` keeping a stack of chord indices and reading
+    each one's closing label back from ``chords``."""
+    n = len(chords)
+    cycles: list = [[] for _ in range(n + 1)]
+    edges = []
+    stack: list = []
+    for i, (a, b) in enumerate(chords):
+        while stack and chords[stack[-1]][1] < a:
+            stack.pop()
+        cell = stack[-1] + 1 if stack else 0
+        cycles[cell].append((i, a, b))
+        edges.append((cell, i + 1))
+        stack.append(i)
+    for i, (a, b) in enumerate(chords):
+        cycles[i + 1].append((i, b, a))
+    if tree is None:
+        tree = Tree(n + 1, tuple(edges))
+    elif tree.edges != tuple(sorted(edges)):
+        raise AssertionError("kept chords do not cut out the contracted tree")
+    return _Structure(chords, tuple(map(tuple, cycles)), tree)
+
+
+def chain_cell_by_modulo(cycle, wanted, entry, entry_point, exit_chord) -> list:
+    """``duality._chain_cell`` finding chords with ``next(...)`` scans and
+    walking the boundary with ``% size`` rotations."""
+    if entry is None:
+        items = [it for it in cycle if it[0] in wanted]
+        if exit_chord is not None:
+            at = next(i for i, it in enumerate(items) if it[0] == exit_chord)
+            items = items[at + 1 :] + items[:at] + [items[at]]
+        return items
+    pos = next(i for i, it in enumerate(cycle) if it[0] == entry)
+    _, p_e, q_e = cycle[pos]
+    size = len(cycle)
+    if entry_point == q_e:
+        sweep = [cycle[(pos + 1 + i) % size] for i in range(size - 1)]
+    elif entry_point == p_e:
+        sweep = [
+            (c, q, p)
+            for c, p, q in (cycle[(pos - 1 - i) % size] for i in range(size - 1))
+        ]
+    else:
+        raise AssertionError("entry point not on entry chord")
+    items = [it for it in sweep if it[0] in wanted]
+    if exit_chord is None:
+        return items
+    at = next(i for i, it in enumerate(items) if it[0] == exit_chord)
+    if at == len(items) - 1:
+        return items
+    tail = [(c, q, p) for c, p, q in reversed(items[at + 1 :])]
+    c, p, q = items[at]
+    return items[:at] + tail + [(c, q, p)]
+
+
+def compatible_chain_by_min_max(st_: _Structure, w: CaterpillarWitness) -> AlternatingPath:
+    """``duality._compatible_chain`` normalising cell pairs with ``min`` and
+    ``max`` and chaining each cell with ``chain_cell_by_modulo``."""
+    t = st_.tree
+    cells = set(range(t.vertex_count))
+    if not w.vertex_set <= cells or not set(w.spine) <= w.vertex_set:
+        raise ValueError("witness does not fit this family's cell tree")
+    vs = w.vertex_set
+    witness_chords = sorted(v - 1 for u, v in t.edges if u in vs and v in vs)
+    if len(witness_chords) != w.size or w.size < 1:
+        raise ValueError("witness size disagrees with its induced edges")
+    spine = list(w.spine)
+    if not spine:
+        if w.size != 1:
+            raise ValueError("empty spine only fits a single-segment witness")
+        spine = [t.adjacency[witness_chords[0] + 1][0]]
+    spine_set = set(spine)
+    link: dict = {}
+    at_cell: dict = {c: [] for c in spine}
+    for i in witness_chords:
+        a, b = t.adjacency[i + 1][0], i + 1
+        if a in spine_set and b in spine_set:
+            link[(a, b)] = i
+        else:
+            host = a if a in spine_set else (b if b in spine_set else None)
+            if host is None:
+                raise ValueError(f"witness segment {st_.chords[i]} misses the spine")
+            at_cell[host].append(i)
+    for u, v in zip(spine, spine[1:]):
+        if (min(u, v), max(u, v)) not in link:
+            raise ValueError("spine cells are not joined by witness segments")
+    if len(link) != max(len(spine) - 1, 0):
+        raise ValueError("witness segments join non-consecutive spine cells")
+    out: list = []
+    point = None
+    entry = None
+    for idx, cell in enumerate(spine):
+        exit_chord = None
+        if idx + 1 < len(spine):
+            u, v = spine[idx], spine[idx + 1]
+            exit_chord = link[(min(u, v), max(u, v))]
+        wanted = set(at_cell[cell])
+        if exit_chord is not None:
+            wanted.add(exit_chord)
+        if entry is None and not wanted:
+            raise ValueError("spine cell carries no witness segment")
+        if wanted:
+            out.extend(
+                chain_cell_by_modulo(st_.cell_cycles[cell], wanted, entry, point, exit_chord)
+            )
+            point = out[-1][2]
+        entry = exit_chord
+    endpoints: list = []
+    for _, a, b in out:
+        endpoints += [a, b]
+    return AlternatingPath(tuple(endpoints), w.size)
+
+
+def validate_path_by_min_max(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport:
+    """``validate_path`` normalising pairs with ``min`` and ``max`` and
+    range-checking every label whether or not any is out of range."""
+    if mode == "among":
+        mode = "simple"
+    if mode not in ("simple", "compatible"):
+        raise ValueError(f"unknown mode {mode!r}")
+    issues: list = []
+    e = p.endpoints
+    limit = 2 * s.n
+    for x in e:
+        if not 0 <= x < limit:
+            issues.append(f"label {x} out of range 0..{limit - 1}")
+    if len(set(e)) != len(e):
+        dups = sorted(x for x, count in Counter(e).items() if count > 1)
+        issues.append(f"repeated labels {dups}")
+    family = s.segment_set
+    for i in range(0, len(e) - 1, 2):
+        seg = (min(e[i], e[i + 1]), max(e[i], e[i + 1]))
+        if seg not in family:
+            issues.append(f"position {i}: ({e[i]}, {e[i + 1]}) is not a segment")
+    edges = [(e[i], e[i + 1]) for i in range(len(e) - 1)]
+    unused = []
+    if mode == "compatible":
+        used = {(min(a, b), max(a, b)) for a, b in edges}
+        unused = [seg for seg in s.pairs if seg not in used]
+    k = len(edges)
+    crossings = _crossing_pairs(edges + unused)
+    for i, j in crossings:
+        if j < k:
+            issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
+    for j, i in sorted((j, i) for i, j in crossings if j >= k):
+        issues.append(f"chain edge {edges[i]} crosses unused segment {unused[j - k]}")
+    return PathReport(not issues, mode, tuple(issues))
+
+
+def contract_all_by_find(t: Tree, edges) -> Tree:
+    """``contraction._contract_all`` with a ``find`` closure, and the class
+    of every id looked up by ``find`` again when relabelling."""
+    parent = list(range(t.vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in edges:
+        u, v = min(edge), max(edge)
+        if (u, v) not in t.edge_set:
+            raise ValueError(f"{edge} is not an edge of the source tree")
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ValueError(f"edge {edge} already collapsed")
+        parent[max(ru, rv)] = min(ru, rv)
+    label = [-1] * t.vertex_count
+    count = 0
+    for v in range(t.vertex_count):
+        r = find(v)
+        if r == v:
+            label[v] = count
+            count += 1
+        else:
+            label[v] = label[r]
+    return Tree(
+        count, tuple((label[u], label[v]) for u, v in t.edges if label[u] != label[v])
+    )

@@ -47,6 +47,9 @@ def test_pairs_are_normalized_and_sorted():
         (1, ((0, None),), "perfectly match"),
         (2, ((0, 1), (2, "x")), "perfectly match"),
         (2, (("a", "b"), (0, 1)), "perfectly match"),
+        (1, ((0, 1, 2),), "perfectly match"),
+        (1, ((0,),), "perfectly match"),
+        (1, ((5,),), "perfectly match"),
     ],
 )
 def test_family_validation(n, pairs, hint):

@@ -36,6 +36,23 @@ def test_census_of_small_trees():
         assert sum(1 for _ in free_trees(m)) == FREE_TREE_COUNTS[m]
 
 
+def test_free_tree_counts_are_computed():
+    assert tuple(oracle._free_tree_count(m) for m in range(17)) == FREE_TREE_COUNTS
+    assert [oracle._free_tree_count(m) for m in (17, 18, 19)] == [123867, 317955, 823065]
+
+
+def test_census_row_past_the_literal_table():
+    # an edge count the literal table does not reach still gets its count row
+    row = oracle._fold(17, iter(()))[0]
+    assert (row.section, row.label, row.expected, row.actual) == (
+        "tree-census",
+        "m=17",
+        "123867",
+        "0",
+    )
+    assert not row.passed
+
+
 def test_enumeration_yields_distinct_classes():
     for m in range(1, 10):
         codes = [canonical_code(t) for t in free_trees(m)]

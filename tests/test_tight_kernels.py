@@ -1,0 +1,255 @@
+"""The shared per-tree kernels against their previous implementations.
+
+``Tree`` validation, ``_heaviest_path``, ``tree_to_segments``,
+``_structure``, ``_chain_cell``, ``_compatible_chain``, ``validate_path``
+and ``_contract_all`` had their inner loops rewritten.  Each must reproduce
+the version it replaced (kept in ``helpers``) exactly: the same outputs and
+tie-breaks on every small tree class under relabelling, on random and
+1000-edge trees, and the same exception, message and edge index or the same
+path issues, in the same order, on malformed input.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from catbound import (
+    AlternatingPath,
+    Tree,
+    among_path,
+    compatible_path,
+    contract_to_caterpillar,
+    free_trees,
+    max_caterpillar,
+    max_caterpillar_by_contraction,
+    tree_from_pruefer,
+    tree_to_segments,
+    validate_path,
+)
+from catbound.contraction import _contract_all
+from catbound.duality import _chain_cell, _compatible_chain, _structure
+from catbound.trees import _heaviest_path
+from helpers import (
+    chain_cell_by_modulo,
+    compatible_chain_by_min_max,
+    contract_all_by_find,
+    heaviest_path_by_index_scan,
+    path_tree,
+    relabeled,
+    structure_by_index_stack,
+    tree_by_set_check,
+    tree_to_segments_by_phase_stack,
+    validate_path_by_min_max,
+)
+from helpers import trees as tree_strategy
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type, message and edge index of what
+    it raises."""
+    try:
+        return "ok", build()
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def tree_outcome(n, edges):
+    def build():
+        t = Tree(n, edges)
+        return t.edges, t.adjacency, t.degrees
+
+    return outcome(build)
+
+
+def assert_tree_matches(n, edges):
+    assert tree_outcome(n, edges) == outcome(lambda: tree_by_set_check(n, edges))
+
+
+def assert_structure_matches(chords, tree=None):
+    fast, slow = _structure(chords, tree), structure_by_index_stack(chords, tree)
+    assert (fast.chords, fast.cell_cycles, fast.tree) == (
+        slow.chords,
+        slow.cell_cycles,
+        slow.tree,
+    )
+
+
+def assert_chain_cells_match(cycle, rng: random.Random) -> None:
+    """Every entry (none, or each chord entered at either end) against a
+    few random wanted sets, each with and without an exit chord."""
+    chords = [c for c, _, _ in cycle]
+    entries = [(None, None)] + [(c, x) for c, p, q in cycle for x in (p, q)]
+    for entry, point in entries:
+        others = [c for c in chords if c != entry]
+        for _ in range(3):
+            wanted = {c for c in others if rng.random() < 0.6}
+            exits = [None] + sorted(wanted)
+            if entry is None and not wanted:
+                continue
+            for exit_chord in exits:
+                args = (cycle, wanted, entry, point, exit_chord)
+                assert _chain_cell(*args) == chain_cell_by_modulo(*args)
+
+
+def corrupted_paths(e: tuple, limit: int, rng: random.Random) -> list:
+    """Out-of-range labels (alone and with other faults), a repeated label,
+    two swapped endpoints and a reversed segment."""
+    size = len(e)
+    i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+    out = [
+        e[:i] + (-1,) + e[i + 1 :],
+        e[:i] + (limit,) + e[i + 1 :],
+        (limit + 3,) + e[1:-1] + (-2,) if size > 1 else (limit + 3, -2),
+        e[:i] + (e[j],) + e[i + 1 :],
+        e[:1] + e[:1] + e[2:] if size > 2 else e,
+        e[1::-1] + e[2:],
+    ]
+    swapped = list(e)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    out.append(tuple(swapped))
+    return out
+
+
+def assert_reports_match(family, endpoints) -> None:
+    path = AlternatingPath(tuple(endpoints), len(endpoints) // 2)
+    for mode in ("simple", "compatible"):
+        assert validate_path(family, path, mode) == validate_path_by_min_max(
+            family, path, mode
+        )
+
+
+def assert_matches_previous(t: Tree, rng: random.Random, exhaustive: bool = True) -> None:
+    n = t.vertex_count
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+    rng.shuffle(shuffled)
+    assert_tree_matches(n, tuple(shuffled))
+
+    weights = [[1] * n, [rng.randrange(3) for _ in range(n)]]  # ties, zeros
+    if t.m:
+        weights.append([d - 1 for d in t.degrees])  # the caterpillar's
+    for weight in weights:
+        assert _heaviest_path(t, weight) == heaviest_path_by_index_scan(t, weight)
+    if t.m < 1:
+        return
+
+    roots = range(n) if exhaustive else [0, rng.randrange(n)]
+    for root in roots:
+        family = tree_to_segments(t, root)
+        assert family == tree_to_segments_by_phase_stack(t, root)
+    # the rest runs on the last root's family
+    assert_structure_matches(family.pairs)
+    st_ = family._struct
+    cell_tree = st_.tree
+    witness = max_caterpillar(cell_tree)
+    assert _compatible_chain(st_, witness) == compatible_chain_by_min_max(st_, witness)
+    if exhaustive:
+        for cycle in st_.cell_cycles:
+            assert_chain_cells_match(cycle, rng)
+
+    chains = [compatible_path(family, witness).endpoints, among_path(family)[0].endpoints]
+    for chain in chains:
+        assert_reports_match(family, chain)
+        for bad in corrupted_paths(chain, 2 * family.n, rng):
+            assert_reports_match(family, bad)
+
+    cap = max_caterpillar_by_contraction(t)
+    for k in {1, cap}:
+        steps = [s.edge for s in contract_to_caterpillar(t, k).contract_sequence]
+        assert _contract_all(t, steps) == contract_all_by_find(t, steps)
+        if steps:
+            again = steps + steps[:1]  # an edge already collapsed
+            assert outcome(lambda: _contract_all(t, again)) == outcome(
+                lambda: contract_all_by_find(t, again)
+            )
+    stranger = [(0, n)]  # not an edge
+    assert outcome(lambda: _contract_all(t, stranger)) == outcome(
+        lambda: contract_all_by_find(t, stranger)
+    )
+
+
+def test_every_small_class_under_relabelling():
+    rng = random.Random(11)
+    assert_matches_previous(Tree(1, ()), rng)
+    for m in range(1, 11):
+        for t in free_trees(m):
+            perm = list(range(t.vertex_count))
+            rng.shuffle(perm)
+            for u in (t, relabeled(t, perm)):
+                assert_matches_previous(u, rng, exhaustive=m <= 6)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree_strategy(min_vertices=1, max_vertices=60), st.integers(0, 2**16))
+def test_random_trees(t, seed):
+    assert_matches_previous(t, random.Random(seed), exhaustive=t.vertex_count <= 12)
+
+
+@pytest.mark.parametrize("shape", ["pruefer-1", "pruefer-2", "path"])
+def test_thousand_edge_trees(shape):
+    n = 1001
+    if shape == "path":
+        t = path_tree(n)
+    else:
+        rng = random.Random(shape)
+        t = tree_from_pruefer(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+    assert_matches_previous(t, random.Random(shape), exhaustive=False)
+    # the family's own structure again, handed its cell tree
+    family = tree_to_segments(t, 0)
+    assert_structure_matches(family.pairs, family._struct.tree)
+
+
+# ----------------------------------------------------------------------
+# malformed input: the same exception, message and index
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (0, ()),
+        (3, ((0, 1),)),
+        (3, ((0, 1), (1, 0))),  # duplicate, reversed
+        (4, ((0, 1), (1, 2), (0, 1))),  # duplicate
+        (4, ((0, 1), (1, 2), (2, 0))),  # cycle
+        (5, ((0, 1), (1, 2), (2, 0), (0, 1))),  # cycle, then a duplicate
+        (5, ((0, 1), (1, 2), (2, 1), (2, 0))),  # duplicate, then a cycle
+        (3, ((0, 3), (1, 2))),  # out of range
+        (3, ((0, 1), (-1, 2))),  # negative
+        (3, ((1, 1), (0, 2))),  # self-loop
+        (3, ((0, 1), (5, 5))),  # out of range and a loop
+        (4, ((0, 1), (2, 3), (3, 2))),
+    ],
+)
+def test_malformed_edge_lists(n, edges):
+    assert_tree_matches(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(-1, n), st.integers(-1, n)),
+                min_size=n - 1,
+                max_size=n - 1,
+            ),
+        )
+    )
+)
+def test_random_edge_lists(case):
+    n, edges = case
+    assert_tree_matches(n, tuple(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_strategy(min_vertices=2, max_vertices=14), st.data())
+def test_arbitrary_paths_report_the_same_issues(t, data):
+    family = tree_to_segments(t, 0)
+    limit = 2 * family.n
+    k = data.draw(st.integers(1, family.n + 1))
+    labels = st.integers(-2, limit + 2)
+    endpoints = data.draw(st.lists(labels, min_size=2 * k, max_size=2 * k))
+    assert_reports_match(family, endpoints)
