@@ -50,7 +50,7 @@ from .induced import (
 )
 from .oracle import _SEARCH_LIMIT, MAX_SCORE, verify_all
 from .render import render_segments, render_tree
-from .trees import format_tree, is_caterpillar, is_spider, parse_tree
+from .trees import format_tree, is_spider, parse_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,7 +331,6 @@ def _cmd_build(args) -> int:
 
 def _cmd_analyze(args) -> int:
     tree = parse_tree(_read(args.tree))  # at least one edge
-    cat, spine = is_caterpillar(tree)
     witness = max_caterpillar(tree)
     score, dpath, leaf_set = _facts(tree)
     rows = [
@@ -339,7 +338,9 @@ def _cmd_analyze(args) -> int:
         ("edges", tree.m),
         ("leaves", len(leaf_set)),
         ("diameter", len(dpath) - 1),
-        ("caterpillar", "yes" if cat else "no"),
+        # a tree is a caterpillar exactly when its largest induced
+        # caterpillar has every edge
+        ("caterpillar", "yes" if witness.size == tree.m else "no"),
         ("spider", "yes" if is_spider(tree) else "no"),
         ("score by contraction", score),
         ("largest induced caterpillar", witness.size),

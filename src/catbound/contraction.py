@@ -21,7 +21,9 @@ A plan needs the score, the diameter path and the leaf set, and so does
 contracted edges with ``_steps``, so no caller computes a tree's diameter path
 twice.  Each caller replays the steps once with ``_contract_all`` and checks
 the result once: ``contract_to_caterpillar`` with ``is_caterpillar``, and
-``among_path`` with the induced-caterpillar witness it chains anyway.
+``among_path`` with the induced-caterpillar witness it chains anyway.  A tree
+scoring its own edge count is already a caterpillar and ``_steps`` lists no
+edge for it, so ``among_path`` skips ``_steps`` and the replay there.
 
 Plans are O(n) to build and to apply.  A step records only its edge in the
 source labeling.  The final tree comes from one union-find pass over all the
@@ -78,13 +80,18 @@ def _contract_all(t: Tree, edges: Iterable[tuple[int, int]]) -> Tree:
     classes, which is the labeling repeated ``contract_edge`` produces: a
     contraction keeps the smaller of two current ids and shifts the higher
     ones down, so current ids always rank the classes by smallest member.
-    Raises ValueError on an edge that is not in ``t`` or whose ends are
-    already merged.
+    Raises ValueError on a step that is not a pair of ends of an edge of
+    ``t``, or on an edge whose ends are already merged.
     """
     parent = list(range(t.vertex_count))  # union-find, halved on each walk
     edge_set = t.edge_set
     for edge in edges:
-        u, v = min(edge), max(edge)
+        try:
+            u, v = edge
+        except ValueError:  # not a pair, so not an edge
+            u = v = -1
+        if u > v:
+            u, v = v, u
         if (u, v) not in edge_set:
             raise ValueError(f"{edge} is not an edge of the source tree")
         while parent[u] != u:

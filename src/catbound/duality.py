@@ -49,20 +49,21 @@ and checks the result in 'simple' mode.  A failed check raises
 
 ``among_path`` replays its contraction steps once, and that contracted cell
 tree is the kept chords' structure: ``_structure`` takes it after checking
-that the chords' cells have exactly its edges.  Its caterpillar check is the
-witness it chains anyway: a tree whose largest induced caterpillar has every
-edge is a caterpillar.
+that the chords' cells have exactly its edges.  A cell tree that is already
+a caterpillar (its score is its edge count) has no steps, so it keeps the
+family's own tree and structure and replays nothing.  The caterpillar check
+is the witness it chains anyway: a tree whose largest induced caterpillar
+has every edge is a caterpillar.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .contraction import ContractionPlan, ContractionStep, _contract_all, _facts, _steps
 from .induced import CaterpillarWitness, max_caterpillar
-from .trees import Tree
+from .trees import Tree, _lazy
 
 
 # ======================================================================
@@ -119,11 +120,11 @@ class SegmentFamily:
                     f"segments ({y}, {x}) and ({top}, {partner[top]}) cross"
                 )
 
-    @cached_property
+    @_lazy
     def segment_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.pairs)
 
-    @cached_property
+    @_lazy
     def _struct(self) -> _Structure:
         return _structure(self.pairs)
 
@@ -471,17 +472,25 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     ``max_caterpillar_by_contraction`` many segments of ``s``, paired with
     the contraction plan that witnesses the count.  Contracting a tree edge
     is deleting a segment: the path is built compatible with the kept
-    chords, in their own labels, and may cross only the deleted segments."""
-    t = s._struct.tree
+    chords, in their own labels, and may cross only the deleted segments.
+    The steps are replayed once, unless the cell tree is already a
+    caterpillar: then there are none, and the plan keeps the cell tree."""
+    kept = s._struct
+    t = kept.tree
     cap, dpath, leaf_set = _facts(t)
-    steps = _steps(t, cap, cap, dpath, leaf_set)
-    current = _contract_all(t, steps)
+    if cap == t.m:
+        # only a caterpillar scores its edge count, and it keeps every edge
+        current, sequence = t, ()
+    else:
+        steps = _steps(t, cap, cap, dpath, leaf_set)
+        current = _contract_all(t, steps)
+        dropped = {v - 1 for _, v in steps}
+        kept = _structure(
+            tuple(c for i, c in enumerate(s.pairs) if i not in dropped), current
+        )
+        sequence = tuple(ContractionStep(e) for e in steps)
     witness = max_caterpillar(current)
     if not witness.size == cap == current.m:
         raise AssertionError("contraction plan failed to reach a caterpillar")
-    dropped = {v - 1 for _, v in steps}
-    kept = _structure(
-        tuple(c for i, c in enumerate(s.pairs) if i not in dropped), current
-    )
-    plan = ContractionPlan(cap, tuple(ContractionStep(e) for e in steps), current)
+    plan = ContractionPlan(cap, sequence, current)
     return _checked(s, _compatible_chain(kept, witness), "simple"), plan

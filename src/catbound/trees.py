@@ -3,7 +3,10 @@
 A :class:`Tree` stores a vertex count and a normalized edge tuple, validates
 itself on construction (contiguous ids, no loops or duplicates, acyclic and
 therefore connected at n-1 edges), and caches adjacency and degree tables on
-first use.  Validation is one union-find pass with path halving, and keeps
+first use.  The cache is ``_lazy``: the first access stores the table in the
+instance ``__dict__``, where later accesses find it, and takes no lock (the
+tables are immutable, so two threads racing on a first access store equal
+values).  Validation is one union-find pass with path halving, and keeps
 no set of seen edges: an edge whose ends are already joined is a duplicate
 if an earlier edge equals it and closes a cycle otherwise, and a repeated
 edge always lands there, because its first copy joined its ends.  Edges are
@@ -37,8 +40,8 @@ rootings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from operator import index as _as_index
+from typing import Any, Callable, Iterable, Iterator
 
 
 class TreeParseError(ValueError):
@@ -53,6 +56,42 @@ class _EdgeError(ValueError):
     def __init__(self, index: int, message: str) -> None:
         super().__init__(message)
         self.index = index
+
+
+def _check_integer_ids(edges: Iterable[Any]) -> None:
+    """Raise ``_EdgeError`` at the first edge that is not a pair of integer
+    ids.  Tree validation calls it only once a ``TypeError`` has shown that
+    such an edge exists, so valid input pays no per-edge type test."""
+    for index, edge in enumerate(edges):
+        try:
+            u, v = edge
+            _as_index(u), _as_index(v)
+        except (TypeError, ValueError):
+            raise _EdgeError(
+                index, f"edge {edge!r} is not a pair of integer vertex ids"
+            ) from None
+
+
+class _lazy:
+    """An attribute computed on first access.
+
+    The value goes into the instance ``__dict__``, which shadows this
+    non-data descriptor from then on.  That is what the standard library's
+    ``cached_property`` does, less the lock it takes on every first access
+    before Python 3.12.  Only for immutable values: two threads racing on a
+    first access each compute the value and store equal ones.
+    """
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 # ======================================================================
@@ -78,30 +117,36 @@ class Tree:
         n = self.vertex_count
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
-        norm = [(u, v) if u <= v else (v, u) for u, v in self.edges]
-        if len(norm) != n - 1:
-            raise ValueError(
-                f"{n} vertices need {n - 1} edges, got {len(norm)}"
-            )
-        parent = list(range(n))  # union-find forest, halved on each walk
-        for index, (u, v) in enumerate(norm):
-            if u < 0 or v >= n:  # u <= v
-                raise _EdgeError(index, f"edge ({u}, {v}) out of range 0..{n - 1}")
-            if u == v:
-                raise _EdgeError(index, f"self-loop at vertex {u}")
-            ru = u
-            while parent[ru] != ru:
-                parent[ru] = ru = parent[parent[ru]]
-            rv = v
-            while parent[rv] != rv:
-                parent[rv] = rv = parent[parent[rv]]
-            if ru == rv:
-                # an earlier copy of this edge joined its ends, so a
-                # duplicate always lands here
-                if (u, v) in norm[:index]:
-                    raise _EdgeError(index, f"duplicate edge ({u}, {v})")
-                raise _EdgeError(index, f"edge ({u}, {v}) closes a cycle")
-            parent[ru] = rv
+        try:
+            norm = [(u, v) if u <= v else (v, u) for u, v in self.edges]
+            if len(norm) != n - 1:
+                raise ValueError(
+                    f"{n} vertices need {n - 1} edges, got {len(norm)}"
+                )
+            parent = list(range(n))  # union-find forest, halved on each walk
+            for index, (u, v) in enumerate(norm):
+                if u < 0 or v >= n:  # u <= v
+                    raise _EdgeError(
+                        index, f"edge ({u}, {v}) out of range 0..{n - 1}"
+                    )
+                if u == v:
+                    raise _EdgeError(index, f"self-loop at vertex {u}")
+                ru = u
+                while parent[ru] != ru:
+                    parent[ru] = ru = parent[parent[ru]]
+                rv = v
+                while parent[rv] != rv:
+                    parent[rv] = rv = parent[parent[rv]]
+                if ru == rv:
+                    # an earlier copy of this edge joined its ends, so a
+                    # duplicate always lands here
+                    if (u, v) in norm[:index]:
+                        raise _EdgeError(index, f"duplicate edge ({u}, {v})")
+                    raise _EdgeError(index, f"edge ({u}, {v}) closes a cycle")
+                parent[ru] = rv
+        except TypeError:
+            _check_integer_ids(self.edges)
+            raise
         norm.sort()
         object.__setattr__(self, "edges", tuple(norm))
 
@@ -110,7 +155,7 @@ class Tree:
         """Edge count."""
         return len(self.edges)
 
-    @cached_property
+    @_lazy
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         # edges are sorted, so vertex x first meets its smaller neighbours
         # w in edges (w, x), ascending, then its larger ones in edges
@@ -121,11 +166,11 @@ class Tree:
             nbrs[v].append(u)
         return tuple(map(tuple, nbrs))
 
-    @cached_property
+    @_lazy
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.adjacency))
 
-    @cached_property
+    @_lazy
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 

@@ -1,10 +1,14 @@
 """Contraction scores, the square-root guarantee, and extremal spiders."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbound import (
+    ContractionPlan,
+    ContractionStep,
     Tree,
     build_spider,
     contract_to_caterpillar,
@@ -18,6 +22,7 @@ from catbound import (
     max_caterpillar_by_contraction,
     max_edges_diameter_leaves,
 )
+from catbound.contraction import _contract_all
 from helpers import path_tree, spider_tree, star_tree, trees
 
 
@@ -154,6 +159,17 @@ def test_plan_refuses_to_replay_on_the_wrong_tree():
     plan = contract_to_caterpillar(spider_tree(2, 2, 2), 4)
     with pytest.raises(ValueError):
         plan.apply(path_tree(7))
+
+
+@pytest.mark.parametrize("edge", [(1, 0, 1), (0,), (0, 1, 2)])
+def test_a_step_that_is_not_a_pair_is_no_edge(edge):
+    t = path_tree(4)
+    message = re.escape(f"{edge} is not an edge of the source tree")
+    with pytest.raises(ValueError, match=message):
+        _contract_all(t, [edge])
+    plan = ContractionPlan(3, (ContractionStep(edge),), path_tree(3))
+    with pytest.raises(ValueError, match=message):
+        plan.apply(t)
 
 
 @settings(max_examples=60)

@@ -33,6 +33,7 @@ from catbound import (
     extremal_branch_star,
     extremal_spider,
     free_trees,
+    is_caterpillar,
     max_caterpillar,
     max_caterpillar_by_contraction,
     segments_to_tree,
@@ -337,22 +338,50 @@ def test_census_computes_canonical_codes_only_for_row_witnesses(monkeypatch):
     assert len(codes) <= 60
 
 
-@pytest.mark.parametrize("shape", ["twin-300", "spider"])
+@pytest.mark.parametrize(
+    "shape", ["twin-300", "spider", "path-300", "branch-star-4"]
+)
 def test_among_path_builds_one_tree_and_checks_it_once(monkeypatch, shape):
     if shape == "twin-300":
         family = tree_to_segments(relabeled_twin(300, seed=3), 0)
-    else:
+    elif shape == "spider":
         family = tree_to_segments(spider_tree(1, 2, 3, 4), 2)
-    family._struct  # the family's own cell tree is not the path's cost
+    elif shape == "path-300":
+        family = tree_to_segments(path_tree(300), 0)
+    else:
+        family = tree_to_segments(extremal_branch_star(4), 0)
+    cell_tree = family._struct.tree  # not the path's cost
+    caterpillar = shape in ("path-300", "branch-star-4")
     built: list = []
+    structures: list = []
     checks: list = []
     count_calls(monkeypatch, Tree, "__post_init__", built)
+    count_calls(monkeypatch, duality, "_structure", structures)
     for module in (trees, contraction, duality):
         if hasattr(module, "is_caterpillar"):
             count_calls(monkeypatch, module, "is_caterpillar", checks)
-    among_path(family)
-    assert len(built) == 1  # the contracted tree, also the kept structure's
+    plan = among_path(family)[1]
+    if caterpillar:  # nothing to contract: the cell tree is kept as it is
+        assert len(built) == len(structures) == 0
+        assert plan.contract_sequence == ()
+        assert plan.kept_caterpillar is cell_tree
+    else:  # the contracted tree, also the kept structure's
+        assert len(built) == len(structures) == 1
     assert len(checks) == 0  # its induced caterpillar witness is the check
+
+
+def test_among_path_on_every_small_caterpillar_class():
+    seen = 0
+    for m in range(1, 13):
+        for t in free_trees(m):
+            if not is_caterpillar(t)[0]:
+                continue
+            seen += 1
+            cap, dpath, leaf_set = contraction._facts(t)
+            assert cap == t.m  # the rule among_path relies on
+            assert contraction._steps(t, cap, cap, dpath, leaf_set) == []
+            assert_among_matches_subfamily(tree_to_segments(t, 0))
+    assert seen == 1087  # the caterpillar classes of the m <= 12 census
 
 
 # ----------------------------------------------------------------------

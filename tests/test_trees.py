@@ -1,5 +1,7 @@
 """Tree container, text format, measurements, and canonical codes."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,6 +52,47 @@ def test_edges_are_normalized():
 def test_rejects_non_trees(n, edges, hint):
     with pytest.raises(ValueError, match=hint):
         Tree(n, edges)
+
+
+@pytest.mark.parametrize(
+    "edges, shown",
+    [
+        (((0, 1.0),), "(0, 1.0)"),
+        (((0, "1"),), "(0, '1')"),
+        (((1, 2), (0, 1.5)), "(0, 1.5)"),
+    ],
+)
+def test_non_integer_ids_name_the_edge(edges, shown):
+    with pytest.raises(ValueError) as caught:
+        Tree(len(edges) + 1, edges)
+    assert str(caught.value) == f"edge {shown} is not a pair of integer vertex ids"
+    assert caught.value.index == len(edges) - 1
+
+
+def test_tables_are_computed_once_and_pickle_with_the_tree(monkeypatch):
+    for name in ("adjacency", "degrees", "edge_set"):
+        descriptor = Tree.__dict__[name]
+        assert getattr(Tree, name) is descriptor  # class access: the descriptor
+        calls = []
+        original = descriptor.func
+
+        def counted(t, original=original, calls=calls):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(descriptor, "func", counted)
+        t = path_tree(5)
+        assert getattr(t, name) is getattr(t, name)
+        assert len(calls) == 1
+        getattr(path_tree(5), name)  # a new instance computes its own
+        assert len(calls) == 2
+
+    t = spider_tree(2, 3)
+    tables = (t.adjacency, t.degrees, t.edge_set)
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t
+    assert {"adjacency", "degrees", "edge_set"} <= back.__dict__.keys()
+    assert (back.adjacency, back.degrees, back.edge_set) == tables
 
 
 def test_single_vertex_is_a_tree():
