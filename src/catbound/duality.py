@@ -47,13 +47,18 @@ mode, and ``among_path`` chains the kept chords in the family's own labels
 and checks the result in 'simple' mode.  A failed check raises
 ``AssertionError``: it means the construction is wrong, not the input.
 
-``among_path`` replays its contraction steps once, and that contracted cell
-tree is the kept chords' structure: ``_structure`` takes it after checking
-that the chords' cells have exactly its edges.  A cell tree that is already
-a caterpillar (its score is its edge count) has no steps, so it keeps the
-family's own tree and structure and replays nothing.  The caterpillar check
-is the witness it chains anyway: a tree whose largest induced caterpillar
-has every edge is a caterpillar.
+A tree is built for a family's cells only when none is known.
+``tree_to_segments`` on a tree labelled in its own walk's preorder (root 0,
+children ascending, as ``free_trees`` yields them) numbers each cell by the
+vertex it came from, so that tree becomes the family's cell tree once
+``_structure`` has checked that the cells have exactly its edges: the round
+trip returns the input tree itself.  Likewise ``among_path`` replays its
+contraction steps once, and that contracted cell tree is the kept chords'
+structure, after the same check.  A cell tree that is already a caterpillar
+(its score is its edge count) has no steps, so it keeps the family's own
+tree and structure and replays nothing.  The caterpillar check is the
+witness it chains anyway: a tree whose largest induced caterpillar has
+every edge is a caterpillar.
 """
 
 from __future__ import annotations
@@ -126,7 +131,9 @@ class SegmentFamily:
 
     @_lazy
     def _struct(self) -> _Structure:
-        return _structure(self.pairs)
+        # ``tree_to_segments`` leaves its source tree here when that tree's
+        # ids are the cells'; ``_structure`` checks its edges before keeping it
+        return _structure(self.pairs, self.__dict__.get("_cell_tree"))
 
 
 @dataclass(frozen=True)
@@ -221,8 +228,10 @@ def _structure(
     chords: tuple[tuple[int, int], ...], tree: Tree | None = None
 ) -> _Structure:
     """Non-crossing (low, high) chords sorted by low; labels are only compared,
-    so a subfamily keeps its family's labels.  A ``tree`` already known to be
-    the cell tree is kept, once its edges are checked against the cells'."""
+    so a subfamily keeps its family's labels.  A ``tree`` said to be the cell
+    tree, such as a contracted tree or the preorder tree a family came from,
+    becomes the cell tree once its edges equal the cells', and the check
+    raises ``AssertionError`` unless they do."""
     n = len(chords)
     cycles: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     edges = []
@@ -241,7 +250,7 @@ def _structure(
     if tree is None:
         tree = Tree(n + 1, tuple(edges))
     elif tree.edges != tuple(sorted(edges)):
-        raise AssertionError("kept chords do not cut out the contracted tree")
+        raise AssertionError("chords do not cut out the tree given as their cells")
     return _Structure(chords, tuple(map(tuple, cycles)), tree)
 
 
@@ -257,7 +266,13 @@ def segments_to_tree(
 def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
     """A family whose cell tree is ``t``: depth-first interval embedding
     rooted at ``root``, children in ascending order; each edge opens a label
-    on entry to the child subtree and closes one on exit."""
+    on entry to the child subtree and closes one on exit.
+
+    Cells are numbered by opening label, so when ``root`` is 0 and the walk
+    enters the vertices in id order (``t`` is labelled in this preorder),
+    cell i is vertex i.  The family then keeps ``t`` as a hint, and its
+    structure takes ``t`` as the cell tree once the cells' edges equal
+    ``t``'s: the round trip returns ``t`` itself and builds no second tree."""
     if t.m < 1:
         raise ValueError("needs at least one edge")
     if not 0 <= root < t.vertex_count:
@@ -267,6 +282,8 @@ def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
     seen[root] = True
     pairs: list[tuple[int, int]] = []
     counter = 0
+    preorder = root == 0  # so far, the k-th vertex entered is vertex k
+    entered = 0
     # a vertex to enter, or ~label: leave the vertex whose edge opened label
     stack = list(reversed(adjacency[root]))
     for w in stack:
@@ -276,13 +293,19 @@ def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
         if v < 0:
             pairs.append((~v, counter))
         else:
+            entered += 1
+            if v != entered:
+                preorder = False
             stack.append(~counter)
             for w in reversed(adjacency[v]):
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
         counter += 1
-    return SegmentFamily(t.m, tuple(pairs))  # the family sorts its pairs
+    family = SegmentFamily(t.m, tuple(pairs))  # the family sorts its pairs
+    if preorder:  # a hint, not a field: equality, hash and repr ignore it
+        family.__dict__["_cell_tree"] = t
+    return family
 
 
 def realize_coordinates(s: SegmentFamily) -> GeometricRealization:

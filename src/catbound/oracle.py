@@ -3,7 +3,7 @@
 Everything the package computes by formula or by greedy construction is
 re-derivable here the slow way: free trees come from the
 Wright–Richmond–Odlyzko–McKay successor on canonical level sequences,
-maximum induced caterpillars from exhaustive subset search, and branch
+maximum induced caterpillars from exhaustive search over subtrees, and branch
 sizes from the defining recurrence.  ``verify_all`` runs the whole battery and
 returns a line-per-check report instead of raising, so a regression shows up
 as a FAIL row with a canonical-code witness attached.
@@ -18,10 +18,13 @@ the report does not depend on the worker count.  Canonical codes only label
 the trees a row names, so the fold computes them for those witnesses alone:
 the trees at each bound's minimum and any tree that clashes or fails.  The
 duality round trip compares codes only when it comes back relabelled:
-``free_trees`` yields trees in preorder, which ``tree_to_segments`` at root
-0 returns identically, and equal labelled trees are isomorphic.  A
-relabelled round trip also needs its own caterpillar witness, because the
-family's cells carry the returned tree's ids, not the input's.
+``free_trees`` yields trees in preorder, and the family ``tree_to_segments``
+makes at root 0 hands back the very same tree as its cell tree, once its
+edges are checked against the cells'; equal labelled trees are isomorphic.
+A relabelled round trip also needs its own caterpillar witness, because the
+family's cells carry the returned tree's ids, not the input's.  A
+caterpillar class takes its among path, which then uses every segment, as
+its compatible path too, so it builds and validates one chain.
 
 Guarantee functions are step functions of the edge budget, so the sweep
 section compares implementation and reference only at change points: both
@@ -71,7 +74,8 @@ FREE_TREE_COUNTS = (
 #: few enough that both workers finish an edge count at about the same time
 _CHUNK = 32
 
-#: most vertices the subset search takes: it tries every vertex subset
+#: most vertices the exhaustive caterpillar search takes: it tries every
+#: subtree, and a tree on 20 vertices can have hundreds of thousands
 _SEARCH_LIMIT = 20
 
 #: largest ``max_score`` that ``verify_all`` takes: it builds and scores the
@@ -228,11 +232,15 @@ def free_trees(edge_count: int) -> Iterator[Tree]:
 
 
 def brute_max_caterpillar(t: Tree) -> int:
-    """Most edges over all induced caterpillar subtrees, by subset search.
+    """Most edges over all induced caterpillar subtrees, by subtree search.
 
-    Subsets are tried largest first; inside a tree, a vertex subset is a
-    subtree exactly when its induced degree sum is twice its size minus
-    two, so connectivity needs no traversal.
+    Subtrees are vertex bitmasks, tried largest first: the first level is
+    the whole tree, and each next level holds every mask one leaf smaller
+    than a mask of the level before.  That reaches every subtree, since a
+    proper subtree S has an outside neighbour v, and S + v is a subtree one
+    larger with v as a leaf.  A subtree is a caterpillar when each of its
+    heavy vertices (induced degree at least 2) has at most 2 heavy
+    neighbours; any single edge is one, so the search stops by size 2.
     """
     n = t.vertex_count
     if t.m < 1:
@@ -243,24 +251,28 @@ def brute_max_caterpillar(t: Tree) -> int:
     for a, b in t.edges:
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
-    for size in range(n, 1, -1):
-        for combo in itertools.combinations(range(n), size):
-            inside = 0
-            for v in combo:
-                inside |= 1 << v
-            if sum((nbr[v] & inside).bit_count() for v in combo) != 2 * (size - 1):
-                continue
+    level = {(1 << n) - 1}
+    while True:
+        smaller = set()
+        for inside in level:
             heavy = 0
-            for v in combo:
-                if (nbr[v] & inside).bit_count() >= 2:
-                    heavy |= 1 << v
-            if all(
-                (nbr[v] & heavy).bit_count() <= 2
-                for v in combo
-                if (1 << v) & heavy
-            ):
-                return size - 1
-    raise AssertionError("unreachable: every edge is a caterpillar")
+            rest = inside
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if (nbr[bit.bit_length() - 1] & inside).bit_count() >= 2:
+                    heavy |= bit
+                else:  # induced degree 1: a leaf, as the subtree has 2 or more
+                    smaller.add(inside ^ bit)
+            rest = heavy
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if (nbr[bit.bit_length() - 1] & heavy).bit_count() > 2:
+                    break
+            else:
+                return inside.bit_count() - 1
+        level = smaller
 
 
 def brute_contraction_guarantee(edge_count: int) -> int:
@@ -415,11 +427,18 @@ class VerificationReport:
 
 def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
     """Everything the census asks of one tree class: its contraction score,
-    its subset-search maximum, whether the DP witness reaches that maximum,
-    and why the duality failed (None when it holds) as ``<step>`` or
-    ``<step>: <Type>: <message>``.  The score is the target of the among
+    its exhaustive-search maximum, whether the DP witness reaches that
+    maximum, and why the duality failed (None when it holds) as ``<step>``
+    or ``<step>: <Type>: <message>``.  The score is the target of the among
     path's plan, so it is computed on its own only when the duality fails
-    before that plan exists."""
+    before that plan exists.
+
+    A caterpillar class builds one chain.  When the round trip returned
+    ``t`` itself and the plan contracts nothing, the among path runs through
+    every segment, so its 'simple' validation is the 'compatible' one; if it
+    also has the DP witness's size, it is the compatible path the witness
+    gives (``among_path`` chains ``max_caterpillar`` of the same tree), and
+    ``compatible_path`` is not called."""
     witness = max_caterpillar(t)
     brute = brute_max_caterpillar(t)
     score = None
@@ -429,11 +448,15 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
         back, _ = segments_to_tree(family)
         same = back == t
         if same or canonical_code(back) == canonical_code(t):
-            step = "compatible"
-            # the witness must name the family's cells, which are back's ids
-            compatible_path(family, witness if same else max_caterpillar(back))
             step = "among"
-            score = among_path(family)[1].target_size
+            path, plan = among_path(family)
+            score = plan.target_size
+            if not (
+                same and not plan.contract_sequence and path.k == witness.size
+            ):
+                step = "compatible"
+                # the witness must name the family's cells, which are back's ids
+                compatible_path(family, witness if same else max_caterpillar(back))
             failure = None
     except Exception as exc:
         failure = f"{step}: {type(exc).__name__}: {exc}"
@@ -520,7 +543,7 @@ def verify_all(
     Every free tree class with 1 to ``max_edges`` edges goes through one
     ``_check_tree``, and each edge count's rows are minima over those
     results, ties broken by canonical code; ``max_edges`` is at most 19, so
-    that the subset search sees at most 20 vertices.  ``max_score`` is at
+    that the exhaustive search sees at most 20 vertices.  ``max_score`` is at
     most ``MAX_SCORE``, checked before any tree is built, and the branch-size
     recurrence is tabulated once up to it.  ``workers`` is clamped
     to the CPU count; above one, the checks run in a single process pool

@@ -60,8 +60,9 @@ class _EdgeError(ValueError):
 
 def _check_integer_ids(edges: Iterable[Any]) -> None:
     """Raise ``_EdgeError`` at the first edge that is not a pair of integer
-    ids.  Tree validation calls it only once a ``TypeError`` has shown that
-    such an edge exists, so valid input pays no per-edge type test."""
+    ids.  Tree validation calls it only once a ``TypeError`` or a failed
+    unpacking has shown that such an edge exists, so valid input pays no
+    per-edge type or length test."""
     for index, edge in enumerate(edges):
         try:
             u, v = edge
@@ -118,7 +119,11 @@ class Tree:
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
         try:
-            norm = [(u, v) if u <= v else (v, u) for u, v in self.edges]
+            try:
+                norm = [(u, v) if u <= v else (v, u) for u, v in self.edges]
+            except ValueError:  # an edge that is not a pair
+                _check_integer_ids(self.edges)
+                raise
             if len(norm) != n - 1:
                 raise ValueError(
                     f"{n} vertices need {n - 1} edges, got {len(norm)}"
@@ -385,8 +390,14 @@ def diameter(t: Tree) -> int:
 def contract_edge(t: Tree, edge: tuple[int, int]) -> tuple[Tree, dict[int, int]]:
     """Contract one edge; the merged vertex keeps the smaller id and higher
     ids shift down to stay dense.  Returns the new tree and the old-to-new
-    vertex mapping."""
-    u, v = min(edge), max(edge)
+    vertex mapping.  Raises ValueError unless ``edge`` is a pair of ends of
+    an edge of ``t``."""
+    try:
+        u, v = edge
+    except ValueError:  # not a pair, so not an edge
+        raise ValueError(f"{edge} is not an edge") from None
+    if u > v:
+        u, v = v, u
     if (u, v) not in t.edge_set:
         raise ValueError(f"({u}, {v}) is not an edge")
     mapping: dict[int, int] = {}

@@ -1,5 +1,6 @@
 """Builders and hypothesis strategies shared across test modules."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -606,7 +607,7 @@ def structure_by_index_stack(chords, tree: Tree | None = None) -> _Structure:
     if tree is None:
         tree = Tree(n + 1, tuple(edges))
     elif tree.edges != tuple(sorted(edges)):
-        raise AssertionError("kept chords do not cut out the contracted tree")
+        raise AssertionError("chords do not cut out the tree given as their cells")
     return _Structure(chords, tuple(map(tuple, cycles)), tree)
 
 
@@ -767,3 +768,34 @@ def contract_all_by_find(t: Tree, edges) -> Tree:
     return Tree(
         count, tuple((label[u], label[v]) for u, v in t.edges if label[u] != label[v])
     )
+
+
+def brute_max_caterpillar_by_subsets(t: Tree) -> int:
+    """``oracle.brute_max_caterpillar`` by trying every vertex subset of each
+    size, largest first; inside a tree, a vertex subset is a subtree exactly
+    when its induced degree sum is twice its size minus two."""
+    n = t.vertex_count
+    if t.m < 1:
+        raise ValueError("needs at least one edge")
+    nbr = [0] * n
+    for a, b in t.edges:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    for size in range(n, 1, -1):
+        for combo in itertools.combinations(range(n), size):
+            inside = 0
+            for v in combo:
+                inside |= 1 << v
+            if sum((nbr[v] & inside).bit_count() for v in combo) != 2 * (size - 1):
+                continue
+            heavy = 0
+            for v in combo:
+                if (nbr[v] & inside).bit_count() >= 2:
+                    heavy |= 1 << v
+            if all(
+                (nbr[v] & heavy).bit_count() <= 2
+                for v in combo
+                if (1 << v) & heavy
+            ):
+                return size - 1
+    raise AssertionError("unreachable: every edge is a caterpillar")

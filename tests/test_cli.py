@@ -33,6 +33,7 @@ from catbound import (
     tree_to_segments,
 )
 import catbound.cli as cli
+import catbound.duality as duality
 from catbound.cli import main
 from helpers import load_family_by_generators, path_tree, spider_tree, star_tree, trees
 
@@ -260,6 +261,19 @@ def test_dual_round_trip(capsys, tmp_path):
     before = parse_tree(tree_file.read_text())
     after = parse_tree(back_file.read_text())
     assert canonical_code(before) == canonical_code(after)
+
+
+def test_dual_to_segments_builds_no_family_structure(capsys, tmp_path, monkeypatch):
+    # the family is only written out, so its cells are never worked out
+    def never(*args):
+        raise AssertionError("family structure was built")
+
+    monkeypatch.setattr(duality, "_structure", never)
+    tree_file = tmp_path / "t.txt"
+    tree_file.write_text("0 1\n1 2\n0 3\n")
+    code, out, _ = run(capsys, "dual", "to-segments", "--tree", str(tree_file))
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "segments": [[0, 3], [1, 2], [4, 5]]}
 
 
 def test_dual_argument_checks(capsys):

@@ -11,6 +11,7 @@ from catbound import (
     beautiful_tree,
     canonical_code,
     compatible_path,
+    free_trees,
     max_caterpillar,
     max_caterpillar_by_contraction,
     realize_coordinates,
@@ -18,7 +19,7 @@ from catbound import (
     tree_to_segments,
     validate_path,
 )
-from helpers import path_tree, star_tree, trees
+from helpers import path_tree, relabeled, spider_tree, star_tree, trees
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +209,33 @@ def test_family_structure_is_built_once_per_family(monkeypatch):
     compatible_path(family, max_caterpillar(cell_tree))
     among_path(family)
     assert len(built) <= 2  # the family and the chords its plan keeps
+
+
+def test_a_preorder_tree_comes_back_as_itself():
+    # free_trees yields preorder trees, so each is its own family's cell tree
+    for m in range(1, 9):
+        for t in free_trees(m):
+            family = tree_to_segments(t, 0)
+            assert segments_to_tree(family)[0] is t
+            plain = SegmentFamily(family.n, family.pairs)  # no hint
+            assert family == plain and hash(family) == hash(plain)
+            assert repr(family) == repr(plain)
+            assert segments_to_tree(plain)[0] == t
+
+
+@pytest.mark.parametrize(
+    "t, root",
+    [
+        (relabeled(spider_tree(1, 2, 3), [6, 5, 4, 3, 2, 1, 0]), 0),  # ids not in preorder
+        (spider_tree(1, 2, 3), 2),  # another root
+        (star_tree(5), 3),
+    ],
+)
+def test_other_trees_get_a_cell_tree_of_their_own(t, root):
+    family = tree_to_segments(t, root)
+    back, _ = segments_to_tree(family)
+    assert back is not t
+    assert canonical_code(back) == canonical_code(t)
 
 
 def test_among_on_a_single_segment():

@@ -7,11 +7,13 @@ import catbound.oracle as oracle
 from catbound import (
     FREE_TREE_COUNTS,
     Tree,
+    among_path,
     branch_size_recurrence,
     brute_contraction_guarantee,
     brute_induced_guarantee,
     brute_max_caterpillar,
     canonical_code,
+    compatible_path,
     contraction_guarantee,
     free_trees,
     guarantee_change_points,
@@ -19,11 +21,21 @@ from catbound import (
     induced_guarantee_reference,
     max_branch_size,
     max_caterpillar,
+    max_caterpillar_by_contraction,
+    segments_to_tree,
     tree_from_pruefer,
+    tree_to_segments,
+    validate_path,
     verify_all,
 )
 from catbound.cli import main
-from helpers import free_trees_by_leaf_growth, path_tree, spider_tree, star_tree
+from helpers import (
+    brute_max_caterpillar_by_subsets,
+    free_trees_by_leaf_growth,
+    path_tree,
+    spider_tree,
+    star_tree,
+)
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +122,32 @@ def test_fast_search_agrees_with_subset_search_everywhere_small():
     for m in range(1, 10):
         for t in free_trees(m):
             assert max_caterpillar(t).size == brute_max_caterpillar(t)
+
+
+def test_subtree_search_equals_subset_search_on_every_small_class():
+    for m in range(1, 14):
+        for t in free_trees(m):
+            assert brute_max_caterpillar(t) == brute_max_caterpillar_by_subsets(t)
+
+
+def binary_tree(n: int) -> Tree:
+    return Tree(n, tuple(((i - 1) // 2, i) for i in range(1, n)))
+
+
+@pytest.mark.parametrize(
+    "t, size",
+    [
+        (binary_tree(20), 12),
+        (spider_tree(*[2] * 9, 1), 12),  # nine legs of 2 and one of 1
+        (spider_tree(3, 3, 3, 3, 3, 3, 1), 11),
+        (spider_tree(6, 6, 7), 14),
+        (path_tree(20), 19),
+    ],
+    ids=["binary", "spider-2x9-1", "spider-3x6-1", "spider-6-6-7", "path"],
+)
+def test_subtree_search_equals_subset_search_at_the_limit(t, size):
+    assert t.vertex_count == 20
+    assert brute_max_caterpillar(t) == brute_max_caterpillar_by_subsets(t) == size
 
 
 def test_brute_guarantees_match_closed_forms():
@@ -233,6 +271,84 @@ def test_failed_duality_rows_name_the_step_and_the_exception(monkeypatch):
     assert all(r.section == "duality" for r in failed)
     assert failed[0].actual == "failed at (()) (among: RuntimeError: boom)"
     assert all("(among: RuntimeError: boom)" in r.actual for r in failed)
+
+
+def leaf_moved(t: Tree) -> Tree:
+    """``t`` with its last vertex, a leaf in preorder, hung elsewhere."""
+    last = t.vertex_count - 1
+    (parent,) = t.adjacency[last]
+    other = 1 if parent == 0 else 0
+    kept = tuple(e for e in t.edges if last not in e)
+    return Tree(t.vertex_count, kept + ((other, last),))
+
+
+def test_a_wrong_cell_tree_hint_fails_the_round_trip(monkeypatch, capsys):
+    # the family keeps the census tree as its cell tree only after checking
+    # the cells' edges, so a hint of another labelled tree must fail there
+    def hinting(t, root=0):
+        family = tree_to_segments(t, root)
+        if t.vertex_count > 2:
+            family.__dict__["_cell_tree"] = leaf_moved(t)
+        return family
+
+    monkeypatch.setattr(oracle, "tree_to_segments", hinting)
+    report = verify_all(max_edges=4, max_score=6, sweep_limit=500, workers=1)
+    failed = report.failures()
+    assert [r.label for r in failed] == ["m=2", "m=3", "m=4"]
+    assert all(r.section == "duality" for r in failed)
+    why = "(round trip: AssertionError: chords do not cut out the tree given as their cells)"
+    assert all(r.actual.endswith(why) for r in failed)
+    assert main(["verify", "--max-edges", "4", "--max-k", "6", "--sweep", "500"]) == 2
+    assert "FAIL duality" in capsys.readouterr().out
+
+
+def small_caterpillar_classes():
+    for m in range(1, 13):
+        for t in free_trees(m):
+            if max_caterpillar_by_contraction(t) == m:
+                yield t
+
+
+def test_caterpillar_among_paths_are_their_compatible_paths():
+    count = 0
+    for t in small_caterpillar_classes():
+        family = tree_to_segments(t, 0)
+        path, plan = among_path(family)
+        assert plan.contract_sequence == () and path.k == t.m
+        assert validate_path(family, path, "compatible").ok
+        cell_tree, _ = segments_to_tree(family)
+        assert path == compatible_path(family, max_caterpillar(cell_tree))
+        count += 1
+    assert count == 1087
+
+
+def test_the_census_builds_one_tree_per_class_and_one_chain_per_caterpillar(
+    monkeypatch,
+):
+    classes = sum(FREE_TREE_COUNTS[1:10])
+    contracted = sum(
+        max_caterpillar_by_contraction(t) < m for m in range(1, 10) for t in free_trees(m)
+    )
+    built, chains = [], []
+    post_init = Tree.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    real_compatible = oracle.compatible_path
+
+    def compatible(family, witness):
+        chains.append(family.n)
+        return real_compatible(family, witness)
+
+    monkeypatch.setattr(Tree, "__post_init__", counting)
+    monkeypatch.setattr(oracle, "compatible_path", compatible)
+    for m in range(1, 10):
+        for t in free_trees(m):
+            assert oracle._check_tree(t)[3] is None
+    assert len(built) == classes + contracted
+    assert len(chains) == contracted
 
 
 def test_census_past_the_subset_search_limit_is_refused_before_enumerating(

@@ -1,6 +1,7 @@
 """Tree container, text format, measurements, and canonical codes."""
 
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -60,6 +61,9 @@ def test_rejects_non_trees(n, edges, hint):
         (((0, 1.0),), "(0, 1.0)"),
         (((0, "1"),), "(0, '1')"),
         (((1, 2), (0, 1.5)), "(0, 1.5)"),
+        (((0, 1, 2),), "(0, 1, 2)"),  # edges of the wrong length
+        (((0,),), "(0,)"),
+        (((0, 1), (1, 2, 3)), "(1, 2, 3)"),
     ],
 )
 def test_non_integer_ids_name_the_edge(edges, shown):
@@ -215,6 +219,12 @@ def test_contract_keeps_min_label():
     t, mapping = contract_edge(star_tree(4), (0, 3))
     assert t == star_tree(3)
     assert mapping == {0: 0, 1: 1, 2: 2, 3: 0}
+
+
+@pytest.mark.parametrize("edge", [(1, 0, 1), (0,), (0, 1, 2)])
+def test_contracting_a_non_pair_is_refused(edge):
+    with pytest.raises(ValueError, match=re.escape(f"{edge} is not an edge")):
+        contract_edge(path_tree(4), edge)
 
 
 def test_remove_star_center_leaves_singletons():
