@@ -135,14 +135,19 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _is_int(x) -> bool:
@@ -388,6 +393,12 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-edges must be at most {_SEARCH_LIMIT - 1}")
     if args.max_k > MAX_SCORE:
         raise ValueError(f"--max-k must be at most {MAX_SCORE}")
+    # only k <= --max-k is checked, so any other K would corrupt nothing;
+    # refused before its branch size, which has about K/6 digits, is computed
+    if args.corrupt_f is not None and not 1 <= args.corrupt_f <= args.max_k:
+        raise ValueError(
+            f"--corrupt-f must lie in 1..{args.max_k}, the --max-k range"
+        )
     override = None
     if args.corrupt_f is not None:
         override = {args.corrupt_f: max_branch_size(args.corrupt_f) + 1}

@@ -16,14 +16,13 @@ here:
 ``contract_to_caterpillar`` produces a replayable :class:`ContractionPlan`
 witnessing the bound: keep all leaf edges plus one diameter path, contract
 everything else, then contract surplus edges down to the requested size.
-A plan needs the score, the diameter path and the leaf set, and so does
-``duality.among_path``; both get them from one ``_facts`` pass and list the
-contracted edges with ``_steps``, so no caller computes a tree's diameter path
-twice.  Each caller replays the steps once with ``_contract_all`` and checks
-the result once: ``contract_to_caterpillar`` with ``is_caterpillar``, and
-``among_path`` with the induced-caterpillar witness it chains anyway.  A tree
-scoring its own edge count is already a caterpillar and ``_steps`` lists no
-edge for it, so ``among_path`` skips ``_steps`` and the replay there.
+Every plan, this one and ``duality.among_path``'s, comes from ``_plan``: one
+``_facts`` pass gives the score, the diameter path and the leaf set,
+``_steps`` lists the contracted edges, ``_contract_all`` replays them once,
+and one check accepts the result: its largest induced caterpillar has every
+edge.  ``among_path`` chains that witness too.  A tree scoring its own edge
+count is already a caterpillar, so a plan to that size keeps the tree itself
+and lists no steps.
 
 Plans are O(n) to build and to apply.  A step records only its edge in the
 source labeling.  The final tree comes from one union-find pass over all the
@@ -38,7 +37,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable
 
-from .trees import Tree, diameter_path, is_caterpillar, leaves
+from .induced import CaterpillarWitness, max_caterpillar
+from .trees import Tree, diameter_path, leaves
 
 
 # ======================================================================
@@ -155,12 +155,30 @@ def contract_to_caterpillar(t: Tree, k: int) -> ContractionPlan:
     away in sorted-edge order; caterpillars are closed under contraction, so
     the order does not affect validity, only reproducibility.
     """
-    steps = _steps(t, k, *_facts(t))
-    current = _contract_all(t, steps)
-    ok, _ = is_caterpillar(current)
-    if not ok or current.m != k:
+    return _plan(t, k)[0]
+
+
+def _plan(
+    t: Tree, k: int | None = None
+) -> tuple[ContractionPlan, CaterpillarWitness]:
+    """``contract_to_caterpillar(t, k)`` (k defaults to the score) and the
+    largest induced caterpillar of the tree it reaches, which has every edge
+    of that tree: a tree is a caterpillar exactly when it has such a
+    witness, so this is the plan's one check."""
+    score, dpath, leaf_set = _facts(t)
+    if k is None:
+        k = score
+    if k == score == t.m:
+        # only a caterpillar scores its edge count, and it keeps every edge
+        current, steps = t, []
+    else:
+        steps = _steps(t, k, score, dpath, leaf_set)
+        current = _contract_all(t, steps)
+    witness = max_caterpillar(current)
+    if not witness.size == k == current.m:
         raise AssertionError("contraction plan failed to reach a caterpillar")
-    return ContractionPlan(k, tuple(ContractionStep(e) for e in steps), current)
+    plan = ContractionPlan(k, tuple(ContractionStep(e) for e in steps), current)
+    return plan, witness
 
 
 def _steps(

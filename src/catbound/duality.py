@@ -52,13 +52,13 @@ A tree is built for a family's cells only when none is known.
 children ascending, as ``free_trees`` yields them) numbers each cell by the
 vertex it came from, so that tree becomes the family's cell tree once
 ``_structure`` has checked that the cells have exactly its edges: the round
-trip returns the input tree itself.  Likewise ``among_path`` replays its
-contraction steps once, and that contracted cell tree is the kept chords'
-structure, after the same check.  A cell tree that is already a caterpillar
-(its score is its edge count) has no steps, so it keeps the family's own
-tree and structure and replays nothing.  The caterpillar check is the
-witness it chains anyway: a tree whose largest induced caterpillar has
-every edge is a caterpillar.
+trip returns the input tree itself.  Likewise the contracted cell tree of
+``among_path``'s plan is the kept chords' structure, after the same check.
+A cell tree that is already a caterpillar has a plan with no steps, so it
+keeps the family's own tree and structure.  The plan comes with the largest
+induced caterpillar of the tree it reaches, which ``among_path`` chains: that
+witness having every edge is the plan's check that the tree is a
+caterpillar (``contraction._plan``).
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .contraction import ContractionPlan, ContractionStep, _contract_all, _facts, _steps
-from .induced import CaterpillarWitness, max_caterpillar
+from .contraction import ContractionPlan, _plan
+from .induced import CaterpillarWitness
 from .trees import Tree, _lazy
 
 
@@ -494,26 +494,15 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     """A self-avoiding alternating path through
     ``max_caterpillar_by_contraction`` many segments of ``s``, paired with
     the contraction plan that witnesses the count.  Contracting a tree edge
-    is deleting a segment: the path is built compatible with the kept
-    chords, in their own labels, and may cross only the deleted segments.
-    The steps are replayed once, unless the cell tree is already a
-    caterpillar: then there are none, and the plan keeps the cell tree."""
+    is deleting a segment: the path chains the plan's caterpillar witness
+    through the kept chords, in their own labels, and may cross only the
+    deleted segments."""
     kept = s._struct
-    t = kept.tree
-    cap, dpath, leaf_set = _facts(t)
-    if cap == t.m:
-        # only a caterpillar scores its edge count, and it keeps every edge
-        current, sequence = t, ()
-    else:
-        steps = _steps(t, cap, cap, dpath, leaf_set)
-        current = _contract_all(t, steps)
-        dropped = {v - 1 for _, v in steps}
+    plan, witness = _plan(kept.tree)
+    if plan.contract_sequence:
+        dropped = {step.edge[1] - 1 for step in plan.contract_sequence}
         kept = _structure(
-            tuple(c for i, c in enumerate(s.pairs) if i not in dropped), current
+            tuple(c for i, c in enumerate(s.pairs) if i not in dropped),
+            plan.kept_caterpillar,
         )
-        sequence = tuple(ContractionStep(e) for e in steps)
-    witness = max_caterpillar(current)
-    if not witness.size == cap == current.m:
-        raise AssertionError("contraction plan failed to reach a caterpillar")
-    plan = ContractionPlan(cap, sequence, current)
     return _checked(s, _compatible_chain(kept, witness), "simple"), plan

@@ -12,8 +12,13 @@ has exactly k edges.  ``max_branch_size(k)`` is the largest such branch,
 ``beautiful_tree(k)`` builds it (every level has a uniform child count,
 recorded in a :class:`BeautifulProfile`), and gluing ``r`` branches at a
 shared root gives the extremal trees for the induced bound
-(``extremal_branch_star``).  ``induced_guarantee(m)`` inverts the extremal
-sizes: the caterpillar size certain to appear induced in any m-edge tree.
+(``extremal_branch_star``).  Each star's shape, r branches of parameter x,
+is defined once, by ``_star_shape``: the tree, its edge count
+``branch_star_bound`` and the threshold ``extremal_size_induced`` all read
+it.  ``induced_guarantee(m)``, the caterpillar size certain to appear
+induced in any m-edge tree, inverts those thresholds directly through
+m = 170 and takes the best of six residue closed forms beyond, which the
+guarantee sweep checks against the inversion.
 
 Everything is exact integer arithmetic; the base-3 logarithms in the
 guarantee formulas are evaluated by comparing sixth powers against powers
@@ -209,25 +214,30 @@ def star_of_branches_size(r: int, x: int, y: int) -> int:
     return max_branch_size(y) + (r - 1) * max_branch_size(x)
 
 
-_STAR_BOUND_SMALL = (2, 3, 4, 6, 8, 10, 12, 15, 20, 25, 30, 35, 44)  # k = 2..14
 _STAR_SHAPE_SMALL = (
     (2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (4, 3),
     (3, 4), (4, 4), (5, 4), (6, 4), (5, 5), (4, 6),
 )  # (r, x) for k = 2..14
 
 
+def _star_shape(k: int) -> tuple[int, int]:
+    """(r, x) of the extremal star for induced maximum k >= 2: r beautiful
+    branches of parameter x.  Tabulated through k = 14, then (5, (k-3)/2)
+    for odd k and (6, (k-4)/2) for even k."""
+    if k <= 14:
+        return _STAR_SHAPE_SMALL[k - 2]
+    if k % 2 == 1:
+        return 5, (k - 3) // 2
+    return 6, (k - 4) // 2
+
+
 def branch_star_bound(k: int) -> int:
     """Largest edge count of a star of equal branches whose induced
-    caterpillar maximum is k: tabulated through k = 14, then
-    5*max_branch_size((k-3)/2) for odd k and 6*max_branch_size((k-4)/2)
-    for even k."""
+    caterpillar maximum is k: r * max_branch_size(x) for the star's shape."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if k <= 14:
-        return _STAR_BOUND_SMALL[k - 2]
-    if k % 2 == 1:
-        return 5 * max_branch_size((k - 3) // 2)
-    return 6 * max_branch_size((k - 4) // 2)
+    r, x = _star_shape(k)
+    return r * max_branch_size(x)
 
 
 def extremal_branch_star(k: int) -> Tree:
@@ -238,12 +248,7 @@ def extremal_branch_star(k: int) -> Tree:
         raise ValueError("k must be positive")
     if k == 1:
         return Tree(2, ((0, 1),))
-    if k <= 14:
-        r, x = _STAR_SHAPE_SMALL[k - 2]
-    elif k % 2 == 1:
-        r, x = 5, (k - 3) // 2
-    else:
-        r, x = 6, (k - 4) // 2
+    r, x = _star_shape(k)
     branch = beautiful_tree(x)[0].tree
     edges: list[tuple[int, int]] = []
     offset = 1
@@ -262,26 +267,13 @@ def extremal_branch_star(k: int) -> Tree:
 @lru_cache(maxsize=None)
 def extremal_size_induced(k: int) -> int:
     """Largest edge count m such that some m-edge tree has no induced
-    caterpillar bigger than k.  Equals 1 at k = 1 and branch_star_bound(k)
-    beyond; for k >= 15 there is one closed form per residue mod 6."""
+    caterpillar bigger than k: k itself through k = 1, the extremal star's
+    ``branch_star_bound(k)`` beyond."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k <= 1:
         return k
-    if k <= 14:
-        return _STAR_BOUND_SMALL[k - 2]
-    r = k % 6
-    if r == 0:
-        return 3 * (11 * 3 ** ((k - 12) // 6) - 1)
-    if r == 1:
-        return 5 * (47 * 3 ** ((k - 19) // 6) - 1) // 2
-    if r == 2:
-        return 3 * (47 * 3 ** ((k - 20) // 6) - 1)
-    if r == 3:
-        return 5 * (23 * 3 ** ((k - 15) // 6) - 1) // 2
-    if r == 4:
-        return 3 * (23 * 3 ** ((k - 16) // 6) - 1)
-    return 5 * (11 * 3 ** ((k - 11) // 6) - 1) // 2
+    return branch_star_bound(k)
 
 
 def induced_guarantee_reference(m: int) -> int:
@@ -294,13 +286,6 @@ def induced_guarantee_reference(m: int) -> int:
         k += 1
     return k
 
-
-# upper ends of the constant runs of the guarantee through m = 170
-_GUARANTEE_TABLE = (
-    (6, 5), (8, 6), (10, 7), (12, 8), (15, 9), (20, 10), (25, 11),
-    (30, 12), (35, 13), (44, 14), (55, 15), (66, 16), (80, 17),
-    (96, 18), (115, 19), (138, 20), (170, 21),
-)
 
 # residue r -> (c, s, gamma, add): the guarantee restricted to k = r (mod 6)
 # is 6 * floor(N / 6) + r with N = ceil(6 * log3((c*m + s) / gamma)) + add
@@ -342,17 +327,13 @@ def induced_guarantee_residue(r: int, m: int) -> int:
 
 def induced_guarantee(m: int) -> int:
     """The caterpillar size certain to appear as an induced subgraph of any
-    tree with m edges: tabulated through m = 170, the best residue closed
-    form beyond.  Agrees with induced_guarantee_reference everywhere."""
+    tree with m edges: the thresholds inverted directly through m = 170, the
+    best residue closed form beyond.  Agrees with induced_guarantee_reference
+    everywhere."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m <= 4:
-        return m
     if m <= 170:
-        for upper, value in _GUARANTEE_TABLE:
-            if m <= upper:
-                return value
-        raise AssertionError("unreachable")
+        return induced_guarantee_reference(m)
     return max(induced_guarantee_residue(r, m) for r in range(6))
 
 

@@ -23,8 +23,9 @@ makes at root 0 hands back the very same tree as its cell tree, once its
 edges are checked against the cells'; equal labelled trees are isomorphic.
 A relabelled round trip also needs its own caterpillar witness, because the
 family's cells carry the returned tree's ids, not the input's.  A
-caterpillar class takes its among path, which then uses every segment, as
-its compatible path too, so it builds and validates one chain.
+caterpillar class takes the witness its among path's plan checked and
+chained, which then uses every segment, as its DP witness and its compatible
+path too, so it builds one witness and one chain.
 
 Guarantee functions are step functions of the edge budget, so the sweep
 section compares implementation and reference only at change points: both
@@ -430,18 +431,18 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
     its exhaustive-search maximum, whether the DP witness reaches that
     maximum, and why the duality failed (None when it holds) as ``<step>``
     or ``<step>: <Type>: <message>``.  The score is the target of the among
-    path's plan, so it is computed on its own only when the duality fails
-    before that plan exists.
+    path's plan and the DP size comes from the among path when it can, so
+    each is computed on its own only when the duality fails before it
+    exists.
 
-    A caterpillar class builds one chain.  When the round trip returned
-    ``t`` itself and the plan contracts nothing, the among path runs through
-    every segment, so its 'simple' validation is the 'compatible' one; if it
-    also has the DP witness's size, it is the compatible path the witness
-    gives (``among_path`` chains ``max_caterpillar`` of the same tree), and
-    ``compatible_path`` is not called."""
-    witness = max_caterpillar(t)
+    A caterpillar class builds one witness and one chain.  When the round
+    trip returned ``t`` itself and the plan contracts nothing, the plan has
+    checked that ``max_caterpillar(t)`` has every edge, and the among path
+    chains that witness through every segment: its size is the DP size, and
+    its 'simple' validation is the 'compatible' one, so ``compatible_path``
+    is not called.  Any other class computes ``max_caterpillar(t)`` once."""
     brute = brute_max_caterpillar(t)
-    score = None
+    score = size = None
     failure = step = "round trip"
     try:
         family = tree_to_segments(t, 0)
@@ -451,10 +452,12 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
             step = "among"
             path, plan = among_path(family)
             score = plan.target_size
-            if not (
-                same and not plan.contract_sequence and path.k == witness.size
-            ):
+            if same and not plan.contract_sequence:
+                size = path.k
+            else:
                 step = "compatible"
+                witness = max_caterpillar(t)
+                size = witness.size
                 # the witness must name the family's cells, which are back's ids
                 compatible_path(family, witness if same else max_caterpillar(back))
             failure = None
@@ -462,7 +465,9 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
         failure = f"{step}: {type(exc).__name__}: {exc}"
     if score is None:
         score = max_caterpillar_by_contraction(t)
-    return score, brute, witness.size == brute, failure
+    if size is None:
+        size = max_caterpillar(t).size
+    return score, brute, size == brute, failure
 
 
 def _verdict(
@@ -538,7 +543,8 @@ def verify_all(
 ) -> VerificationReport:
     """Re-derive the package's guarantees and constructions from scratch
     and compare.  ``branch_size_override`` substitutes claimed branch
-    sizes, which is how the tests prove a wrong table cannot slip through.
+    sizes, which is how the tests prove a wrong table cannot slip through;
+    its keys must lie in 1..``max_score``, the scores that are checked.
 
     Every free tree class with 1 to ``max_edges`` edges goes through one
     ``_check_tree``, and each edge count's rows are minima over those
@@ -557,6 +563,8 @@ def verify_all(
         raise ValueError(f"max_score must be at most {MAX_SCORE}")
     workers = min(workers, os.cpu_count() or 1)
     claimed = dict(branch_size_override or {})
+    if any(not 1 <= k <= max_score for k in claimed):
+        raise ValueError(f"branch_size_override keys must lie in 1..{max_score}")
     records: list[CheckRecord] = []
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None

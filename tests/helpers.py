@@ -466,6 +466,25 @@ def fold_by_lists(m: int, checks) -> list:
     return rows
 
 
+def extremal_size_induced_by_residues(k: int) -> int:
+    """``extremal_size_induced(k)`` for k >= 15 by one closed form per
+    residue of k mod 6, as the library computed it before every threshold
+    became ``branch_star_bound``."""
+    assert k >= 15
+    r = k % 6
+    if r == 0:
+        return 3 * (11 * 3 ** ((k - 12) // 6) - 1)
+    if r == 1:
+        return 5 * (47 * 3 ** ((k - 19) // 6) - 1) // 2
+    if r == 2:
+        return 3 * (47 * 3 ** ((k - 20) // 6) - 1)
+    if r == 3:
+        return 5 * (23 * 3 ** ((k - 15) // 6) - 1) // 2
+    if r == 4:
+        return 3 * (23 * 3 ** ((k - 16) // 6) - 1)
+    return 5 * (11 * 3 ** ((k - 11) // 6) - 1) // 2
+
+
 def ceil_6log3_by_steps(num: int, den: int) -> int:
     """The least j with den^6 * 3^j >= num^6, counting up from j = 0."""
     j, power, target = 0, den**6, num**6

@@ -244,6 +244,33 @@ def test_analyze_bad_file(capsys, tmp_path):
     )
 
 
+def test_analyze_names_a_file_that_is_not_utf8(capsys, tmp_path):
+    binary = tmp_path / "tree.bin"
+    binary.write_bytes(b"0 1\n\xff\n")
+    assert run(capsys, "analyze", "--tree", str(binary)) == (
+        1, "", f"catbound: error: cannot read {binary}: not UTF-8 text\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["build", "dual", "path", "render"])
+def test_unwritable_out_exits_one_naming_the_file(capsys, tmp_path, command):
+    tree_file = tmp_path / "t.txt"
+    tree_file.write_text("0 1\n1 2\n")
+    seg_file = tmp_path / "fam.json"
+    seg_file.write_text('{"n": 2, "segments": [[0, 1], [2, 3]]}')
+    argv = {
+        "build": ["build", "rk", "--k", "3"],
+        "dual": ["dual", "to-segments", "--tree", str(tree_file)],
+        "path": ["path", "among", "--segments", str(seg_file)],
+        "render": ["render", "--segments", str(seg_file)],
+    }[command]
+    for out in (tmp_path, tmp_path / "missing" / "x.txt"):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"catbound: error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # dual and path, chained through files
 # ----------------------------------------------------------------------
@@ -539,6 +566,26 @@ def test_verify_corruption_exits_two(capsys):
     )
     assert code == 2
     assert "FAIL" in out
+    # the largest checked score can be corrupted too
+    code, out, _ = run(
+        capsys, "verify", "--max-edges", "2", "--max-k", "9",
+        "--sweep", "500", "--corrupt-f", "9",
+    )
+    assert code == 2
+    assert "FAIL branch-size" in out
+
+
+@pytest.mark.parametrize("k", ["10", "0", "-3", str(10**8)])
+def test_verify_refuses_corrupt_f_outside_the_checked_scores(capsys, monkeypatch, k):
+    # refused before the branch size of K is computed, or anything checked
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated before the refusal")
+
+    monkeypatch.setattr(cli, "max_branch_size", never)
+    monkeypatch.setattr(cli, "verify_all", never)
+    assert run(
+        capsys, "verify", "--max-edges", "3", "--max-k", "9", "--corrupt-f", k
+    ) == (1, "", "catbound: error: --corrupt-f must lie in 1..9, the --max-k range\n")
 
 
 def test_verify_json_output(capsys):

@@ -147,6 +147,16 @@ def test_plan_on_a_spider():
     assert ok and result.m == 5
 
 
+@pytest.mark.parametrize(
+    "t", [Tree(2, ((0, 1),)), path_tree(7), star_tree(6), spider_tree(1, 1, 3)]
+)
+def test_a_caterpillar_plans_to_itself(t):
+    plan = contract_to_caterpillar(t, t.m)
+    assert plan.kept_caterpillar is t
+    assert plan.contract_sequence == ()
+    assert plan.apply(t) == t
+
+
 def test_plan_rejects_out_of_range_targets():
     t = spider_tree(2, 2, 2)
     with pytest.raises(ValueError, match="outside"):

@@ -30,9 +30,10 @@ from catbound import (
     tree_from_profile,
     very_hungry_max,
 )
-from catbound.induced import _ceil_6log3
+from catbound.induced import _ceil_6log3, _star_shape
 from helpers import (
     ceil_6log3_by_steps,
+    extremal_size_induced_by_residues,
     induced_subtree,
     path_tree,
     spider_tree,
@@ -43,6 +44,18 @@ from helpers import (
 BRANCH_SIZES = [1, 2, 3, 5, 7, 11, 16, 23, 34, 49, 70]
 STAR_BOUNDS = [2, 3, 4, 6, 8, 10, 12, 15, 20, 25, 30, 35, 44]
 INDUCED_SIZES_15_TO_21 = [55, 66, 80, 96, 115, 138, 170]
+# (r, x) of the extremal star for k = 2..14; at k = 4, 8, 9 and 13 another
+# shape has as many edges
+STAR_SHAPES = [
+    (2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (4, 3),
+    (3, 4), (4, 4), (5, 4), (6, 4), (5, 5), (4, 6),
+]
+# (upper end, value) of each constant run of the guarantee for 5 <= m <= 170
+GUARANTEE_RUNS = [
+    (6, 5), (8, 6), (10, 7), (12, 8), (15, 9), (20, 10), (25, 11),
+    (30, 12), (35, 13), (44, 14), (55, 15), (66, 16), (80, 17),
+    (96, 18), (115, 19), (138, 20), (170, 21),
+]
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +188,34 @@ def test_extremal_stars_meet_their_bound(k):
     assert max_caterpillar(star).size == k
 
 
+def star_shapes(k: int) -> dict[tuple[int, int], int]:
+    """Edge count of every star of r >= 2 equal beautiful branches of
+    parameter x >= 1 whose spines through two branches have k edges:
+    2x + r - 2 = k."""
+    return {
+        (k + 2 - 2 * x, x): (k + 2 - 2 * x) * max_branch_size(x)
+        for x in range(1, k // 2 + 1)
+    }
+
+
+@pytest.mark.parametrize("k", range(2, 61))
+def test_star_bound_is_the_largest_star_of_equal_branches(k):
+    shapes = star_shapes(k)
+    best = max(shapes.values())
+    assert branch_star_bound(k) == best
+    assert shapes[_star_shape(k)] == best
+    ties = [shape for shape, edges in shapes.items() if edges == best]
+    assert len(ties) == (2 if k in (4, 8, 9, 13) else 1)
+
+
+def test_small_star_shapes_are_pinned():
+    assert [_star_shape(k) for k in range(2, 15)] == STAR_SHAPES
+    for k, (r, x) in enumerate(STAR_SHAPES, 2):
+        star = extremal_branch_star(k)
+        assert star.degrees[0] == r
+        assert star.m == r * max_branch_size(x)
+
+
 def test_removing_one_branch_leaves_the_smaller_star():
     star = extremal_branch_star(10)  # four branches of appetite 4
     assert star.m == 20
@@ -196,6 +237,21 @@ def test_induced_threshold_values():
     assert extremal_size_induced(0) == 0
     assert extremal_size_induced(1) == 1
     assert [extremal_size_induced(k) for k in range(15, 22)] == INDUCED_SIZES_15_TO_21
+
+
+def test_thresholds_match_the_residue_closed_forms():
+    for k in range(15, 3001):
+        assert extremal_size_induced(k) == extremal_size_induced_by_residues(k), k
+
+
+def test_guarantee_keeps_its_constant_runs_through_170():
+    assert [induced_guarantee(m) for m in range(1, 5)] == [1, 2, 3, 4]
+    lower = 5
+    for upper, value in GUARANTEE_RUNS:
+        assert [induced_guarantee(m) for m in range(lower, upper + 1)] == [
+            value
+        ] * (upper + 1 - lower)
+        lower = upper + 1
 
 
 def test_guarantee_small_values():

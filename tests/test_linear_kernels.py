@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import catbound.contraction as contraction
 import catbound.duality as duality
+import catbound.induced as induced
 import catbound.oracle as oracle
 import catbound.trees as trees
 from catbound import (
@@ -378,10 +379,31 @@ def test_among_path_on_every_small_caterpillar_class():
                 continue
             seen += 1
             cap, dpath, leaf_set = contraction._facts(t)
-            assert cap == t.m  # the rule among_path relies on
+            assert cap == t.m  # the rule the plan's shortcut relies on
+            # the shortcut lists what the general route would
             assert contraction._steps(t, cap, cap, dpath, leaf_set) == []
+            plan, witness = contraction._plan(t)
+            assert plan.contract_sequence == () and plan.kept_caterpillar is t
+            assert witness == max_caterpillar(t)
             assert_among_matches_subfamily(tree_to_segments(t, 0))
     assert seen == 1087  # the caterpillar classes of the m <= 12 census
+
+
+def test_census_runs_max_caterpillar_once_per_class_and_plan_with_steps(
+    monkeypatch,
+):
+    classes = [t for m in range(1, 10) for t in free_trees(m)]
+    plans = [contract_to_caterpillar(t, max_caterpillar_by_contraction(t)) for t in classes]
+    with_steps = sum(bool(plan.contract_sequence) for plan in plans)
+    assert (len(classes), with_steps) == (200, 49)  # 151 caterpillar classes
+    calls: list = []
+    for module in (induced, contraction, duality, oracle):
+        if hasattr(module, "max_caterpillar"):
+            count_calls(monkeypatch, module, "max_caterpillar", calls)
+    for t in classes:
+        _, _, agrees, failure = _check_tree(t)
+        assert agrees and failure is None
+    assert len(calls) == len(classes) + with_steps
 
 
 # ----------------------------------------------------------------------

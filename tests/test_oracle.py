@@ -225,6 +225,14 @@ def test_corrupted_branch_size_is_caught():
     assert "beautiful-tree" in bad_sections
 
 
+@pytest.mark.parametrize("k", [0, 13])
+def test_overrides_outside_the_checked_scores_are_refused(k):
+    with pytest.raises(ValueError, match=r"keys must lie in 1\.\.12"):
+        verify_all(
+            max_edges=2, max_score=12, sweep_limit=500, branch_size_override={k: 1}
+        )
+
+
 def test_workers_do_not_change_the_report():
     solo = verify_all(max_edges=7, max_score=8, sweep_limit=500)
     team = verify_all(max_edges=7, max_score=8, sweep_limit=500, workers=3)
