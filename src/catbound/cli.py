@@ -393,6 +393,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-edges must be at most {_SEARCH_LIMIT - 1}")
     if args.max_k > MAX_SCORE:
         raise ValueError(f"--max-k must be at most {MAX_SCORE}")
+    if args.sweep < 1:
+        raise ValueError("--sweep must be positive")
     # only k <= --max-k is checked, so any other K would corrupt nothing;
     # refused before its branch size, which has about K/6 digits, is computed
     if args.corrupt_f is not None and not 1 <= args.corrupt_f <= args.max_k:

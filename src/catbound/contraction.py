@@ -208,7 +208,9 @@ def _steps(
                 if e not in keep:
                     contracted.append(e)
                 stack.append(w)
-    return contracted + sorted(keep)[: cap - k]
+    if k < cap:  # surplus kept edges go in sorted order
+        contracted += sorted(keep)[: cap - k]
+    return contracted
 
 
 # ======================================================================

@@ -35,11 +35,19 @@ a partner array that proves the perfect matching, and a stack scan over
 labels 0..2n-1 that finds the first crossing, if any.  ``_structure`` finds
 every chord's cell in one O(n) scan with a stack of (closing label, cell)
 pairs, and ``_chain_cell`` orders a cell's chords in O(cell size).
-``validate_path`` checks labels against the range one by one only when the
-smallest or largest is out of it, and lists every crossing pair with one
-sweep over sorted endpoints, ``_crossing_pairs``, in O(k log k + K) for k
-chain edges and K pairs listed, so a broken path costs no more than its
-report.
+``_compatible_chain`` marks the witness's cells in a list and takes chord
+v - 1 for each marked cell v whose parent cell is marked too, so the
+witness's chords come out in order in O(n), with no sort.
+
+``validate_path`` accepts a valid path in O(n), ``_accepts``: the partner
+array the family keeps shows each segment position is a family pair, and
+one stack scan over the labels finds no crossing among the chain's edges
+and, in 'compatible' mode, the family's unused segments.  Only a path that
+fails that scan is reported, in O(k log k + K) for k chain edges and K
+crossing pairs listed: labels are checked against the range one by one only
+when the smallest or largest is out of it, and every crossing pair comes
+from one sweep over sorted endpoints, ``_crossing_pairs``, so a broken path
+costs no more than its report.
 
 Each path the library builds is validated exactly once, as it leaves its
 public constructor: ``compatible_path`` checks its chain in 'compatible'
@@ -124,6 +132,8 @@ class SegmentFamily:
                 raise ValueError(
                     f"segments ({y}, {x}) and ({top}, {partner[top]}) cross"
                 )
+        # kept like ``_cell_tree``: not a field, so ==, hash and repr ignore it
+        self.__dict__["_partner"] = partner
 
     @_lazy
     def segment_set(self) -> frozenset[tuple[int, int]]:
@@ -322,12 +332,15 @@ def realize_coordinates(s: SegmentFamily) -> GeometricRealization:
 def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport:
     """Check ``p`` against ``s``.  Mode 'simple' (alias 'among') checks the
     alternation structure and self-crossings; 'compatible' additionally
-    forbids crossing any family segment absent from the chain.  Crossings
-    take one sweep, O(k log k + K) for K crossing pairs."""
+    forbids crossing any family segment absent from the chain.  A valid path
+    is accepted by one O(n) scan, ``_accepts``; only a broken one is
+    reported, with one crossing sweep, O(k log k + K) for K crossing pairs."""
     if mode == "among":
         mode = "simple"
     if mode not in ("simple", "compatible"):
         raise ValueError(f"unknown mode {mode!r}")
+    if _accepts(s, p.endpoints, mode == "compatible"):
+        return PathReport(True, mode, ())
     issues: list[str] = []
     e = p.endpoints
     limit = 2 * s.n
@@ -357,6 +370,57 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
     for j, i in sorted((j, i) for i, j in crossings if j >= k):
         issues.append(f"chain edge {edges[i]} crosses unused segment {unused[j - k]}")
     return PathReport(not issues, mode, tuple(issues))
+
+
+def _accepts(s: SegmentFamily, e: tuple[int, ...], compatible: bool) -> bool:
+    """True when ``validate_path`` would find no issue with endpoints ``e``,
+    in O(n).  False hands the path to the reporter, which decides; valid
+    paths whose labels are not ints in a tuple land there too.
+
+    With labels in range and distinct and each segment position a family
+    pair, no connector is a segment, and two chords share a label only as
+    neighbours in the chain, which cannot cross.  The chords to keep apart
+    are the chain's segments, its connectors and, in 'compatible' mode, the
+    unused segments, those on labels the chain skips: the segments are then
+    every family pair, as they are when the chain visits every label.  Each
+    label ends at most one segment, ``other[x]``, and one connector,
+    ``link[x]`` (x itself for none).  A stack scan over the labels pushes
+    each chord's closing label as it opens; at each label it pops the chords
+    closing there first, then pushes those opening there, the outer one
+    first.  A pop that finds another label means that a chord opened inside
+    this one is still open: the two cross."""
+    partner: list[int] = s._partner
+    size = len(partner)
+    try:
+        if min(e) < 0 or max(e) >= size or len(set(e)) != len(e):
+            return False
+        if tuple(map(partner.__getitem__, e[::2])) != e[1::2]:
+            return False
+    except TypeError:  # labels that are not integers: the report says why
+        return False
+    if compatible or len(e) == size:
+        other = partner
+    else:
+        other = list(range(size))
+        for a, b in zip(e[::2], e[1::2]):
+            other[a], other[b] = b, a
+    link = list(range(size))
+    for a, b in zip(e[1:-1:2], e[2::2]):
+        link[a], link[b] = b, a
+    stack: list[int] = []  # the closing labels of the open chords
+    push, pop = stack.append, stack.pop
+    for x, y, z in zip(range(size), other, link):
+        if y < x and pop() != x or z < x and pop() != x:
+            return False
+        if y > x:
+            if z > y:
+                push(z)
+            push(y)
+            if x < z < y:
+                push(z)
+        elif z > x:
+            push(z)
+    return True
 
 
 # ======================================================================
@@ -425,54 +489,65 @@ def compatible_path(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
 def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
     """``compatible_path`` without the final validation, in st's labels."""
     t = st.tree
+    count = t.vertex_count
     vs = w.vertex_set
-    if not vs <= set(range(t.vertex_count)) or not vs.issuperset(w.spine):
+    inside = [v in vs for v in range(count)]
+    # every witness vertex is a cell exactly when each one got marked
+    if inside.count(True) != len(vs) or not vs.issuperset(w.spine):
         raise ValueError("witness does not fit this family's cell tree")
 
-    witness_chords = [v - 1 for u, v in t.edges if u in vs and v in vs]
-    witness_chords.sort()
+    # cell v > 0 lies behind chord v - 1, across from its parent cell
+    adjacency = t.adjacency
+    witness_chords = [
+        v - 1 for v in range(1, count) if inside[v] and inside[adjacency[v][0]]
+    ]
     if len(witness_chords) != w.size or w.size < 1:
         raise ValueError("witness size disagrees with its induced edges")
 
-    adjacency = t.adjacency
     spine = list(w.spine)
     if not spine:
         if w.size != 1:
             raise ValueError("empty spine only fits a single-segment witness")
         spine = [adjacency[witness_chords[0] + 1][0]]
-    spine_set = set(spine)
+    on_spine = [False] * count
+    for v in spine:
+        on_spine[v] = True
 
-    # chord -> cells it borders; split witness chords into spine connectors
-    # and per-cell leaf chords
-    link: dict[tuple[int, int], int] = {}
-    at_cell: dict[int, list[int]] = {c: [] for c in spine}
+    # split the witness chords into links between spine cells and the
+    # chords each spine cell carries on its own
+    links = 0
+    at_cell: dict[int, set[int]] = {c: set() for c in spine}
     for i in witness_chords:
         a, b = adjacency[i + 1][0], i + 1
-        if a in spine_set:
-            if b in spine_set:
-                link[(a, b)] = i
+        if on_spine[a]:
+            if on_spine[b]:
+                links += 1
             else:
-                at_cell[a].append(i)
-        elif b in spine_set:
-            at_cell[b].append(i)
+                at_cell[a].add(i)
+        elif on_spine[b]:
+            at_cell[b].add(i)
         else:
             raise ValueError(f"witness segment {st.chords[i]} misses the spine")
+    # consecutive spine cells are a cell and its parent, left through the
+    # child's chord
+    exits: list[int | None] = []
     for u, v in zip(spine, spine[1:]):
-        if ((u, v) if u < v else (v, u)) not in link:
+        child, parent = (v, u) if u < v else (u, v)
+        if adjacency[child][0] != parent:
             raise ValueError("spine cells are not joined by witness segments")
-    if len(link) != max(len(spine) - 1, 0):
+        exits.append(child - 1)
+    # a spine that came back to a cell would repeat a link of the tree, so
+    # past this check each cell, and its set below, comes up once
+    if links != len(exits):
         raise ValueError("witness segments join non-consecutive spine cells")
 
     out: list[tuple[int, int, int]] = []
     point: int | None = None
     entry: int | None = None
-    last = len(spine) - 1
-    for idx, cell in enumerate(spine):
-        wanted = set(at_cell[cell])
-        exit_chord = None
-        if idx < last:
-            v = spine[idx + 1]
-            exit_chord = link[(cell, v) if cell < v else (v, cell)]
+    exits.append(None)
+    for cell, exit_chord in zip(spine, exits):
+        wanted = at_cell[cell]
+        if exit_chord is not None:
             wanted.add(exit_chord)
         if entry is None and not wanted:
             raise ValueError("spine cell carries no witness segment")

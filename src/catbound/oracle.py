@@ -31,7 +31,11 @@ Guarantee functions are step functions of the edge budget, so the sweep
 section compares implementation and reference only at change points: both
 are nondecreasing, and the candidate set below contains every index where
 either side can step, hence agreement at the candidates (each checked with
-its predecessor) implies agreement everywhere in the range.
+its predecessor) implies agreement everywhere in the range.  Through
+m = 170 ``induced_guarantee`` inverts the extremal-star thresholds itself,
+so there the sweep compares it with the inversion of thresholds searched
+over every star shape (``_searched_thresholds``), and the extremal-star row
+checks each star's size against the same search.
 """
 
 from __future__ import annotations
@@ -314,6 +318,24 @@ def _branch_sizes(k: int) -> list[int]:
     return best
 
 
+def _searched_star_bound(k: int, sizes: list[int]) -> int:
+    """Largest edge count of r >= 2 equal branches of parameter x >= 1 glued
+    at a root whose induced caterpillar maximum is k, searched over every
+    such shape: a spine through two branches takes 2x + r - 2 edges, and
+    ``sizes[x]`` is the largest branch (``_branch_sizes``, x <= k / 2)."""
+    return max((k + 2 - 2 * x) * sizes[x] for x in range(1, k // 2 + 1))
+
+
+def _searched_thresholds(limit: int, sizes: list[int]) -> list[int]:
+    """``extremal_size_induced(k)`` by search, for k = 0, 1, ... up to the
+    first threshold that reaches ``limit``: k itself through k = 1, then
+    ``_searched_star_bound`` over the branch sizes ``sizes``."""
+    thresholds = [0, 1]
+    while thresholds[-1] < limit:
+        thresholds.append(_searched_star_bound(len(thresholds), sizes))
+    return thresholds
+
+
 # ======================================================================
 # guarantee sweep change points
 # ======================================================================
@@ -555,7 +577,7 @@ def verify_all(
     to the CPU count; above one, the checks run in a single process pool
     opened for the whole call.  The report does not depend on it.
     """
-    if max_edges < 1 or max_score < 1 or workers < 1:
+    if max_edges < 1 or max_score < 1 or sweep_limit < 1 or workers < 1:
         raise ValueError("bounds and worker count must be positive")
     if max_edges >= _SEARCH_LIMIT:
         raise ValueError(f"max_edges must be at most {_SEARCH_LIMIT - 1}")
@@ -574,7 +596,9 @@ def verify_all(
             mine, theirs = itertools.tee(free_trees(m))
             records += _fold(m, zip(mine, check(_check_tree, theirs)))
 
-    recurrence = _branch_sizes(max_score)
+    # one table serves the branch-size rows and the searched thresholds of
+    # the guarantee sweep, which reach m = 170 at k = 21, so at x <= 10
+    recurrence = _branch_sizes(max(max_score, 10))
     for k in range(1, max_score + 1):
         want = recurrence[k]
         got = claimed.get(k, max_branch_size(k))
@@ -615,7 +639,7 @@ def verify_all(
         found = max_caterpillar(star).size
         if (
             star.m != branch_star_bound(k)
-            or star.m != extremal_size_induced(k)
+            or star.m != _searched_star_bound(k, recurrence)
             or found != k
         ):
             bad = f"k={k}: {star.m} edges, caterpillar {found}"
@@ -640,10 +664,17 @@ def verify_all(
     )
 
     points = guarantee_change_points(sweep_limit)
+    searched = _searched_thresholds(170, recurrence)
     bad = None
     for m in points:
-        if induced_guarantee(m) != induced_guarantee_reference(m):
-            bad = f"m={m}: {induced_guarantee(m)} vs {induced_guarantee_reference(m)}"
+        # through m = 170 induced_guarantee inverts the table thresholds
+        # itself, so there it is checked against the searched ones
+        if m <= 170:
+            want = next(k for k, size in enumerate(searched) if size >= m)
+        else:
+            want = induced_guarantee_reference(m)
+        if induced_guarantee(m) != want:
+            bad = f"m={m}: {induced_guarantee(m)} vs {want}"
             break
     records.append(
         _verdict(

@@ -28,7 +28,13 @@ from catbound import (
     tree_from_pruefer,
 )
 from catbound.cli import _is_int, _read
-from catbound.duality import _checked, _compatible_chain, _crossing_pairs, _Structure
+from catbound.duality import (
+    _chain_cell,
+    _checked,
+    _compatible_chain,
+    _crossing_pairs,
+    _Structure,
+)
 from catbound.oracle import _verdict
 from catbound.trees import _EdgeError, _rooted
 
@@ -745,6 +751,106 @@ def validate_path_by_min_max(s: SegmentFamily, p: AlternatingPath, mode: str) ->
     unused = []
     if mode == "compatible":
         used = {(min(a, b), max(a, b)) for a, b in edges}
+        unused = [seg for seg in s.pairs if seg not in used]
+    k = len(edges)
+    crossings = _crossing_pairs(edges + unused)
+    for i, j in crossings:
+        if j < k:
+            issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
+    for j, i in sorted((j, i) for i, j in crossings if j >= k):
+        issues.append(f"chain edge {edges[i]} crosses unused segment {unused[j - k]}")
+    return PathReport(not issues, mode, tuple(issues))
+
+
+def compatible_chain_by_edge_scan(st_: _Structure, w: CaterpillarWitness) -> AlternatingPath:
+    """``duality._compatible_chain`` checking the witness against a set of
+    every cell and finding its chords with a scan over every tree edge and a
+    sort."""
+    t = st_.tree
+    vs = w.vertex_set
+    if not vs <= set(range(t.vertex_count)) or not vs.issuperset(w.spine):
+        raise ValueError("witness does not fit this family's cell tree")
+
+    witness_chords = [v - 1 for u, v in t.edges if u in vs and v in vs]
+    witness_chords.sort()
+    if len(witness_chords) != w.size or w.size < 1:
+        raise ValueError("witness size disagrees with its induced edges")
+
+    adjacency = t.adjacency
+    spine = list(w.spine)
+    if not spine:
+        if w.size != 1:
+            raise ValueError("empty spine only fits a single-segment witness")
+        spine = [adjacency[witness_chords[0] + 1][0]]
+    spine_set = set(spine)
+
+    link: dict = {}
+    at_cell: dict = {c: [] for c in spine}
+    for i in witness_chords:
+        a, b = adjacency[i + 1][0], i + 1
+        if a in spine_set:
+            if b in spine_set:
+                link[(a, b)] = i
+            else:
+                at_cell[a].append(i)
+        elif b in spine_set:
+            at_cell[b].append(i)
+        else:
+            raise ValueError(f"witness segment {st_.chords[i]} misses the spine")
+    for u, v in zip(spine, spine[1:]):
+        if ((u, v) if u < v else (v, u)) not in link:
+            raise ValueError("spine cells are not joined by witness segments")
+    if len(link) != max(len(spine) - 1, 0):
+        raise ValueError("witness segments join non-consecutive spine cells")
+
+    out: list = []
+    point = None
+    entry = None
+    last = len(spine) - 1
+    for idx, cell in enumerate(spine):
+        wanted = set(at_cell[cell])
+        exit_chord = None
+        if idx < last:
+            v = spine[idx + 1]
+            exit_chord = link[(cell, v) if cell < v else (v, cell)]
+            wanted.add(exit_chord)
+        if entry is None and not wanted:
+            raise ValueError("spine cell carries no witness segment")
+        if wanted:
+            out += _chain_cell(st_.cell_cycles[cell], wanted, entry, point, exit_chord)
+            point = out[-1][2]
+        entry = exit_chord
+
+    endpoints = [x for _, a, b in out for x in (a, b)]
+    return AlternatingPath(tuple(endpoints), w.size)
+
+
+def validate_path_by_sweep(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport:
+    """``validate_path`` with no accepting scan: every path, valid or not,
+    goes through the segment lookups and the ``_crossing_pairs`` sweep."""
+    if mode == "among":
+        mode = "simple"
+    if mode not in ("simple", "compatible"):
+        raise ValueError(f"unknown mode {mode!r}")
+    issues: list = []
+    e = p.endpoints
+    limit = 2 * s.n
+    if min(e) < 0 or max(e) >= limit:
+        for x in e:
+            if not 0 <= x < limit:
+                issues.append(f"label {x} out of range 0..{limit - 1}")
+    if len(set(e)) != len(e):
+        dups = sorted(x for x, count in Counter(e).items() if count > 1)
+        issues.append(f"repeated labels {dups}")
+    family = s.segment_set
+    for i in range(0, len(e) - 1, 2):
+        a, b = e[i], e[i + 1]
+        if ((a, b) if a <= b else (b, a)) not in family:
+            issues.append(f"position {i}: ({a}, {b}) is not a segment")
+    edges = p.edges()
+    unused = []
+    if mode == "compatible":
+        used = {(a, b) if a <= b else (b, a) for a, b in edges}
         unused = [seg for seg in s.pairs if seg not in used]
     k = len(edges)
     crossings = _crossing_pairs(edges + unused)

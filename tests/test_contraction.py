@@ -22,6 +22,7 @@ from catbound import (
     max_caterpillar_by_contraction,
     max_edges_diameter_leaves,
 )
+import catbound.contraction as contraction
 from catbound.contraction import _contract_all
 from helpers import path_tree, spider_tree, star_tree, trees
 
@@ -203,3 +204,23 @@ def test_score_is_always_reachable(t):
     assert cap >= contraction_guarantee(t.m)
     result = contract_to_caterpillar(t, cap).apply(t)
     assert is_caterpillar(result)[0]
+
+
+def test_only_plans_below_the_score_sort_the_kept_edges(monkeypatch):
+    sorts = []
+
+    def counting(items):
+        sorts.append(1)
+        return sorted(items)
+
+    monkeypatch.setattr(contraction, "sorted", counting, raising=False)
+    t = spider_tree(3, 2, 2, 1)
+    cap = max_caterpillar_by_contraction(t)
+    full = contract_to_caterpillar(t, cap)
+    assert sorts == [] and full.contract_sequence
+    smaller = contract_to_caterpillar(t, cap - 2)
+    assert len(sorts) == 1
+    # the surplus follows the same contractions, smallest kept edges first
+    assert smaller.contract_sequence[: len(full.contract_sequence)] == full.contract_sequence
+    surplus = [step.edge for step in smaller.contract_sequence[len(full.contract_sequence) :]]
+    assert surplus == [(0, 1), (0, 4)]

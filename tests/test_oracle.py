@@ -2,6 +2,7 @@
 
 import pytest
 
+import catbound.induced as induced
 import catbound.oracle as oracle
 
 from catbound import (
@@ -393,6 +394,37 @@ def test_scores_past_the_cap_are_refused_before_any_spider_is_built(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"catbound: error: --max-k must be at most {cap}\n"
+
+
+def test_sweep_below_one_is_refused_before_enumerating(monkeypatch, capsys):
+    def never(m):
+        raise LookupError("trees were enumerated")
+
+    monkeypatch.setattr(oracle, "free_trees", never)
+    with pytest.raises(ValueError, match="must be positive"):
+        verify_all(max_edges=14, sweep_limit=0)
+    with pytest.raises(LookupError):  # a sweep of 1 passes the check
+        verify_all(max_edges=14, sweep_limit=1)
+    assert main(["verify", "--max-edges", "14", "--sweep", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "catbound: error: --sweep must be positive\n"
+
+
+def test_a_wrong_star_shape_fails_both_star_rows(monkeypatch, capsys, request):
+    # five single edges at k = 5 have 5 edges and caterpillar 5, as the table
+    # then says, but three branches of parameter 2 have 6: only the search
+    # over every shape, and the guarantee it inverts at m = 6, can tell
+    shape = induced._star_shape
+    monkeypatch.setattr(induced, "_star_shape", lambda k: (5, 1) if k == 5 else shape(k))
+    induced.extremal_size_induced.cache_clear()
+    request.addfinalizer(induced.extremal_size_induced.cache_clear)
+    assert main(["verify", "--max-edges", "3", "--max-k", "8", "--sweep", "500"]) == 2
+    rows = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()[:-1]}
+    assert rows["extremal-branch-star"].startswith("FAIL")
+    assert "actual k=5: 5 edges, caterpillar 5" in rows["extremal-branch-star"]
+    assert rows["guarantee-sweep"].startswith("FAIL")
+    assert "actual m=6: 6 vs 5" in rows["guarantee-sweep"]
 
 
 def test_branch_size_table_is_built_once_per_run(monkeypatch):

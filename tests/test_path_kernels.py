@@ -1,0 +1,210 @@
+"""Path validation and compatible chains against their sweep-based versions.
+
+``validate_path`` accepts a valid path with one stack scan over the labels
+and sends only a path that fails it through the segment lookups and the
+crossing sweep; ``_compatible_chain`` marks the witness in lists and reads
+its chords off parent cells.  Each must reproduce the version it replaced
+(kept in ``helpers``): the same chain or the same ``ValueError``, and the
+same ``PathReport``, issues in the same order, on every census class
+through 10 edges and on broken paths over 250- to 1000-segment families.
+A valid path never reaches the sweep.
+"""
+
+import random
+
+import pytest
+
+import catbound.duality as duality
+from catbound import (
+    AlternatingPath,
+    CaterpillarWitness,
+    among_path,
+    compatible_path,
+    free_trees,
+    max_caterpillar,
+    tree_from_pruefer,
+    tree_to_segments,
+    validate_path,
+)
+from catbound.duality import _compatible_chain
+from helpers import compatible_chain_by_edge_scan, path_tree, validate_path_by_sweep
+
+MODES = ("simple", "compatible")
+
+
+def census_families():
+    """The family of every census class through 10 edges, as the census
+    builds it: rooted at 0, so its cell tree is the class's own tree."""
+    for m in range(1, 11):
+        for t in free_trees(m):
+            yield tree_to_segments(t, 0)
+
+
+def large_family(name: str):
+    shape, n = name.split("-")
+    n = int(n)
+    if shape == "path":
+        return tree_to_segments(path_tree(n + 1), 0)
+    rng = random.Random(name)
+    t = tree_from_pruefer(tuple(rng.randrange(n + 1) for _ in range(n - 1)), n + 1)
+    return tree_to_segments(t, 0)
+
+
+def reports(family, endpoints) -> list:
+    """Both modes' reports, each checked against the sweep's."""
+    path = AlternatingPath(tuple(endpoints), len(endpoints) // 2)
+    out = []
+    for mode in MODES:
+        report = validate_path(family, path, mode)
+        assert report == validate_path_by_sweep(family, path, mode)
+        out.append(report)
+    return out
+
+
+def broken_paths(e: tuple, limit: int, rng: random.Random) -> dict:
+    """Variants of a valid chain ``e``, by the fault each puts in."""
+    k = len(e) // 2
+    j, j2 = rng.sample(range(k), 2) if k > 1 else (0, 0)
+    i, i2 = rng.sample(range(2 * k), 2)
+    out = {
+        "reversed segment": e[: 2 * j] + (e[2 * j + 1], e[2 * j]) + e[2 * j + 2 :],
+        "out-of-range label": e[:i] + (rng.choice([-1, limit, limit + 5]),) + e[i + 1 :],
+        "repeated label": e[:i] + (e[i2],) + e[i + 1 :],
+        "closed chain": e[:-1] + e[:1],  # last edge ends where the first starts
+    }
+    if k > 1:
+        c = 2 * rng.randrange(k - 1) + 1  # connector (e[c], e[c + 1])
+        out["swapped connector ends"] = e[:c] + (e[c + 1], e[c]) + e[c + 2 :]
+        # a connector running back along the segment before it
+        out["shared endpoint"] = e[: c + 1] + (e[c - 1],) + e[c + 2 :]
+        a, b = 2 * j + 1, 2 * j2 + 1
+        swapped = list(e)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        out["not a segment"] = tuple(swapped)
+        out["segment dropped"] = e[: 2 * j] + e[2 * j + 2 :]
+    return out
+
+
+def test_every_census_class_chains_like_the_edge_scan():
+    for family in census_families():
+        st_ = family._struct
+        witness = max_caterpillar(st_.tree)
+        assert _compatible_chain(st_, witness) == compatible_chain_by_edge_scan(
+            st_, witness
+        )
+
+
+def test_valid_paths_never_reach_the_crossing_sweep(monkeypatch):
+    def never(chords):
+        raise AssertionError("a valid path reached the crossing sweep")
+
+    monkeypatch.setattr(duality, "_crossing_pairs", never)
+    families = list(census_families())
+    families += [large_family(name) for name in ("pruefer-1000", "path-1000")]
+    for family in families:
+        chain = compatible_path(family, max_caterpillar(family._struct.tree))
+        among = among_path(family)[0]
+        assert [r.ok for r in reports(family, chain.endpoints)] == [True, True]
+        assert validate_path(family, among, "simple").ok
+
+
+def test_every_census_class_reports_broken_paths_like_the_sweep():
+    rng = random.Random(15)
+    for family in census_families():
+        chain = compatible_path(family, max_caterpillar(family._struct.tree))
+        among = among_path(family)[0]
+        for e in (chain.endpoints, among.endpoints):
+            reports(family, e)  # the among chain may cross unused segments
+            for bad in broken_paths(e, 2 * family.n, rng).values():
+                reports(family, bad)
+
+
+@pytest.mark.parametrize("name", ["pruefer-250", "pruefer-1000", "path-250", "path-1000"])
+def test_large_families_report_broken_paths_like_the_sweep(name):
+    family = large_family(name)
+    rng = random.Random(name)
+    chain = compatible_path(family, max_caterpillar(family._struct.tree)).endpoints
+    among = among_path(family)[0].endpoints
+    issues = []
+    for e in (chain, among):
+        for r in reports(family, e):
+            issues += r.issues
+        for fault, bad in broken_paths(e, 2 * family.n, rng).items():
+            simple, compatible = reports(family, bad)
+            # a reversed or dropped segment may still leave a valid path
+            assert not compatible.ok or fault.startswith(("reversed", "segment"))
+            issues += compatible.issues
+    # every kind of issue the reporter writes came up
+    for kind in (
+        "out of range",
+        "repeated labels",
+        "is not a segment",
+        "chain edges",
+        "crosses unused segment",
+    ):
+        assert any(kind in issue for issue in issues), kind
+
+
+def outcome(build):
+    try:
+        return "ok", build().endpoints
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def witness_variants(w: CaterpillarWitness, count: int, rng: random.Random) -> list:
+    """The witness itself and faulty or reshaped copies of it, each with
+    vertex set, spine and size."""
+    vs, spine, size = w.vertex_set, w.spine, w.size
+    leaves = sorted(vs - set(spine))
+    others = sorted(set(range(count)) - vs)
+    out = [
+        (vs, spine, size),
+        (vs, spine[::-1], size),
+        (vs | {count}, spine, size),
+        (vs | {-1}, spine, size),
+        (vs, spine, size + 1),
+        (vs, spine, 0),
+        (vs, (), size),
+        (vs, spine[1:], size),
+        (vs, spine[:-1], size),
+        (vs, spine + spine[-2:-1], size),  # back to a cell already visited
+        (vs, spine[::2], size),
+    ]
+    if leaves:
+        out.append((vs - {leaves[0]}, spine, size - 1))
+    if others:
+        out.append((vs | {others[0]}, spine, size))
+        out.append((vs, spine + (others[0],), size))
+    cells = list(range(count))
+    for _ in range(4):  # random cells, mostly not a caterpillar
+        picked = frozenset(rng.sample(cells, rng.randint(1, count)))
+        order = rng.sample(sorted(picked), rng.randint(0, len(picked)))
+        out.append((picked, tuple(order), rng.randint(0, count)))
+    return [(frozenset(v), tuple(s), z) for v, s, z in out]
+
+
+def assert_witnesses_chain_like_the_edge_scan(family, rng) -> None:
+    st_ = family._struct
+    count = st_.tree.vertex_count
+    for variant in witness_variants(max_caterpillar(st_.tree), count, rng):
+        w = CaterpillarWitness(*variant)
+        assert outcome(lambda: _compatible_chain(st_, w)) == outcome(
+            lambda: compatible_chain_by_edge_scan(st_, w)
+        )
+
+
+def test_faulty_witnesses_raise_like_the_edge_scan_on_census_classes():
+    rng = random.Random(7)
+    for family in census_families():
+        if family.n <= 8:
+            assert_witnesses_chain_like_the_edge_scan(family, rng)
+    # a single-segment witness may leave its spine empty
+    family = tree_to_segments(path_tree(4), 0)
+    w = CaterpillarWitness(frozenset({1, 2}), (), 1)
+    assert outcome(lambda: _compatible_chain(family._struct, w))[0] == "ok"
+
+
+@pytest.mark.parametrize("name", ["pruefer-250", "path-250"])
+def test_faulty_witnesses_raise_like_the_edge_scan_at_scale(name):
+    assert_witnesses_chain_like_the_edge_scan(large_family(name), random.Random(name))
