@@ -389,12 +389,18 @@ def _cmd_path(args) -> int:
 def _cmd_verify(args) -> int:
     # refused here so that the message names the flag, not verify_all's
     # parameter; the library keeps its own checks
+    if args.max_edges < 1:
+        raise ValueError("--max-edges must be positive")
     if args.max_edges >= _SEARCH_LIMIT:
         raise ValueError(f"--max-edges must be at most {_SEARCH_LIMIT - 1}")
+    if args.max_k < 1:
+        raise ValueError("--max-k must be positive")
     if args.max_k > MAX_SCORE:
         raise ValueError(f"--max-k must be at most {MAX_SCORE}")
     if args.sweep < 1:
         raise ValueError("--sweep must be positive")
+    if args.workers < 1:
+        raise ValueError("--workers must be positive")
     # only k <= --max-k is checked, so any other K would corrupt nothing;
     # refused before its branch size, which has about K/6 digits, is computed
     if args.corrupt_f is not None and not 1 <= args.corrupt_f <= args.max_k:
@@ -422,6 +428,8 @@ def _cmd_render(args) -> int:
     if (args.segments is None) == (args.tree is None):
         raise ValueError("render needs exactly one of --segments or --tree")
     if args.segments is not None:
+        if args.root is not None:
+            raise ValueError("--root goes with --tree")
         family = _load_family(args.segments)
         chain = None
         if args.path is not None:

@@ -27,7 +27,9 @@ and lists no steps.
 Plans are O(n) to build and to apply.  A step records only its edge in the
 source labeling.  The final tree comes from one union-find pass over all the
 contracted edges, relabelling each merged class by the rank of its smallest
-source id; that is the labeling repeated ``trees.contract_edge`` calls give,
+source id.  That is the labeling a replay of single contractions gives, each
+keeping the smaller id of its edge and shifting the higher ids down (the
+tests replay plans through such a ``contract_edge``, in ``tests/helpers.py``),
 without building a tree per step.
 """
 
@@ -77,9 +79,10 @@ def _contract_all(t: Tree, edges: Iterable[tuple[int, int]]) -> Tree:
     """Contract ``edges`` of ``t`` in order, in one union-find pass.
 
     Each merged class takes the rank of its smallest original id among all
-    classes, which is the labeling repeated ``contract_edge`` produces: a
-    contraction keeps the smaller of two current ids and shifts the higher
-    ones down, so current ids always rank the classes by smallest member.
+    classes, which is what a replay of single contractions gives: each one
+    keeps the smaller of two current ids and shifts the higher ones down, so
+    current ids always rank the classes by smallest member (the tests'
+    reference is ``contract_edge`` in ``tests/helpers.py``).
     Raises ValueError on a step that is not a pair of ends of an edge of
     ``t``, or on an edge whose ends are already merged.
     """

@@ -29,44 +29,20 @@ visits the chords before it, jumps to the far end, sweeps back, and leaves
 through the exit chord (the jump connector nests the skipped intervals
 instead of interleaving them).
 
-A family is checked in O(n log n): one sort of its normalised pairs (a pair
-that is not two comparable labels fails the perfect-matching check there),
-a partner array that proves the perfect matching, and a stack scan over
-labels 0..2n-1 that finds the first crossing, if any.  ``_structure`` finds
-every chord's cell in one O(n) scan with a stack of (closing label, cell)
-pairs, and ``_chain_cell`` orders a cell's chords in O(cell size).
-``_compatible_chain`` marks the witness's cells in a list and takes chord
-v - 1 for each marked cell v whose parent cell is marked too, so the
-witness's chords come out in order in O(n), with no sort.
-
-``validate_path`` accepts a valid path in O(n), ``_accepts``: the partner
-array the family keeps shows each segment position is a family pair, and
-one stack scan over the labels finds no crossing among the chain's edges
-and, in 'compatible' mode, the family's unused segments.  Only a path that
-fails that scan is reported, in O(k log k + K) for k chain edges and K
-crossing pairs listed: labels are checked against the range one by one only
-when the smallest or largest is out of it, and every crossing pair comes
-from one sweep over sorted endpoints, ``_crossing_pairs``, so a broken path
-costs no more than its report.
+Costs: a family is checked in O(n log n), its cells (``_structure``) are
+found in O(n), and a compatible chain is built in O(n).  ``validate_path``
+accepts a valid path in O(n) and reports a broken one in O(k log k + K)
+for k chain edges and K crossing pairs, so a report costs no more than
+what it lists.
 
 Each path the library builds is validated exactly once, as it leaves its
 public constructor: ``compatible_path`` checks its chain in 'compatible'
-mode, and ``among_path`` chains the kept chords in the family's own labels
-and checks the result in 'simple' mode.  A failed check raises
-``AssertionError``: it means the construction is wrong, not the input.
-
-A tree is built for a family's cells only when none is known.
-``tree_to_segments`` on a tree labelled in its own walk's preorder (root 0,
-children ascending, as ``free_trees`` yields them) numbers each cell by the
-vertex it came from, so that tree becomes the family's cell tree once
-``_structure`` has checked that the cells have exactly its edges: the round
-trip returns the input tree itself.  Likewise the contracted cell tree of
-``among_path``'s plan is the kept chords' structure, after the same check.
-A cell tree that is already a caterpillar has a plan with no steps, so it
-keeps the family's own tree and structure.  The plan comes with the largest
-induced caterpillar of the tree it reaches, which ``among_path`` chains: that
-witness having every edge is the plan's check that the tree is a
-caterpillar (``contraction._plan``).
+mode and ``among_path`` checks its chain in 'simple' mode.  A failed check
+raises ``AssertionError``: it means the construction is wrong, not the
+input.  A tree is built for a family's cells only when none is known: the
+tree ``tree_to_segments`` came from, or the contracted tree of
+``among_path``'s plan, becomes the cell tree once ``_structure`` has
+checked its edges.
 """
 
 from __future__ import annotations

@@ -287,6 +287,10 @@ def induced_guarantee_reference(m: int) -> int:
     return k
 
 
+#: the largest m at which ``induced_guarantee`` inverts the thresholds; the
+#: residue closed forms take over from the next m on
+_INVERTED_THROUGH = 170
+
 # residue r -> (c, s, gamma, add): the guarantee restricted to k = r (mod 6)
 # is 6 * floor(N / 6) + r with N = ceil(6 * log3((c*m + s) / gamma)) + add
 _RESIDUE_PARAMS = {
@@ -318,8 +322,8 @@ def induced_guarantee_residue(r: int, m: int) -> int:
     by the exact closed form (valid for m >= 171)."""
     if not 0 <= r <= 5:
         raise ValueError("residue out of range 0..5")
-    if m < 171:
-        raise ValueError("closed forms apply for m >= 171")
+    if m <= _INVERTED_THROUGH:
+        raise ValueError(f"closed forms apply for m >= {_INVERTED_THROUGH + 1}")
     c, s, gamma, add = _RESIDUE_PARAMS[r]
     n_val = _ceil_6log3(c * m + s, gamma) + add
     return 6 * (n_val // 6) + r
@@ -332,7 +336,7 @@ def induced_guarantee(m: int) -> int:
     everywhere."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m <= 170:
+    if m <= _INVERTED_THROUGH:
         return induced_guarantee_reference(m)
     return max(induced_guarantee_residue(r, m) for r in range(6))
 

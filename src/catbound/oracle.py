@@ -57,6 +57,8 @@ from .contraction import (
 )
 from .duality import among_path, compatible_path, segments_to_tree, tree_to_segments
 from .induced import (
+    _INVERTED_THROUGH,
+    _RESIDUE_PARAMS,
     beautiful_tree,
     branch_star_bound,
     extremal_branch_star,
@@ -68,12 +70,6 @@ from .induced import (
     very_hungry_max,
 )
 from .trees import Tree, canonical_code
-
-#: isomorphism classes of trees with 0, 1, 2, ... edges (A000055 shifted);
-#: ``_free_tree_count`` computes every entry and the census uses it
-FREE_TREE_COUNTS = (
-    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629,
-)
 
 #: trees per task sent to a worker: enough to hide the pickling round trip,
 #: few enough that both workers finish an edge count at about the same time
@@ -111,6 +107,10 @@ def _free_tree_count(m: int) -> int:
     if n % 2 == 0:
         pairs -= r[n // 2]
     return r[n] - pairs // 2
+
+
+#: isomorphism classes of trees with 0, 1, ..., 16 edges
+FREE_TREE_COUNTS = tuple(_free_tree_count(m) for m in range(17))
 
 
 def _levels_to_tree(layout: list[int]) -> Tree:
@@ -369,7 +369,8 @@ def guarantee_change_points(limit: int) -> list[int]:
     candidate so each constant interval gets its endpoints checked."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    pts = {1, 2, 3, 4, 5, 170, 171, 172, limit}
+    last = _INVERTED_THROUGH
+    pts = {1, 2, 3, 4, 5, last, last + 1, last + 2, limit}
     k = 1
     while True:
         e = extremal_size_induced(k)
@@ -377,8 +378,6 @@ def guarantee_change_points(limit: int) -> list[int]:
         if e >= limit:
             break
         k += 1
-    from .induced import _RESIDUE_PARAMS
-
     for c, s, gamma, _add in _RESIDUE_PARAMS.values():
         g6 = gamma**6
         j = 0
@@ -664,12 +663,12 @@ def verify_all(
     )
 
     points = guarantee_change_points(sweep_limit)
-    searched = _searched_thresholds(170, recurrence)
+    searched = _searched_thresholds(_INVERTED_THROUGH, recurrence)
     bad = None
     for m in points:
-        # through m = 170 induced_guarantee inverts the table thresholds
+        # through that m induced_guarantee inverts the table thresholds
         # itself, so there it is checked against the searched ones
-        if m <= 170:
+        if m <= _INVERTED_THROUGH:
             want = next(k for k, size in enumerate(searched) if size >= m)
         else:
             want = induced_guarantee_reference(m)

@@ -12,12 +12,6 @@ if an earlier edge equals it and closes a cycle otherwise, and a repeated
 edge always lands there, because its first copy joined its ends.  Edges are
 stored sorted, so each adjacency list comes out ascending without a sort.
 
-Operations that shrink the vertex set -- edge contraction and vertex
-removal -- return explicit old-to-new id mappings so callers can track
-witnesses across transformations.  ``contract_edge`` rebuilds the whole tree,
-so contracting many edges goes through one union-find pass instead (see
-``contraction``).
-
 Kernels that root the tree share ``_rooted``, one breadth-first pass with
 neighbours in ascending order: centroids and canonical codes here,
 ``very_hungry_max`` and ``render_tree`` elsewhere.  ``diameter_path`` and
@@ -380,77 +374,6 @@ def diameter_path(t: Tree) -> tuple[int, ...]:
 def diameter(t: Tree) -> int:
     """Edge count of a longest path."""
     return len(diameter_path(t)) - 1
-
-
-# ======================================================================
-# transformations
-# ======================================================================
-
-
-def contract_edge(t: Tree, edge: tuple[int, int]) -> tuple[Tree, dict[int, int]]:
-    """Contract one edge; the merged vertex keeps the smaller id and higher
-    ids shift down to stay dense.  Returns the new tree and the old-to-new
-    vertex mapping.  Raises ValueError unless ``edge`` is a pair of ends of
-    an edge of ``t``."""
-    try:
-        u, v = edge
-    except ValueError:  # not a pair, so not an edge
-        raise ValueError(f"{edge} is not an edge") from None
-    if u > v:
-        u, v = v, u
-    if (u, v) not in t.edge_set:
-        raise ValueError(f"({u}, {v}) is not an edge")
-    mapping: dict[int, int] = {}
-    for x in range(t.vertex_count):
-        if x == v:
-            mapping[x] = u
-        elif x > v:
-            mapping[x] = x - 1
-        else:
-            mapping[x] = x
-    new_edges = [
-        (mapping[a], mapping[b]) for a, b in t.edges if (a, b) != (u, v)
-    ]
-    return Tree(t.vertex_count - 1, tuple(new_edges)), mapping
-
-
-def remove_vertices(
-    t: Tree, victims: Iterable[int]
-) -> list[tuple[Tree, dict[int, int]]]:
-    """Induced subgraph on the complement of ``victims``, split into connected
-    components.  Components are ordered by smallest surviving original id;
-    each comes with its old-to-new mapping."""
-    gone = set(victims)
-    for x in gone:
-        if not (0 <= x < t.vertex_count):
-            raise ValueError(f"vertex {x} out of range")
-    alive = [v for v in range(t.vertex_count) if v not in gone]
-    if not alive:
-        raise ValueError("removal leaves no vertices")
-    unvisited = set(alive)
-    out: list[tuple[Tree, dict[int, int]]] = []
-    for start in alive:
-        if start not in unvisited:
-            continue
-        comp = [start]
-        unvisited.discard(start)
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in t.adjacency[u]:
-                if w in unvisited:
-                    unvisited.discard(w)
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        mapping = {old: new for new, old in enumerate(comp)}
-        edges = [
-            (mapping[a], mapping[b])
-            for a, b in t.edges
-            if a in mapping and b in mapping
-        ]
-        out.append((Tree(len(comp), tuple(edges)), mapping))
-    return out
 
 
 # ======================================================================

@@ -17,7 +17,6 @@ from catbound import (
     SegmentFamily,
     Tree,
     canonical_code,
-    contract_edge,
     contract_to_caterpillar,
     contraction_guarantee,
     induced_guarantee,
@@ -28,15 +27,9 @@ from catbound import (
     tree_from_pruefer,
 )
 from catbound.cli import _is_int, _read
-from catbound.duality import (
-    _chain_cell,
-    _checked,
-    _compatible_chain,
-    _crossing_pairs,
-    _Structure,
-)
+from catbound.duality import _checked, _compatible_chain, _crossing_pairs, _Structure
 from catbound.oracle import _verdict
-from catbound.trees import _EdgeError, _rooted
+from catbound.trees import _EdgeError
 
 
 def path_tree(n: int) -> Tree:
@@ -104,11 +97,6 @@ def trees(draw, min_vertices: int = 2, max_vertices: int = 16) -> Tree:
     return tree_from_pruefer(tuple(code), n)
 
 
-@st.composite
-def permutations_of(draw, n: int):
-    return draw(st.permutations(list(range(n))))
-
-
 def adversarial_tree(n: int) -> tuple[Tree, list[int]]:
     """A bare path on the low labels, hung off the middle of a heavy spine
     on the high labels whose vertices each carry 3 pendant leaves; with the
@@ -142,113 +130,96 @@ def relabeled_twin(n: int, seed: int) -> Tree:
 
 
 # ----------------------------------------------------------------------
-# slow oracles: the quadratic kernels the library replaced, kept as the
-# reference its linear versions are compared against
+# faulty input and what it raises
 # ----------------------------------------------------------------------
 
 
-def diameter_path_by_all_pairs(t: Tree) -> tuple[int, ...]:
-    """``diameter_path`` by a BFS from every vertex: the first pair (a, b),
-    a < b, in lexicographic order at the largest distance."""
+def outcome(build):
+    """What ``build()`` returns, or the type, message and edge index of the
+    ``ValueError`` it raises."""
+    try:
+        return "ok", build()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def broken_paths(e: tuple, limit: int, rng: random.Random) -> dict:
+    """Variants of a valid chain ``e`` over labels 0..limit-1, by the fault
+    each puts in.  Only a reversed or a dropped segment may leave a valid
+    path; every other variant is broken in both modes."""
+    k = len(e) // 2
+    j = rng.randrange(k)
+    i, i2 = rng.sample(range(2 * k), 2)
+    out = {
+        "reversed segment": e[: 2 * j] + (e[2 * j + 1], e[2 * j]) + e[2 * j + 2 :],
+        "label out of range": e[:i] + (rng.choice([-1, limit, limit + 5]),) + e[i + 1 :],
+        "labels out of range at both ends": (limit + 3,) + e[1:-1] + (-2,),
+        "repeated label": e[:i] + (e[i2],) + e[i + 1 :],
+        "degenerate segment": e[:1] + e[:1] + e[2:],
+        "closed chain": e[:-1] + e[:1],  # last edge ends where the first starts
+        "walked back along a segment": e[:2] + e[1::-1],  # such as (0, 5, 5, 0)
+    }
+    if k > 1:
+        c = 2 * rng.randrange(k - 1) + 1  # connector (e[c], e[c + 1])
+        out["swapped connector ends"] = e[:c] + (e[c + 1], e[c]) + e[c + 2 :]
+        out["degenerate connector"] = e[: c + 1] + (e[c],) + e[c + 2 :]
+        # a connector running back along the segment before it
+        out["shared endpoint"] = e[: c + 1] + (e[c - 1],) + e[c + 2 :]
+        # two labels of different segments swapped
+        a = 2 * j + rng.randrange(2)
+        b = 2 * ((j + rng.randrange(1, k)) % k) + rng.randrange(2)
+        swapped = list(e)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        out["not a segment"] = tuple(swapped)
+        out["segment dropped"] = e[: 2 * j] + e[2 * j + 2 :]
+    return out
+
+
+# ----------------------------------------------------------------------
+# slow oracles: definitions and quadratic kernels, one reference per fast
+# kernel, which must reproduce it
+# ----------------------------------------------------------------------
+
+
+def heaviest_path_by_all_pairs(t: Tree, weight: list) -> tuple[int, ...]:
+    """``trees._heaviest_path`` by the definition: the first pair a <= b, in
+    lexicographic order, whose a..b path has the largest total weight,
+    walked from a to b.  Weights are non-negative, so every path extends to
+    one between two leaves that weighs as much, and the largest weight is
+    found among the paths from leaves."""
     n = t.vertex_count
-    if n == 1:
-        return (0,)
 
-    def search(a: int) -> tuple[list[int], list[int]]:
-        dist = [-1] * n
-        dist[a] = 0
-        par = [a] * n
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in t.adjacency[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        par[w] = u
-                        nxt.append(w)
-            frontier = nxt
-        return dist, par
-
-    best = -1
-    pair = (0, 0)
-    for a in range(n):
-        dist, _ = search(a)
-        for b in range(a + 1, n):
-            if dist[b] > best:
-                best = dist[b]
-                pair = (a, b)
-    a, b = pair
-    _, par = search(a)
-    path = [b]
-    while path[-1] != a:
-        path.append(par[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def _best_path_value(t: Tree) -> int:
-    # down[v] = best sum of (deg - 1) on a path going down from v; combine
-    # the two best child values at each vertex
-    n = t.vertex_count
-    weight = [d - 1 for d in t.degrees]
-    parent = [-2] * n
-    order = []
-    parent[0] = -1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in t.adjacency[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                stack.append(w)
-    down = [0] * n
-    best = 0
-    for u in reversed(order):
-        top1 = top2 = 0
-        for w in t.adjacency[u]:
-            if parent[w] == u:
-                d = down[w]
-                if d > top1:
-                    top1, top2 = d, top1
-                elif d > top2:
-                    top2 = d
-        down[u] = weight[u] + top1
-        best = max(best, weight[u] + top1 + top2)
-    return best + 1
-
-
-def max_caterpillar_by_scan(t: Tree) -> CaterpillarWitness:
-    """``max_caterpillar`` by one sweep per start vertex, in increasing
-    order, stopping at the first start with an optimal path to a vertex
-    not below it."""
-    n = t.vertex_count
-    best = _best_path_value(t)
-    weight = [d - 1 for d in t.degrees]
-    path: list[int] = []
-    for a in range(n):
-        hit = -1
-        parent = [-2] * n
-        parent[a] = -1
+    def walk(a: int) -> tuple[list, list]:
+        # each vertex's parent towards a, and the weight of its path from a
+        parent = [-1] * n
+        parent[a] = a
         acc = [0] * n
         acc[a] = weight[a]
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u >= a and acc[u] + 1 == best and (hit < 0 or u < hit):
-                hit = u
+        reached = [a]
+        for u in reached:
             for w in t.adjacency[u]:
-                if parent[w] == -2:
+                if parent[w] < 0:
                     parent[w] = u
                     acc[w] = acc[u] + weight[w]
-                    stack.append(w)
-        if hit >= 0:
-            path = [hit]
+                    reached.append(w)
+        return parent, acc
+
+    best = max(max(walk(a)[1]) for a in range(n) if t.degrees[a] <= 1)
+    for a in range(n):
+        parent, acc = walk(a)
+        if max(acc[a:]) == best:
+            path = [acc.index(best, a)]
             while path[-1] != a:
                 path.append(parent[path[-1]])
-            path.reverse()
-            break
+            return tuple(reversed(path))
+    raise AssertionError("unreachable: a heaviest path has a first pair")
+
+
+def max_caterpillar_by_all_pairs(t: Tree) -> CaterpillarWitness:
+    """``max_caterpillar`` from the all-pairs heaviest path under weights
+    deg - 1: that path with every neighbour, spine without leaf ends, size
+    the count of induced edges."""
+    path = heaviest_path_by_all_pairs(t, [d - 1 for d in t.degrees])
     vertex_set = set(path)
     for v in path:
         vertex_set.update(t.adjacency[v])
@@ -257,7 +228,8 @@ def max_caterpillar_by_scan(t: Tree) -> CaterpillarWitness:
         spine.pop(0)
     while len(spine) > 1 and t.degrees[spine[-1]] == 1:
         spine.pop()
-    return CaterpillarWitness(frozenset(vertex_set), tuple(spine), best)
+    size = sum(1 for u, v in t.edges if u in vertex_set and v in vertex_set)
+    return CaterpillarWitness(frozenset(vertex_set), tuple(spine), size)
 
 
 def very_hungry_max_by_paths(t: Tree, root: int) -> int:
@@ -275,12 +247,39 @@ def very_hungry_max_by_paths(t: Tree, root: int) -> int:
     return best
 
 
+def contract_edge(t: Tree, edge: tuple[int, int]) -> tuple[Tree, dict[int, int]]:
+    """Contract one edge; the merged vertex keeps the smaller id and higher
+    ids shift down to stay dense.  Returns the new tree and the old-to-new
+    vertex mapping.  Raises ValueError unless ``edge`` is a pair of ends of
+    an edge of ``t``."""
+    try:
+        u, v = edge
+    except ValueError:  # not a pair, so not an edge
+        raise ValueError(f"{edge} is not an edge") from None
+    if u > v:
+        u, v = v, u
+    if (u, v) not in t.edge_set:
+        raise ValueError(f"({u}, {v}) is not an edge")
+    mapping: dict[int, int] = {}
+    for x in range(t.vertex_count):
+        if x == v:
+            mapping[x] = u
+        elif x > v:
+            mapping[x] = x - 1
+        else:
+            mapping[x] = x
+    new_edges = [
+        (mapping[a], mapping[b]) for a, b in t.edges if (a, b) != (u, v)
+    ]
+    return Tree(t.vertex_count - 1, tuple(new_edges)), mapping
+
+
 def contraction_plans_by_replay(t: Tree, ks) -> dict:
     """``contract_to_caterpillar``'s edge sequence and kept caterpillar for
     each k in ``ks``, built on the all-pairs diameter path and replayed
     one ``contract_edge`` at a time.  A smaller k's sequence extends a
     larger one's, so one replay serves every k, largest first."""
-    dpath = diameter_path_by_all_pairs(t)
+    dpath = heaviest_path_by_all_pairs(t, [1] * t.vertex_count)
     keep = {(min(a, b), max(a, b)) for a, b in zip(dpath, dpath[1:])}
     leaf_set = leaves(t)
     keep |= {(u, v) for u, v in t.edges if u in leaf_set or v in leaf_set}
@@ -361,39 +360,31 @@ def validate_path_by_all_pairs(
     return PathReport(not issues, mode, tuple(issues))
 
 
-def matching_crossing_by_label_scan(pairs) -> str | None:
-    """The crossing error ``SegmentFamily`` raises on ``pairs``, a perfect
-    matching of 0..2n-1, found by a stack scan over the labels in order;
-    None when no two pairs cross."""
-    partner = {}
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
-    stack: list[int] = []
-    for x in range(len(partner)):
-        if partner[x] > x:
-            stack.append(x)
-        else:
-            if not stack or stack[-1] != partner[x]:
-                return (
-                    f"segments ({partner[x]}, {x}) and "
-                    f"({stack[-1]}, {partner[stack[-1]]}) cross"
-                )
-            stack.pop()
-    return None
-
-
 def family_error_by_sorting(pairs) -> str | None:
     """The error ``SegmentFamily(len(pairs), pairs)`` raises, None if none:
     the first degenerate pair in sorted order, then a sorted comparison of
-    all labels with 0..2n-1, then ``matching_crossing_by_label_scan``."""
+    all labels with 0..2n-1, then a stack scan over the labels in order
+    for the first crossing."""
     norm = sorted((min(a, b), max(a, b)) for a, b in pairs)
     for a, b in norm:
         if a == b:
             return f"degenerate segment ({a}, {b})"
     if sorted(x for pair in norm for x in pair) != list(range(2 * len(norm))):
         return "segments must perfectly match labels 0..2n-1"
-    return matching_crossing_by_label_scan(norm)
+    partner = {}
+    for a, b in norm:
+        partner[a] = b
+        partner[b] = a
+    stack: list[int] = []
+    for x in range(len(partner)):
+        if partner[x] > x:
+            stack.append(x)
+        elif stack[-1] == partner[x]:
+            stack.pop()
+        else:
+            top = stack[-1]
+            return f"segments ({partner[x]}, {x}) and ({top}, {partner[top]}) cross"
+    return None
 
 
 def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
@@ -546,47 +537,6 @@ def tree_by_set_check(n: int, edges) -> tuple:
     return stored, adjacency, tuple(len(a) for a in adjacency)
 
 
-def heaviest_path_by_index_scan(t: Tree, weight: list) -> tuple:
-    """``trees._heaviest_path`` listing every vertex's best path end value
-    and taking ``ends.index(best)``, then rooting again at that end with
-    ``_rooted`` and taking ``acc.index(best)``."""
-    n = t.vertex_count
-    order, parent = _rooted(t, 0)
-    top1 = [0] * n
-    top2 = [0] * n
-    arg1 = [-1] * n
-    best = 0
-    for u in reversed(order):
-        d = weight[u] + top1[u]
-        if d + top2[u] > best:
-            best = d + top2[u]
-        p = parent[u]
-        if p >= 0:
-            if d > top1[p]:
-                top1[p], top2[p], arg1[p] = d, top1[p], u
-            elif d > top2[p]:
-                top2[p] = d
-    up = [0] * n
-    ends = [0] * n
-    for u in order:
-        p = parent[u]
-        if p >= 0:
-            sibling = top2[p] if arg1[p] == u else top1[p]
-            up[u] = weight[p] + max(up[p], sibling)
-        ends[u] = weight[u] + max(top1[u], up[u])
-    a = ends.index(best)
-    order, parent = _rooted(t, a)
-    acc = [0] * n
-    acc[a] = weight[a]
-    for u in order[1:]:
-        acc[u] = acc[parent[u]] + weight[u]
-    path = [acc.index(best)]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
 def tree_to_segments_by_phase_stack(t: Tree, root: int = 0) -> SegmentFamily:
     """``tree_to_segments`` with a stack of (vertex, parent, phase) entries,
     a dict of open labels, and the pairs sorted before the family sorts
@@ -723,105 +673,6 @@ def compatible_chain_by_min_max(st_: _Structure, w: CaterpillarWitness) -> Alter
     endpoints: list = []
     for _, a, b in out:
         endpoints += [a, b]
-    return AlternatingPath(tuple(endpoints), w.size)
-
-
-def validate_path_by_min_max(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport:
-    """``validate_path`` normalising pairs with ``min`` and ``max`` and
-    range-checking every label whether or not any is out of range."""
-    if mode == "among":
-        mode = "simple"
-    if mode not in ("simple", "compatible"):
-        raise ValueError(f"unknown mode {mode!r}")
-    issues: list = []
-    e = p.endpoints
-    limit = 2 * s.n
-    for x in e:
-        if not 0 <= x < limit:
-            issues.append(f"label {x} out of range 0..{limit - 1}")
-    if len(set(e)) != len(e):
-        dups = sorted(x for x, count in Counter(e).items() if count > 1)
-        issues.append(f"repeated labels {dups}")
-    family = s.segment_set
-    for i in range(0, len(e) - 1, 2):
-        seg = (min(e[i], e[i + 1]), max(e[i], e[i + 1]))
-        if seg not in family:
-            issues.append(f"position {i}: ({e[i]}, {e[i + 1]}) is not a segment")
-    edges = [(e[i], e[i + 1]) for i in range(len(e) - 1)]
-    unused = []
-    if mode == "compatible":
-        used = {(min(a, b), max(a, b)) for a, b in edges}
-        unused = [seg for seg in s.pairs if seg not in used]
-    k = len(edges)
-    crossings = _crossing_pairs(edges + unused)
-    for i, j in crossings:
-        if j < k:
-            issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
-    for j, i in sorted((j, i) for i, j in crossings if j >= k):
-        issues.append(f"chain edge {edges[i]} crosses unused segment {unused[j - k]}")
-    return PathReport(not issues, mode, tuple(issues))
-
-
-def compatible_chain_by_edge_scan(st_: _Structure, w: CaterpillarWitness) -> AlternatingPath:
-    """``duality._compatible_chain`` checking the witness against a set of
-    every cell and finding its chords with a scan over every tree edge and a
-    sort."""
-    t = st_.tree
-    vs = w.vertex_set
-    if not vs <= set(range(t.vertex_count)) or not vs.issuperset(w.spine):
-        raise ValueError("witness does not fit this family's cell tree")
-
-    witness_chords = [v - 1 for u, v in t.edges if u in vs and v in vs]
-    witness_chords.sort()
-    if len(witness_chords) != w.size or w.size < 1:
-        raise ValueError("witness size disagrees with its induced edges")
-
-    adjacency = t.adjacency
-    spine = list(w.spine)
-    if not spine:
-        if w.size != 1:
-            raise ValueError("empty spine only fits a single-segment witness")
-        spine = [adjacency[witness_chords[0] + 1][0]]
-    spine_set = set(spine)
-
-    link: dict = {}
-    at_cell: dict = {c: [] for c in spine}
-    for i in witness_chords:
-        a, b = adjacency[i + 1][0], i + 1
-        if a in spine_set:
-            if b in spine_set:
-                link[(a, b)] = i
-            else:
-                at_cell[a].append(i)
-        elif b in spine_set:
-            at_cell[b].append(i)
-        else:
-            raise ValueError(f"witness segment {st_.chords[i]} misses the spine")
-    for u, v in zip(spine, spine[1:]):
-        if ((u, v) if u < v else (v, u)) not in link:
-            raise ValueError("spine cells are not joined by witness segments")
-    if len(link) != max(len(spine) - 1, 0):
-        raise ValueError("witness segments join non-consecutive spine cells")
-
-    out: list = []
-    point = None
-    entry = None
-    last = len(spine) - 1
-    for idx, cell in enumerate(spine):
-        wanted = set(at_cell[cell])
-        exit_chord = None
-        if idx < last:
-            v = spine[idx + 1]
-            exit_chord = link[(cell, v) if cell < v else (v, cell)]
-            wanted.add(exit_chord)
-        if entry is None and not wanted:
-            raise ValueError("spine cell carries no witness segment")
-        if wanted:
-            out += _chain_cell(st_.cell_cycles[cell], wanted, entry, point, exit_chord)
-            point = out[-1][2]
-        entry = exit_chord
-
-    endpoints = [x for _, a, b in out for x in (a, b)]
     return AlternatingPath(tuple(endpoints), w.size)
 
 

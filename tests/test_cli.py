@@ -464,6 +464,23 @@ def test_render_wants_exactly_one_input(capsys, tmp_path):
     assert code == 1 and "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "given, extra, message",
+    [
+        ("--segments", ["--root", "2"], "--root goes with --tree"),
+        ("--tree", ["--path", "chain.json"], "--path goes with --segments"),
+    ],
+)
+def test_render_refuses_an_option_of_the_other_input(capsys, tmp_path, given, extra, message):
+    (tmp_path / "fam.json").write_text('{"n": 3, "segments": [[0, 5], [1, 4], [2, 3]]}')
+    (tmp_path / "t.txt").write_text("0 1\n1 2\n")
+    source = tmp_path / ("fam.json" if given == "--segments" else "t.txt")
+    svg = tmp_path / "x.svg"
+    argv = ["render", given, str(source), *extra, "--out", str(svg)]
+    assert run(capsys, *argv) == (1, "", f"catbound: error: {message}\n")
+    assert not svg.exists()
+
+
 def test_render_functions_are_pure():
     family = SegmentFamily(2, ((0, 3), (1, 2)))
     assert render_segments(family) == render_segments(family)
@@ -586,6 +603,19 @@ def test_verify_refuses_corrupt_f_outside_the_checked_scores(capsys, monkeypatch
     assert run(
         capsys, "verify", "--max-edges", "3", "--max-k", "9", "--corrupt-f", k
     ) == (1, "", "catbound: error: --corrupt-f must lie in 1..9, the --max-k range\n")
+
+
+@pytest.mark.parametrize("flag", ["--max-edges", "--max-k", "--workers"])
+def test_verify_refuses_a_non_positive_bound_naming_the_flag(capsys, monkeypatch, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("verified before the refusal")
+
+    monkeypatch.setattr(cli, "verify_all", never)
+    assert run(capsys, "verify", flag, "0") == (
+        1,
+        "",
+        f"catbound: error: {flag} must be positive\n",
+    )
 
 
 def test_verify_json_output(capsys):

@@ -1,11 +1,14 @@
-"""Path validation and compatible chains against their sweep-based versions.
+"""Path validation and compatible chains against their references.
 
 ``validate_path`` accepts a valid path with one stack scan over the labels
 and sends only a path that fails it through the segment lookups and the
 crossing sweep; ``_compatible_chain`` marks the witness in lists and reads
-its chords off parent cells.  Each must reproduce the version it replaced
-(kept in ``helpers``): the same chain or the same ``ValueError``, and the
-same ``PathReport``, issues in the same order, on every census class
+its chords off parent cells.  Each must reproduce its reference in
+``helpers``: ``validate_path_by_sweep``, which sends every path through the
+sweep, and ``compatible_chain_by_min_max``, which finds the witness chords
+with a scan over every tree edge and chains each cell with its own
+``chain_cell_by_modulo``.  So the same chain or the same ``ValueError``, and
+the same ``PathReport``, issues in the same order, on every census class
 through 10 edges and on broken paths over 250- to 1000-segment families.
 A valid path never reaches the sweep.
 """
@@ -27,7 +30,13 @@ from catbound import (
     validate_path,
 )
 from catbound.duality import _compatible_chain
-from helpers import compatible_chain_by_edge_scan, path_tree, validate_path_by_sweep
+from helpers import (
+    broken_paths,
+    compatible_chain_by_min_max,
+    outcome,
+    path_tree,
+    validate_path_by_sweep,
+)
 
 MODES = ("simple", "compatible")
 
@@ -61,35 +70,11 @@ def reports(family, endpoints) -> list:
     return out
 
 
-def broken_paths(e: tuple, limit: int, rng: random.Random) -> dict:
-    """Variants of a valid chain ``e``, by the fault each puts in."""
-    k = len(e) // 2
-    j, j2 = rng.sample(range(k), 2) if k > 1 else (0, 0)
-    i, i2 = rng.sample(range(2 * k), 2)
-    out = {
-        "reversed segment": e[: 2 * j] + (e[2 * j + 1], e[2 * j]) + e[2 * j + 2 :],
-        "out-of-range label": e[:i] + (rng.choice([-1, limit, limit + 5]),) + e[i + 1 :],
-        "repeated label": e[:i] + (e[i2],) + e[i + 1 :],
-        "closed chain": e[:-1] + e[:1],  # last edge ends where the first starts
-    }
-    if k > 1:
-        c = 2 * rng.randrange(k - 1) + 1  # connector (e[c], e[c + 1])
-        out["swapped connector ends"] = e[:c] + (e[c + 1], e[c]) + e[c + 2 :]
-        # a connector running back along the segment before it
-        out["shared endpoint"] = e[: c + 1] + (e[c - 1],) + e[c + 2 :]
-        a, b = 2 * j + 1, 2 * j2 + 1
-        swapped = list(e)
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        out["not a segment"] = tuple(swapped)
-        out["segment dropped"] = e[: 2 * j] + e[2 * j + 2 :]
-    return out
-
-
 def test_every_census_class_chains_like_the_edge_scan():
     for family in census_families():
         st_ = family._struct
         witness = max_caterpillar(st_.tree)
-        assert _compatible_chain(st_, witness) == compatible_chain_by_edge_scan(
+        assert _compatible_chain(st_, witness) == compatible_chain_by_min_max(
             st_, witness
         )
 
@@ -145,13 +130,6 @@ def test_large_families_report_broken_paths_like_the_sweep(name):
         assert any(kind in issue for issue in issues), kind
 
 
-def outcome(build):
-    try:
-        return "ok", build().endpoints
-    except ValueError as exc:
-        return ValueError, str(exc)
-
-
 def witness_variants(w: CaterpillarWitness, count: int, rng: random.Random) -> list:
     """The witness itself and faulty or reshaped copies of it, each with
     vertex set, spine and size."""
@@ -190,7 +168,7 @@ def assert_witnesses_chain_like_the_edge_scan(family, rng) -> None:
     for variant in witness_variants(max_caterpillar(st_.tree), count, rng):
         w = CaterpillarWitness(*variant)
         assert outcome(lambda: _compatible_chain(st_, w)) == outcome(
-            lambda: compatible_chain_by_edge_scan(st_, w)
+            lambda: compatible_chain_by_min_max(st_, w)
         )
 
 

@@ -1,12 +1,14 @@
-"""The shared per-tree kernels against their previous implementations.
+"""The shared per-tree kernels against their references in ``helpers``.
 
 ``Tree`` validation, ``_heaviest_path``, ``tree_to_segments``,
 ``_structure``, ``_chain_cell``, ``_compatible_chain``, ``validate_path``
-and ``_contract_all`` had their inner loops rewritten.  Each must reproduce
-the version it replaced (kept in ``helpers``) exactly: the same outputs and
-tie-breaks on every small tree class under relabelling, on random and
-1000-edge trees, and the same exception, message and edge index or the same
-path issues, in the same order, on malformed input.
+and ``_contract_all`` must each reproduce its reference exactly: the same
+outputs and tie-breaks on every small tree class under relabelling, on
+random and 1000-edge trees, and the same exception, message and edge index
+or the same path issues, in the same order, on malformed input.
+``_heaviest_path`` is held to the all-pairs search under unit, {0, 1, 2}
+and deg - 1 weights, and ``validate_path`` to the sweep with no accepting
+scan.
 """
 
 import random
@@ -32,27 +34,20 @@ from catbound.contraction import _contract_all
 from catbound.duality import _chain_cell, _compatible_chain, _structure
 from catbound.trees import _heaviest_path
 from helpers import (
+    broken_paths,
     chain_cell_by_modulo,
     compatible_chain_by_min_max,
     contract_all_by_find,
-    heaviest_path_by_index_scan,
+    heaviest_path_by_all_pairs,
+    outcome,
     path_tree,
     relabeled,
     structure_by_index_stack,
     tree_by_set_check,
     tree_to_segments_by_phase_stack,
-    validate_path_by_min_max,
+    validate_path_by_sweep,
 )
 from helpers import trees as tree_strategy
-
-
-def outcome(build):
-    """What ``build()`` returns, or the type, message and edge index of what
-    it raises."""
-    try:
-        return "ok", build()
-    except (ValueError, AssertionError) as exc:
-        return type(exc), str(exc), getattr(exc, "index", None)
 
 
 def tree_outcome(n, edges):
@@ -93,29 +88,10 @@ def assert_chain_cells_match(cycle, rng: random.Random) -> None:
                 assert _chain_cell(*args) == chain_cell_by_modulo(*args)
 
 
-def corrupted_paths(e: tuple, limit: int, rng: random.Random) -> list:
-    """Out-of-range labels (alone and with other faults), a repeated label,
-    two swapped endpoints and a reversed segment."""
-    size = len(e)
-    i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
-    out = [
-        e[:i] + (-1,) + e[i + 1 :],
-        e[:i] + (limit,) + e[i + 1 :],
-        (limit + 3,) + e[1:-1] + (-2,) if size > 1 else (limit + 3, -2),
-        e[:i] + (e[j],) + e[i + 1 :],
-        e[:1] + e[:1] + e[2:] if size > 2 else e,
-        e[1::-1] + e[2:],
-    ]
-    swapped = list(e)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    out.append(tuple(swapped))
-    return out
-
-
 def assert_reports_match(family, endpoints) -> None:
     path = AlternatingPath(tuple(endpoints), len(endpoints) // 2)
     for mode in ("simple", "compatible"):
-        assert validate_path(family, path, mode) == validate_path_by_min_max(
+        assert validate_path(family, path, mode) == validate_path_by_sweep(
             family, path, mode
         )
 
@@ -130,7 +106,7 @@ def assert_matches_previous(t: Tree, rng: random.Random, exhaustive: bool = True
     if t.m:
         weights.append([d - 1 for d in t.degrees])  # the caterpillar's
     for weight in weights:
-        assert _heaviest_path(t, weight) == heaviest_path_by_index_scan(t, weight)
+        assert _heaviest_path(t, weight) == heaviest_path_by_all_pairs(t, weight)
     if t.m < 1:
         return
 
@@ -151,7 +127,7 @@ def assert_matches_previous(t: Tree, rng: random.Random, exhaustive: bool = True
     chains = [compatible_path(family, witness).endpoints, among_path(family)[0].endpoints]
     for chain in chains:
         assert_reports_match(family, chain)
-        for bad in corrupted_paths(chain, 2 * family.n, rng):
+        for bad in broken_paths(chain, 2 * family.n, rng).values():
             assert_reports_match(family, bad)
 
     cap = max_caterpillar_by_contraction(t)

@@ -12,7 +12,6 @@ from catbound import (
     TreeParseError,
     canonical_code,
     centroids,
-    contract_edge,
     diameter,
     diameter_path,
     format_tree,
@@ -21,9 +20,8 @@ from catbound import (
     is_spider,
     leaves,
     parse_tree,
-    remove_vertices,
 )
-from helpers import path_tree, relabeled, spider_tree, star_tree, trees
+from helpers import contract_edge, path_tree, relabeled, spider_tree, star_tree, trees
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +203,8 @@ def test_spider_recognition():
 
 
 # ----------------------------------------------------------------------
-# surgery
+# single-edge contraction (``helpers.contract_edge``), which the reference
+# contraction plans replay
 # ----------------------------------------------------------------------
 
 
@@ -225,23 +224,6 @@ def test_contract_keeps_min_label():
 def test_contracting_a_non_pair_is_refused(edge):
     with pytest.raises(ValueError, match=re.escape(f"{edge} is not an edge")):
         contract_edge(path_tree(4), edge)
-
-
-def test_remove_star_center_leaves_singletons():
-    parts = remove_vertices(star_tree(5), {0})
-    assert len(parts) == 4
-    assert all(p.vertex_count == 1 for p, _ in parts)
-    assert [mapping for _, mapping in parts] == [{1: 0}, {2: 0}, {3: 0}, {4: 0}]
-
-
-def test_remove_middle_of_path_splits_it():
-    parts = remove_vertices(path_tree(5), {2})
-    assert [(p.vertex_count, p.edges) for p, _ in parts] == [
-        (2, ((0, 1),)),
-        (2, ((0, 1),)),
-    ]
-    assert parts[0][1] == {0: 0, 1: 1}
-    assert parts[1][1] == {3: 0, 4: 1}
 
 
 @given(trees(min_vertices=3), st.data())
