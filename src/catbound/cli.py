@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Any
 
 from .contraction import (
     _facts,
@@ -155,11 +156,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _load_family(path: str) -> SegmentFamily:
+def _read_json(path: str) -> Any:
     try:
-        data = json.loads(_read(path))
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
+
+
+def _load_family(path: str) -> SegmentFamily:
+    data = _read_json(path)
     if not isinstance(data, dict) or "n" not in data or "segments" not in data:
         raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
     n, segments = data["n"], data["segments"]
@@ -185,10 +190,7 @@ def _load_family(path: str) -> SegmentFamily:
 
 
 def _load_path(path: str) -> tuple[AlternatingPath, str]:
-    try:
-        data = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "endpoints" not in data:
         raise ValueError(f'{path}: expected {{"mode": ..., "endpoints": [...]}}')
     endpoints = data["endpoints"]

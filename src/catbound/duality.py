@@ -20,16 +20,18 @@ The dictionary:
   family (self-avoiding, unused segments may be crossed).
 
 ``compatible_path`` walks the witness caterpillar spine cell by cell and
-chains each cell's segments in boundary order.  Within a cell the chords
-bordering it occupy pairwise non-interleaving intervals of the cell
-boundary, and consecutive boundary chords have label-free gaps, so visiting
-chords in boundary order keeps connectors crossing-free; when the chord
-leading to the next spine cell is not last in boundary order, the chain
-visits the chords before it, jumps to the far end, sweeps back, and leaves
-through the exit chord (the jump connector nests the skipped intervals
-instead of interleaving them).
+chains each cell's segments in boundary order, which is chord index order:
+chords are sorted by opening label, so a cell's boundary, walked with the
+cell on the left, meets its child cells' chords in index order and then its
+own chord.  Within a cell the chords bordering it occupy pairwise
+non-interleaving intervals of the cell boundary, and consecutive boundary
+chords have label-free gaps, so visiting chords in boundary order keeps
+connectors crossing-free; when the chord leading to the next spine cell is
+not last in boundary order, the chain visits the chords before it, jumps to
+the far end, sweeps back, and leaves through the exit chord (the jump
+connector nests the skipped intervals instead of interleaving them).
 
-Costs: a family is checked in O(n log n), its cells (``_structure``) are
+Costs: a family is checked in O(n log n), its cell tree (``_structure``) is
 found in O(n), and a compatible chain is built in O(n).  ``validate_path``
 accepts a valid path in O(n) and reports a broken one in O(k log k + K)
 for k chain edges and K crossing pairs, so a report costs no more than
@@ -47,12 +49,14 @@ checked its edges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .contraction import ContractionPlan, _plan
 from .induced import CaterpillarWitness
-from .trees import Tree, _lazy
+from .trees import Tree, _check_count, _lazy
 
 
 # ======================================================================
@@ -73,6 +77,7 @@ class SegmentFamily:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_count(self.n, "n")
         if self.n < 1:
             raise ValueError("need at least one segment")
         unmatched = "segments must perfectly match labels 0..2n-1"
@@ -116,7 +121,7 @@ class SegmentFamily:
         return frozenset(self.pairs)
 
     @_lazy
-    def _struct(self) -> _Structure:
+    def _tree(self) -> Tree:
         # ``tree_to_segments`` leaves its source tree here when that tree's
         # ids are the cells'; ``_structure`` checks its edges before keeping it
         return _structure(self.pairs, self.__dict__.get("_cell_tree"))
@@ -131,6 +136,7 @@ class AlternatingPath:
     k: int
 
     def __post_init__(self) -> None:
+        _check_count(self.k, "k")
         if self.k < 1 or len(self.endpoints) != 2 * self.k:
             raise ValueError("endpoint count must be twice the segment count")
 
@@ -194,32 +200,20 @@ def _crossing_pairs(chords: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 # ======================================================================
-# family structure: nesting forest, cells, boundary cycles
+# family structure: the cell tree
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """The cells of ``chords``, numbered by chord: cell 0 is the outer cell and
-    cell i + 1 lies behind chords[i], so tree edge (u, v), u < v, is chord
-    v - 1 and its parent cell u is v's smallest neighbour.  ``cell_cycles[c]``
-    lists c's boundary chords in walk order as (chord, first, second)."""
-
-    chords: tuple[tuple[int, int], ...]
-    cell_cycles: tuple[tuple[tuple[int, int, int], ...], ...]
-    tree: Tree
-
-
-def _structure(
-    chords: tuple[tuple[int, int], ...], tree: Tree | None = None
-) -> _Structure:
-    """Non-crossing (low, high) chords sorted by low; labels are only compared,
-    so a subfamily keeps its family's labels.  A ``tree`` said to be the cell
+def _structure(chords: tuple[tuple[int, int], ...], tree: Tree | None = None) -> Tree:
+    """The cell tree of non-crossing (low, high) chords sorted by low: cell 0
+    is the outer cell and cell i + 1 lies behind chords[i], so tree edge
+    (u, v), u < v, is chord v - 1 and its parent cell u is v's smallest
+    neighbour.  A cell's boundary order is chord index order: its child
+    chords ascending, then its own chord.  Labels are only compared, so a
+    subfamily keeps its family's labels.  A ``tree`` said to be the cell
     tree, such as a contracted tree or the preorder tree a family came from,
     becomes the cell tree once its edges equal the cells', and the check
     raises ``AssertionError`` unless they do."""
-    n = len(chords)
-    cycles: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     edges = []
     # (closing label, cell behind it) of the chords enclosing the current
     # label, innermost last
@@ -227,24 +221,20 @@ def _structure(
     for i, (a, b) in enumerate(chords):
         while stack and stack[-1][0] < a:
             stack.pop()
-        cell = stack[-1][1] if stack else 0
-        cycles[cell].append((i, a, b))
-        edges.append((cell, i + 1))
+        edges.append((stack[-1][1] if stack else 0, i + 1))
         stack.append((b, i + 1))
-    for i, (a, b) in enumerate(chords):  # each inner cell's own chord comes last
-        cycles[i + 1].append((i, b, a))
     if tree is None:
-        tree = Tree(n + 1, tuple(edges))
-    elif tree.edges != tuple(sorted(edges)):
+        return Tree(len(chords) + 1, tuple(edges))
+    if tree.edges != tuple(sorted(edges)):
         raise AssertionError("chords do not cut out the tree given as their cells")
-    return _Structure(chords, tuple(map(tuple, cycles)), tree)
+    return tree
 
 
 def segments_to_tree(
     s: SegmentFamily,
 ) -> tuple[Tree, dict[tuple[int, int], tuple[int, int]]]:
     """The cell-adjacency tree, plus the segment behind each tree edge."""
-    t = s._struct.tree
+    t = s._tree
     adjacency = t.adjacency
     return t, {(adjacency[v][0], v): pair for v, pair in enumerate(s.pairs, 1)}
 
@@ -405,38 +395,41 @@ def _accepts(s: SegmentFamily, e: tuple[int, ...], compatible: bool) -> bool:
 
 
 def _chain_cell(
-    cycle: tuple[tuple[int, int, int], ...],
-    wanted: set[int],
+    chords: tuple[tuple[int, int], ...],
+    cell: int,
+    wanted: Iterable[int],
     entry: int | None,
     entry_point: int | None,
     exit_chord: int | None,
 ) -> list[tuple[int, int, int]]:
     """Order the wanted chords of one cell into a traversal (chord, enter,
-    leave).  See the module docstring for why the result cannot cross."""
-    if entry is None:
-        items = [it for it in cycle if it[0] in wanted]
-    else:
-        pos = 0
-        for it in cycle:
-            if it[0] == entry:
-                break
-            pos += 1
-        _, p_e, q_e = cycle[pos]
-        # the other chords, in boundary order from the entry chord on
-        rest = cycle[pos + 1 :] + cycle[:pos]
-        if entry_point == q_e:  # walk on, in boundary order
-            items = [it for it in rest if it[0] in wanted]
-        elif entry_point == p_e:  # walk back against boundary order
-            items = [(c, q, p) for c, p, q in reversed(rest) if c in wanted]
-        else:
+    leave).  From the entry chord on, boundary order is the child chords
+    after it by index, then the cell's own chord ``cell - 1``, the smallest
+    index, then the child chords before it; with no entry it starts just
+    past the own chord.  See the module docstring for why the result cannot
+    cross."""
+    own = cell - 1
+    order = sorted(wanted)
+    cut = bisect_right(order, own if entry is None else entry)
+    order = order[cut:] + order[:cut]
+    back = False  # walking against boundary order
+    if entry is not None:
+        p_e, q_e = chords[entry]
+        if entry == own:
+            p_e, q_e = q_e, p_e
+        if entry_point == p_e:
+            back = True
+            order.reverse()
+        elif entry_point != q_e:
             raise AssertionError("entry point not on entry chord")
+    # a child chord is met low label first, the own chord high label first
+    items = [
+        (c, *chords[c]) if (c == own) == back else (c, *chords[c][::-1])
+        for c in order
+    ]
     if exit_chord is None:
         return items
-    at = 0
-    for it in items:
-        if it[0] == exit_chord:
-            break
-        at += 1
+    at = order.index(exit_chord)
     if entry is None:  # start just past the exit chord, leave through it
         return items[at + 1 :] + items[:at] + [items[at]]
     if at == len(items) - 1:
@@ -459,12 +452,14 @@ def compatible_path(s: SegmentFamily, w: CaterpillarWitness) -> AlternatingPath:
     """An alternating path through exactly the segments of the witness
     caterpillar (a witness over the cell tree of ``s``), crossing no other
     segment of the family."""
-    return _checked(s, _compatible_chain(s._struct, w), "compatible")
+    return _checked(s, _compatible_chain(s.pairs, s._tree, w), "compatible")
 
 
-def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
-    """``compatible_path`` without the final validation, in st's labels."""
-    t = st.tree
+def _compatible_chain(
+    chords: tuple[tuple[int, int], ...], t: Tree, w: CaterpillarWitness
+) -> AlternatingPath:
+    """``compatible_path`` without the final validation, over ``chords``
+    and their cell tree ``t``, in the chords' labels."""
     count = t.vertex_count
     vs = w.vertex_set
     inside = [v in vs for v in range(count)]
@@ -490,20 +485,21 @@ def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
         on_spine[v] = True
 
     # split the witness chords into links between spine cells and the
-    # chords each spine cell carries on its own
+    # chords each spine cell carries on its own, in index order, so sorting
+    # a cell's chords with its exit chord appended is linear
     links = 0
-    at_cell: dict[int, set[int]] = {c: set() for c in spine}
+    at_cell: dict[int, list[int]] = {c: [] for c in spine}
     for i in witness_chords:
         a, b = adjacency[i + 1][0], i + 1
         if on_spine[a]:
             if on_spine[b]:
                 links += 1
             else:
-                at_cell[a].add(i)
+                at_cell[a].append(i)
         elif on_spine[b]:
-            at_cell[b].add(i)
+            at_cell[b].append(i)
         else:
-            raise ValueError(f"witness segment {st.chords[i]} misses the spine")
+            raise ValueError(f"witness segment {chords[i]} misses the spine")
     # consecutive spine cells are a cell and its parent, left through the
     # child's chord
     exits: list[int | None] = []
@@ -513,7 +509,7 @@ def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
             raise ValueError("spine cells are not joined by witness segments")
         exits.append(child - 1)
     # a spine that came back to a cell would repeat a link of the tree, so
-    # past this check each cell, and its set below, comes up once
+    # past this check each cell, and its list below, comes up once
     if links != len(exits):
         raise ValueError("witness segments join non-consecutive spine cells")
 
@@ -524,11 +520,11 @@ def _compatible_chain(st: _Structure, w: CaterpillarWitness) -> AlternatingPath:
     for cell, exit_chord in zip(spine, exits):
         wanted = at_cell[cell]
         if exit_chord is not None:
-            wanted.add(exit_chord)
+            wanted.append(exit_chord)
         if entry is None and not wanted:
             raise ValueError("spine cell carries no witness segment")
         if wanted:
-            out += _chain_cell(st.cell_cycles[cell], wanted, entry, point, exit_chord)
+            out += _chain_cell(chords, cell, wanted, entry, point, exit_chord)
             point = out[-1][2]
         entry = exit_chord
 
@@ -548,12 +544,10 @@ def among_path(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
     is deleting a segment: the path chains the plan's caterpillar witness
     through the kept chords, in their own labels, and may cross only the
     deleted segments."""
-    kept = s._struct
-    plan, witness = _plan(kept.tree)
+    kept, tree = s.pairs, s._tree
+    plan, witness = _plan(tree)
     if plan.contract_sequence:
         dropped = {step.edge[1] - 1 for step in plan.contract_sequence}
-        kept = _structure(
-            tuple(c for i, c in enumerate(s.pairs) if i not in dropped),
-            plan.kept_caterpillar,
-        )
-    return _checked(s, _compatible_chain(kept, witness), "simple"), plan
+        kept = tuple(c for i, c in enumerate(kept) if i not in dropped)
+        tree = _structure(kept, plan.kept_caterpillar)
+    return _checked(s, _compatible_chain(kept, tree, witness), "simple"), plan

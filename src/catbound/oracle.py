@@ -46,7 +46,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
-from math import isqrt
 from typing import Iterable, Iterator
 
 from .contraction import (
@@ -59,6 +58,7 @@ from .duality import among_path, compatible_path, segments_to_tree, tree_to_segm
 from .induced import (
     _INVERTED_THROUGH,
     _RESIDUE_PARAMS,
+    _ceil_6log3,
     beautiful_tree,
     branch_star_bound,
     extremal_branch_star,
@@ -341,28 +341,6 @@ def _searched_thresholds(limit: int, sizes: list[int]) -> list[int]:
 # ======================================================================
 
 
-def _icbrt(x: int) -> int:
-    if x < 0:
-        raise ValueError("cube root of negative")
-    if x < 2:
-        return x
-    r = 1 << ((x.bit_length() + 2) // 3)
-    while True:
-        nr = (2 * r + x // (r * r)) // 3
-        if nr >= r:
-            break
-        r = nr
-    while r * r * r > x:
-        r -= 1
-    while (r + 1) ** 3 <= x:
-        r += 1
-    return r
-
-
-def _iroot6(x: int) -> int:
-    return _icbrt(isqrt(x))
-
-
 def guarantee_change_points(limit: int) -> list[int]:
     """Every edge budget in [1, limit] where ``induced_guarantee`` or its
     reference can change value, padded with both neighbours of each
@@ -379,15 +357,23 @@ def guarantee_change_points(limit: int) -> list[int]:
             break
         k += 1
     for c, s, gamma, _add in _RESIDUE_PARAMS.values():
-        g6 = gamma**6
-        j = 0
-        while True:
-            t = _iroot6(g6 * 3**j)
-            m_change = (t + 1 - s + c - 1) // c
-            if m_change > limit:
-                break
-            pts.update((m_change - 1, m_change, m_change + 1))
-            j += 1
+        # the form's N(m) = _ceil_6log3(c*m + s, gamma) never falls as m
+        # grows; find each m <= limit where it rises by doubling from the
+        # last rise, then bisection, holding N(lo) == n_lo < N(hi)
+        lo, n_lo = 1, _ceil_6log3(c + s, gamma)
+        while lo < limit:
+            hi = min(2 * lo, limit)
+            if _ceil_6log3(c * hi + s, gamma) == n_lo:
+                lo = hi
+                continue
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _ceil_6log3(c * mid + s, gamma) == n_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            pts.update((hi - 1, hi, hi + 1))
+            lo, n_lo = hi, _ceil_6log3(c * hi + s, gamma)
     return sorted(x for x in pts if 1 <= x <= limit)
 
 

@@ -67,6 +67,15 @@ def _check_integer_ids(edges: Iterable[Any]) -> None:
             ) from None
 
 
+def _check_count(value: Any, name: str) -> None:
+    """Raise ``ValueError`` naming the count ``name`` unless ``value`` is an
+    integer, as ``operator.index`` decides."""
+    try:
+        _as_index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class _lazy:
     """An attribute computed on first access.
 
@@ -110,6 +119,7 @@ class Tree:
 
     def __post_init__(self) -> None:
         n = self.vertex_count
+        _check_count(n, "vertex_count")
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
         try:

@@ -1,7 +1,6 @@
 """Builders and hypothesis strategies shared across test modules."""
 
 import itertools
-import json
 import random
 from collections import Counter
 
@@ -26,8 +25,8 @@ from catbound import (
     max_caterpillar_by_contraction,
     tree_from_pruefer,
 )
-from catbound.cli import _is_int, _read
-from catbound.duality import _checked, _compatible_chain, _crossing_pairs, _Structure
+from catbound.cli import _is_int, _read_json
+from catbound.duality import _checked, _compatible_chain, _crossing_pairs
 from catbound.oracle import _verdict
 from catbound.trees import _EdgeError
 
@@ -391,7 +390,7 @@ def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, Contract
     """``among_path`` through a relabelled subfamily: rank the labels of the
     kept segments, build them as a new family on 0..2k-1, chain that
     family's witness caterpillar and lift the endpoints back by rank."""
-    t = s._struct.tree
+    t = s._tree
     cap = max_caterpillar_by_contraction(t)
     plan = contract_to_caterpillar(t, cap)
     dropped = {max(step.edge) - 1 for step in plan.contract_sequence}
@@ -400,9 +399,9 @@ def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, Contract
     rank = {x: i for i, x in enumerate(labels)}
     sub = SegmentFamily(len(keep), tuple((rank[a], rank[b]) for a, b in keep))
 
-    witness = max_caterpillar(sub._struct.tree)
+    witness = max_caterpillar(sub._tree)
     assert witness.size == cap
-    inner = _compatible_chain(sub._struct, witness)
+    inner = _compatible_chain(sub.pairs, sub._tree, witness)
     endpoints = tuple(labels[x] for x in inner.endpoints)
     return _checked(s, AlternatingPath(endpoints, cap), "simple"), plan
 
@@ -410,10 +409,7 @@ def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, Contract
 def load_family_by_generators(path: str) -> SegmentFamily:
     """``cli._load_family`` checking each pair with nested ``all``/``_is_int``
     generators and building the pair tuple in a second pass."""
-    try:
-        data = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "n" not in data or "segments" not in data:
         raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
     n, segments = data["n"], data["segments"]
@@ -563,9 +559,11 @@ def tree_to_segments_by_phase_stack(t: Tree, root: int = 0) -> SegmentFamily:
     return SegmentFamily(t.m, tuple(sorted(pairs)))
 
 
-def structure_by_index_stack(chords, tree: Tree | None = None) -> _Structure:
+def structure_by_index_stack(chords, tree: Tree | None = None) -> tuple:
     """``duality._structure`` keeping a stack of chord indices and reading
-    each one's closing label back from ``chords``."""
+    each one's closing label back from ``chords``, plus each cell's boundary
+    cycle: (chord, first, second) in walk order, child chords as they open
+    and the cell's own chord last, reversed.  Returns (cycles, tree)."""
     n = len(chords)
     cycles: list = [[] for _ in range(n + 1)]
     edges = []
@@ -583,7 +581,7 @@ def structure_by_index_stack(chords, tree: Tree | None = None) -> _Structure:
         tree = Tree(n + 1, tuple(edges))
     elif tree.edges != tuple(sorted(edges)):
         raise AssertionError("chords do not cut out the tree given as their cells")
-    return _Structure(chords, tuple(map(tuple, cycles)), tree)
+    return cycles, tree
 
 
 def chain_cell_by_modulo(cycle, wanted, entry, entry_point, exit_chord) -> list:
@@ -618,10 +616,11 @@ def chain_cell_by_modulo(cycle, wanted, entry, entry_point, exit_chord) -> list:
     return items[:at] + tail + [(c, q, p)]
 
 
-def compatible_chain_by_min_max(st_: _Structure, w: CaterpillarWitness) -> AlternatingPath:
+def compatible_chain_by_min_max(chords, w: CaterpillarWitness) -> AlternatingPath:
     """``duality._compatible_chain`` normalising cell pairs with ``min`` and
-    ``max`` and chaining each cell with ``chain_cell_by_modulo``."""
-    t = st_.tree
+    ``max`` and chaining each cell with ``chain_cell_by_modulo`` over the
+    boundary cycles of ``structure_by_index_stack``."""
+    cycles, t = structure_by_index_stack(chords)
     cells = set(range(t.vertex_count))
     if not w.vertex_set <= cells or not set(w.spine) <= w.vertex_set:
         raise ValueError("witness does not fit this family's cell tree")
@@ -644,7 +643,7 @@ def compatible_chain_by_min_max(st_: _Structure, w: CaterpillarWitness) -> Alter
         else:
             host = a if a in spine_set else (b if b in spine_set else None)
             if host is None:
-                raise ValueError(f"witness segment {st_.chords[i]} misses the spine")
+                raise ValueError(f"witness segment {chords[i]} misses the spine")
             at_cell[host].append(i)
     for u, v in zip(spine, spine[1:]):
         if (min(u, v), max(u, v)) not in link:
@@ -665,9 +664,7 @@ def compatible_chain_by_min_max(st_: _Structure, w: CaterpillarWitness) -> Alter
         if entry is None and not wanted:
             raise ValueError("spine cell carries no witness segment")
         if wanted:
-            out.extend(
-                chain_cell_by_modulo(st_.cell_cycles[cell], wanted, entry, point, exit_chord)
-            )
+            out += chain_cell_by_modulo(cycles[cell], wanted, entry, point, exit_chord)
             point = out[-1][2]
         entry = exit_chord
     endpoints: list = []

@@ -357,6 +357,7 @@ def test_path_rejects_malformed_family_files(capsys, tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("nope", "not valid JSON (Expecting value)"),
         ('{"n": 0, "segments": []}', "need at least one segment"),
         ('{"n": 2, "segments": [[0, 2], [1, 3]]}', "segments (0, 2) and (1, 3) cross"),
     ],
@@ -432,6 +433,7 @@ def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints):
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("nope", "not valid JSON (Expecting value)"),
         ('{"mode": 5, "endpoints": [0, 5]}', "unknown mode 5"),
         ('{"mode": "fancy", "endpoints": [0, 5]}', "unknown mode 'fancy'"),
         ('{"mode": "compatible", "endpoints": []}', "endpoint count must be twice the segment count"),

@@ -51,6 +51,8 @@ def test_pairs_are_normalized_and_sorted():
         (1, ((0, 1, 2),), "perfectly match"),
         (1, ((0,),), "perfectly match"),
         (1, ((5,),), "perfectly match"),
+        ("1", ((0, 1),), "^n must be an integer, got '1'$"),
+        (1.0, ((0, 1),), "^n must be an integer, got 1.0$"),
     ],
 )
 def test_family_validation(n, pairs, hint):
@@ -144,6 +146,13 @@ def test_paths_need_an_even_positive_length():
         AlternatingPath((0, 1, 2), 1)
     with pytest.raises(ValueError):
         AlternatingPath((), 0)
+
+
+@pytest.mark.parametrize("k", ["1", 1.0])
+def test_non_integer_segment_counts_of_paths_are_refused(k):
+    with pytest.raises(ValueError) as caught:
+        AlternatingPath((0, 1), k)
+    assert str(caught.value) == f"k must be an integer, got {k!r}"
 
 
 # ----------------------------------------------------------------------

@@ -211,7 +211,7 @@ def assert_among_matches_subfamily(family: SegmentFamily) -> None:
     # the chords the plan keeps cut out exactly the plan's caterpillar
     dropped = {max(edge) - 1 for edge in edges}
     kept = [c for i, c in enumerate(family.pairs) if i not in dropped]
-    assert duality._structure(tuple(kept)).tree == plan.kept_caterpillar
+    assert duality._structure(tuple(kept)) == plan.kept_caterpillar
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,7 +326,7 @@ def test_among_path_builds_one_tree_and_checks_it_once(monkeypatch, shape):
         family = tree_to_segments(path_tree(300), 0)
     else:
         family = tree_to_segments(extremal_branch_star(4), 0)
-    cell_tree = family._struct.tree  # not the path's cost
+    cell_tree = family._tree  # not the path's cost
     caterpillar = shape in ("path-300", "branch-star-4")
     built: list = []
     structures: list = []

@@ -182,6 +182,21 @@ def test_guarantee_matches_reference_at_change_points():
         assert induced_guarantee(m) == induced_guarantee_reference(m)
 
 
+def test_every_change_of_either_guarantee_is_a_candidate():
+    limit = 30_000
+    points = set(guarantee_change_points(limit))
+    steps = [induced_guarantee, induced_guarantee_reference]
+    # and where each residue form's N rises, six times per step of its form
+    steps += [
+        lambda m, c=c, s=s, gamma=gamma: induced._ceil_6log3(c * m + s, gamma)
+        for c, s, gamma, _add in induced._RESIDUE_PARAMS.values()
+    ]
+    for step in steps:
+        values = [step(m) for m in range(1, limit + 1)]
+        changes = {m for m in range(2, limit + 1) if values[m - 1] != values[m - 2]}
+        assert changes and sorted(changes - points) == []
+
+
 # ----------------------------------------------------------------------
 # the harness
 # ----------------------------------------------------------------------

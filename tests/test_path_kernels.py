@@ -7,9 +7,11 @@ its chords off parent cells.  Each must reproduce its reference in
 ``helpers``: ``validate_path_by_sweep``, which sends every path through the
 sweep, and ``compatible_chain_by_min_max``, which finds the witness chords
 with a scan over every tree edge and chains each cell with its own
-``chain_cell_by_modulo``.  So the same chain or the same ``ValueError``, and
-the same ``PathReport``, issues in the same order, on every census class
-through 10 edges and on broken paths over 250- to 1000-segment families.
+``chain_cell_by_modulo`` over the boundary cycles that
+``structure_by_index_stack`` lists, so it shares no chaining code with the
+library.  So the same chain or the same ``ValueError``, and the same
+``PathReport``, issues in the same order, on every census class through 10
+edges and on broken paths over 250- to 1000-segment families.
 A valid path never reaches the sweep.
 """
 
@@ -72,11 +74,10 @@ def reports(family, endpoints) -> list:
 
 def test_every_census_class_chains_like_the_edge_scan():
     for family in census_families():
-        st_ = family._struct
-        witness = max_caterpillar(st_.tree)
-        assert _compatible_chain(st_, witness) == compatible_chain_by_min_max(
-            st_, witness
-        )
+        witness = max_caterpillar(family._tree)
+        assert _compatible_chain(
+            family.pairs, family._tree, witness
+        ) == compatible_chain_by_min_max(family.pairs, witness)
 
 
 def test_valid_paths_never_reach_the_crossing_sweep(monkeypatch):
@@ -87,7 +88,7 @@ def test_valid_paths_never_reach_the_crossing_sweep(monkeypatch):
     families = list(census_families())
     families += [large_family(name) for name in ("pruefer-1000", "path-1000")]
     for family in families:
-        chain = compatible_path(family, max_caterpillar(family._struct.tree))
+        chain = compatible_path(family, max_caterpillar(family._tree))
         among = among_path(family)[0]
         assert [r.ok for r in reports(family, chain.endpoints)] == [True, True]
         assert validate_path(family, among, "simple").ok
@@ -96,7 +97,7 @@ def test_valid_paths_never_reach_the_crossing_sweep(monkeypatch):
 def test_every_census_class_reports_broken_paths_like_the_sweep():
     rng = random.Random(15)
     for family in census_families():
-        chain = compatible_path(family, max_caterpillar(family._struct.tree))
+        chain = compatible_path(family, max_caterpillar(family._tree))
         among = among_path(family)[0]
         for e in (chain.endpoints, among.endpoints):
             reports(family, e)  # the among chain may cross unused segments
@@ -108,7 +109,7 @@ def test_every_census_class_reports_broken_paths_like_the_sweep():
 def test_large_families_report_broken_paths_like_the_sweep(name):
     family = large_family(name)
     rng = random.Random(name)
-    chain = compatible_path(family, max_caterpillar(family._struct.tree)).endpoints
+    chain = compatible_path(family, max_caterpillar(family._tree)).endpoints
     among = among_path(family)[0].endpoints
     issues = []
     for e in (chain, among):
@@ -163,12 +164,11 @@ def witness_variants(w: CaterpillarWitness, count: int, rng: random.Random) -> l
 
 
 def assert_witnesses_chain_like_the_edge_scan(family, rng) -> None:
-    st_ = family._struct
-    count = st_.tree.vertex_count
-    for variant in witness_variants(max_caterpillar(st_.tree), count, rng):
+    chords, t = family.pairs, family._tree
+    for variant in witness_variants(max_caterpillar(t), t.vertex_count, rng):
         w = CaterpillarWitness(*variant)
-        assert outcome(lambda: _compatible_chain(st_, w)) == outcome(
-            lambda: compatible_chain_by_min_max(st_, w)
+        assert outcome(lambda: _compatible_chain(chords, t, w)) == outcome(
+            lambda: compatible_chain_by_min_max(chords, w)
         )
 
 
@@ -180,7 +180,7 @@ def test_faulty_witnesses_raise_like_the_edge_scan_on_census_classes():
     # a single-segment witness may leave its spine empty
     family = tree_to_segments(path_tree(4), 0)
     w = CaterpillarWitness(frozenset({1, 2}), (), 1)
-    assert outcome(lambda: _compatible_chain(family._struct, w))[0] == "ok"
+    assert outcome(lambda: _compatible_chain(family.pairs, family._tree, w))[0] == "ok"
 
 
 @pytest.mark.parametrize("name", ["pruefer-250", "path-250"])

@@ -63,29 +63,28 @@ def assert_tree_matches(n, edges):
 
 
 def assert_structure_matches(chords, tree=None):
-    fast, slow = _structure(chords, tree), structure_by_index_stack(chords, tree)
-    assert (fast.chords, fast.cell_cycles, fast.tree) == (
-        slow.chords,
-        slow.cell_cycles,
-        slow.tree,
-    )
+    assert _structure(chords, tree) == structure_by_index_stack(chords, tree)[1]
 
 
-def assert_chain_cells_match(cycle, rng: random.Random) -> None:
-    """Every entry (none, or each chord entered at either end) against a
-    few random wanted sets, each with and without an exit chord."""
-    chords = [c for c, _, _ in cycle]
+def assert_chain_cells_match(chords, cell, cycle, rng: random.Random) -> None:
+    """``_chain_cell`` on ``chords`` against ``chain_cell_by_modulo`` on the
+    reference's boundary ``cycle`` of ``cell``: every entry (none, or each
+    chord entered at either end) against a few random wanted sets, each
+    with and without an exit chord."""
+    bordering = [c for c, _, _ in cycle]
     entries = [(None, None)] + [(c, x) for c, p, q in cycle for x in (p, q)]
     for entry, point in entries:
-        others = [c for c in chords if c != entry]
+        others = [c for c in bordering if c != entry]
         for _ in range(3):
             wanted = {c for c in others if rng.random() < 0.6}
             exits = [None] + sorted(wanted)
             if entry is None and not wanted:
                 continue
             for exit_chord in exits:
-                args = (cycle, wanted, entry, point, exit_chord)
-                assert _chain_cell(*args) == chain_cell_by_modulo(*args)
+                args = (wanted, entry, point, exit_chord)
+                assert _chain_cell(chords, cell, *args) == chain_cell_by_modulo(
+                    cycle, *args
+                )
 
 
 def assert_reports_match(family, endpoints) -> None:
@@ -116,13 +115,13 @@ def assert_matches_previous(t: Tree, rng: random.Random, exhaustive: bool = True
         assert family == tree_to_segments_by_phase_stack(t, root)
     # the rest runs on the last root's family
     assert_structure_matches(family.pairs)
-    st_ = family._struct
-    cell_tree = st_.tree
+    chords, cell_tree = family.pairs, family._tree
     witness = max_caterpillar(cell_tree)
-    assert _compatible_chain(st_, witness) == compatible_chain_by_min_max(st_, witness)
+    chain = _compatible_chain(chords, cell_tree, witness)
+    assert chain == compatible_chain_by_min_max(chords, witness)
     if exhaustive:
-        for cycle in st_.cell_cycles:
-            assert_chain_cells_match(cycle, rng)
+        for cell, cycle in enumerate(structure_by_index_stack(chords)[0]):
+            assert_chain_cells_match(chords, cell, cycle, rng)
 
     chains = [compatible_path(family, witness).endpoints, among_path(family)[0].endpoints]
     for chain in chains:
@@ -173,7 +172,7 @@ def test_thousand_edge_trees(shape):
     assert_matches_previous(t, random.Random(shape), exhaustive=False)
     # the family's own structure again, handed its cell tree
     family = tree_to_segments(t, 0)
-    assert_structure_matches(family.pairs, family._struct.tree)
+    assert_structure_matches(family.pairs, family._tree)
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,8 @@ def test_edges_are_normalized():
         (3, ((0, 1), (1, 3)), "out of range"),
         (4, ((0, 1), (0, 1), (2, 3)), "duplicate"),
         (4, ((0, 1), (1, 2), (0, 2)), "cycle"),
+        ("3", ((0, 1), (1, 2)), "^vertex_count must be an integer, got '3'$"),
+        (2.0, ((0, 1),), "^vertex_count must be an integer, got 2.0$"),
     ],
 )
 def test_rejects_non_trees(n, edges, hint):
