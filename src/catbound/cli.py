@@ -298,11 +298,13 @@ def _cmd_table(args) -> int:
 # build refuses to make a tree with more edges than this
 MAX_BUILD_EDGES = 1_000_000
 
-# edge count by closed form of each shape that takes --k
-_EDGES_BY_K = {
-    "rk": extremal_size_contraction,
-    "bk": max_branch_size,
-    "tk": extremal_size_induced,
+# each shape that takes --k: its edge count by closed form, and its tree; the
+# lambdas look the constructors up when called, so tracing that rebinds
+# their module names (bench/spans.py) sees each call
+_BUILD_BY_K = {
+    "rk": (extremal_size_contraction, lambda k: extremal_spider(k)),
+    "bk": (max_branch_size, lambda k: beautiful_tree(k)[0].tree),
+    "tk": (extremal_size_induced, lambda k: extremal_branch_star(k)),
 }
 
 
@@ -311,6 +313,7 @@ def _cmd_build(args) -> int:
         if args.d is None or args.l is None:
             raise ValueError("build rdl needs --d and --l")
         edges = max_edges_diameter_leaves(args.d, args.l)
+        build = functools.partial(build_spider, args.d, args.l)
     else:
         if args.k is None:
             raise ValueError(f"build {args.shape} needs --k")
@@ -318,21 +321,14 @@ def _cmd_build(args) -> int:
         # without evaluating an exponential closed form; k < 1 is left to
         # the constructor's own message
         k = args.k
-        edges = _EDGES_BY_K[args.shape](k) if 1 <= k <= MAX_BUILD_EDGES else k
+        size, tree_of = _BUILD_BY_K[args.shape]
+        edges = size(k) if 1 <= k <= MAX_BUILD_EDGES else k
+        build = functools.partial(tree_of, k)
     if edges > MAX_BUILD_EDGES:
         raise ValueError(
             f"build {args.shape} would have more than {MAX_BUILD_EDGES} edges"
         )
-
-    if args.shape == "rk":
-        tree = extremal_spider(args.k)
-    elif args.shape == "rdl":
-        tree = build_spider(args.d, args.l)
-    elif args.shape == "bk":
-        tree = beautiful_tree(args.k)[0].tree
-    else:
-        tree = extremal_branch_star(args.k)
-    _emit(format_tree(tree), args.out)
+    _emit(format_tree(build()), args.out)
     return 0
 
 

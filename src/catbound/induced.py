@@ -145,10 +145,6 @@ class BeautifulProfile:
         if any(a < b for a, b in zip(body, body[1:])):
             raise ValueError("interior counts must be non-increasing")
 
-    @property
-    def height(self) -> int:
-        return len(self.counts) - 1
-
     def edge_count(self) -> int:
         total = 0
         width = 1
@@ -203,15 +199,6 @@ def beautiful_tree(k: int) -> tuple[RootedTree, BeautifulProfile]:
 # ======================================================================
 # stars of branches (unrooted extremal trees)
 # ======================================================================
-
-
-def star_of_branches_size(r: int, x: int, y: int) -> int:
-    """Edge count of r branches glued at a shared root, one of parameter y
-    and r - 1 of parameter x: max_branch_size(y) + (r-1)*max_branch_size(x).
-    Spines through two of the branches bound the induced caterpillar."""
-    if r < 2:
-        raise ValueError("need at least two branches")
-    return max_branch_size(y) + (r - 1) * max_branch_size(x)
 
 
 _STAR_SHAPE_SMALL = (

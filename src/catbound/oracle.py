@@ -16,16 +16,16 @@ checks in this process or in one process pool opened for the whole run, and
 that count's rows.  Each row is a minimum, ties broken by canonical code, so
 the report does not depend on the worker count.  Canonical codes only label
 the trees a row names, so the fold computes them for those witnesses alone:
-the trees at each bound's minimum and any tree that clashes or fails.  The
-duality round trip compares codes only when it comes back relabelled:
-``free_trees`` yields trees in preorder, and the family ``tree_to_segments``
-makes at root 0 hands back the very same tree as its cell tree, once its
-edges are checked against the cells'; equal labelled trees are isomorphic.
-A relabelled round trip also needs its own caterpillar witness, because the
-family's cells carry the returned tree's ids, not the input's.  A
-caterpillar class takes the witness its among path's plan checked and
-chained, which then uses every segment, as its DP witness and its compatible
-path too, so it builds one witness and one chain.
+the trees at each bound's minimum and any tree that clashes or fails.
+
+The duality round trip must hand back the census tree itself:
+``free_trees`` labels every class in preorder, and the family
+``tree_to_segments`` makes of a preorder tree at root 0 keeps that tree as
+its cell tree once its edges are checked against the cells'.  Any other
+tree fails the class as ``round trip``.  So the cells carry the census
+tree's ids, and a caterpillar class takes the witness its among path's plan
+checked and chained, which then uses every segment, as its DP witness and
+its compatible path too: one witness and one chain.
 
 Guarantee functions are step functions of the edge budget, so the sweep
 section compares implementation and reference only at change points: both
@@ -442,31 +442,30 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
     each is computed on its own only when the duality fails before it
     exists.
 
-    A caterpillar class builds one witness and one chain.  When the round
-    trip returned ``t`` itself and the plan contracts nothing, the plan has
+    ``t`` must be labelled in preorder from 0, as ``free_trees`` labels it,
+    so that the round trip through its family at root 0 returns ``t``
+    itself; any other tree fails as ``round trip``.  A caterpillar class
+    builds one witness and one chain: a plan that contracts nothing has
     checked that ``max_caterpillar(t)`` has every edge, and the among path
-    chains that witness through every segment: its size is the DP size, and
-    its 'simple' validation is the 'compatible' one, so ``compatible_path``
-    is not called.  Any other class computes ``max_caterpillar(t)`` once."""
+    chains it through every segment, so its size is the DP size, its
+    'simple' validation is the 'compatible' one, and ``compatible_path`` is
+    not called.  Any other class computes ``max_caterpillar(t)`` once."""
     brute = brute_max_caterpillar(t)
     score = size = None
     failure = step = "round trip"
     try:
         family = tree_to_segments(t, 0)
-        back, _ = segments_to_tree(family)
-        same = back == t
-        if same or canonical_code(back) == canonical_code(t):
+        if segments_to_tree(family)[0] == t:
             step = "among"
             path, plan = among_path(family)
             score = plan.target_size
-            if same and not plan.contract_sequence:
+            if not plan.contract_sequence:
                 size = path.k
             else:
                 step = "compatible"
                 witness = max_caterpillar(t)
                 size = witness.size
-                # the witness must name the family's cells, which are back's ids
-                compatible_path(family, witness if same else max_caterpillar(back))
+                compatible_path(family, witness)
             failure = None
     except Exception as exc:
         failure = f"{step}: {type(exc).__name__}: {exc}"
@@ -541,6 +540,61 @@ def _fold(m: int, checked: Iterable[tuple[Tree, tuple]]) -> list[CheckRecord]:
     return rows
 
 
+# Each section below yields a failure string for every score or budget it
+# finds wrong, in the order it checks them; ``verify_all`` reports the first.
+
+
+def _ratio_failures(top: int) -> Iterator[str]:
+    for k in range(2, top + 1):
+        if 5 * max_branch_size(k) < 7 * max_branch_size(k - 1):
+            yield f"5*size({k}) < 7*size({k - 1})"
+        if k >= 7 and 2 * max_branch_size(k) >= 3 * max_branch_size(k - 1):
+            yield f"2*size({k}) >= 3*size({k - 1})"
+
+
+def _spider_failures(top: int) -> Iterator[str]:
+    for k in range(1, top + 1):
+        spider = extremal_spider(k)
+        score = max_caterpillar_by_contraction(spider)
+        if spider.m != extremal_size_contraction(k) or score != k:
+            yield f"k={k}: {spider.m} edges, score {score}"
+
+
+def _star_failures(top: int, sizes: list[int]) -> Iterator[str]:
+    for k in range(2, top + 1):
+        star = extremal_branch_star(k)
+        found = max_caterpillar(star).size
+        if (
+            star.m != branch_star_bound(k)
+            or star.m != _searched_star_bound(k, sizes)
+            or found != k
+        ):
+            yield f"k={k}: {star.m} edges, caterpillar {found}"
+
+
+def _beautiful_failures(top: int, claimed: dict[int, int]) -> Iterator[str]:
+    for k in range(1, top + 1):
+        rooted, _profile = beautiful_tree(k)
+        fed = very_hungry_max(rooted)
+        cat = max_caterpillar(rooted.tree).size
+        want_edges = claimed.get(k, max_branch_size(k))
+        if rooted.tree.m != want_edges or fed != k or cat > 2 * k - 1:
+            yield f"k={k}: {rooted.tree.m} edges, hungry {fed}, caterpillar {cat}"
+
+
+def _sweep_failures(points: list[int], sizes: list[int]) -> Iterator[str]:
+    searched = _searched_thresholds(_INVERTED_THROUGH, sizes)
+    for m in points:
+        # through that m induced_guarantee inverts the table thresholds
+        # itself, so there it is checked against the searched ones
+        if m <= _INVERTED_THROUGH:
+            want = next(k for k, size in enumerate(searched) if size >= m)
+        else:
+            want = induced_guarantee_reference(m)
+        if induced_guarantee(m) != want:
+            yield f"m={m}: {induced_guarantee(m)} vs {want}"
+
+
 def verify_all(
     max_edges: int = 10,
     max_score: int = 21,
@@ -593,81 +647,19 @@ def verify_all(
             )
         )
 
-    bad = None
-    for k in range(2, max_score + 1):
-        if 5 * max_branch_size(k) < 7 * max_branch_size(k - 1):
-            bad = f"5*size({k}) < 7*size({k - 1})"
-            break
-        if k >= 7 and 2 * max_branch_size(k) >= 3 * max_branch_size(k - 1):
-            bad = f"2*size({k}) >= 3*size({k - 1})"
-            break
-    records.append(
-        _verdict(
-            "branch-ratio", f"k<={max_score}", "growth stays within [7/5, 3/2)", bad
-        )
-    )
-
-    bad = None
-    for k in range(1, max_score + 1):
-        spider = extremal_spider(k)
-        score = max_caterpillar_by_contraction(spider)
-        if spider.m != extremal_size_contraction(k) or score != k:
-            bad = f"k={k}: {spider.m} edges, score {score}"
-            break
-    records.append(
-        _verdict("extremal-spider", f"k<={max_score}", "sizes and scores match", bad)
-    )
-
-    bad = None
-    for k in range(2, min(max_score, 26) + 1):
-        star = extremal_branch_star(k)
-        found = max_caterpillar(star).size
-        if (
-            star.m != branch_star_bound(k)
-            or star.m != _searched_star_bound(k, recurrence)
-            or found != k
-        ):
-            bad = f"k={k}: {star.m} edges, caterpillar {found}"
-            break
-    label = f"k<={min(max_score, 26)}"
-    records.append(
-        _verdict("extremal-branch-star", label, "sizes and caterpillars match", bad)
-    )
-
-    bad = None
-    for k in range(1, min(max_score, 18) + 1):
-        rooted, _profile = beautiful_tree(k)
-        fed = very_hungry_max(rooted)
-        cat = max_caterpillar(rooted.tree).size
-        want_edges = claimed.get(k, max_branch_size(k))
-        if rooted.tree.m != want_edges or fed != k or cat > 2 * k - 1:
-            bad = f"k={k}: {rooted.tree.m} edges, hungry {fed}, caterpillar {cat}"
-            break
-    label = f"k<={min(max_score, 18)}"
-    records.append(
-        _verdict("beautiful-tree", label, "sizes, appetites, caterpillar cap", bad)
-    )
-
+    star_top, beautiful_top = min(max_score, 26), min(max_score, 18)
     points = guarantee_change_points(sweep_limit)
-    searched = _searched_thresholds(_INVERTED_THROUGH, recurrence)
-    bad = None
-    for m in points:
-        # through that m induced_guarantee inverts the table thresholds
-        # itself, so there it is checked against the searched ones
-        if m <= _INVERTED_THROUGH:
-            want = next(k for k, size in enumerate(searched) if size >= m)
-        else:
-            want = induced_guarantee_reference(m)
-        if induced_guarantee(m) != want:
-            bad = f"m={m}: {induced_guarantee(m)} vs {want}"
-            break
-    records.append(
-        _verdict(
-            "guarantee-sweep",
-            f"m<={sweep_limit}",
-            "closed form equals reference",
-            bad,
-            f"{len(points)} change points",
-        )
-    )
+    for section, label, expected, failures, note in (
+        ("branch-ratio", f"k<={max_score}", "growth stays within [7/5, 3/2)",
+         _ratio_failures(max_score), ""),
+        ("extremal-spider", f"k<={max_score}", "sizes and scores match",
+         _spider_failures(max_score), ""),
+        ("extremal-branch-star", f"k<={star_top}", "sizes and caterpillars match",
+         _star_failures(star_top, recurrence), ""),
+        ("beautiful-tree", f"k<={beautiful_top}", "sizes, appetites, caterpillar cap",
+         _beautiful_failures(beautiful_top, claimed), ""),
+        ("guarantee-sweep", f"m<={sweep_limit}", "closed form equals reference",
+         _sweep_failures(points, recurrence), f"{len(points)} change points"),
+    ):
+        records.append(_verdict(section, label, expected, next(failures, None), note))
     return VerificationReport(tuple(records))

@@ -69,8 +69,10 @@ def _check_integer_ids(edges: Iterable[Any]) -> None:
 
 def _check_count(value: Any, name: str) -> None:
     """Raise ``ValueError`` naming the count ``name`` unless ``value`` is an
-    integer, as ``operator.index`` decides."""
+    integer, as ``operator.index`` decides, other than a ``bool``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         _as_index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -53,6 +53,7 @@ def test_pairs_are_normalized_and_sorted():
         (1, ((5,),), "perfectly match"),
         ("1", ((0, 1),), "^n must be an integer, got '1'$"),
         (1.0, ((0, 1),), "^n must be an integer, got 1.0$"),
+        (True, ((0, 1),), "^n must be an integer, got True$"),
     ],
 )
 def test_family_validation(n, pairs, hint):
@@ -148,7 +149,7 @@ def test_paths_need_an_even_positive_length():
         AlternatingPath((), 0)
 
 
-@pytest.mark.parametrize("k", ["1", 1.0])
+@pytest.mark.parametrize("k", ["1", 1.0, True])
 def test_non_integer_segment_counts_of_paths_are_refused(k):
     with pytest.raises(ValueError) as caught:
         AlternatingPath((0, 1), k)
@@ -221,8 +222,9 @@ def test_family_structure_is_built_once_per_family(monkeypatch):
 
 
 def test_a_preorder_tree_comes_back_as_itself():
-    # free_trees yields preorder trees, so each is its own family's cell tree
-    for m in range(1, 9):
+    # free_trees yields preorder trees, so each is its own family's cell tree,
+    # which the census check relies on up to the default --max-edges
+    for m in range(1, 11):
         for t in free_trees(m):
             family = tree_to_segments(t, 0)
             assert segments_to_tree(family)[0] is t

@@ -25,7 +25,6 @@ from catbound import (
     is_caterpillar,
     max_branch_size,
     max_caterpillar,
-    star_of_branches_size,
     tree_from_profile,
     very_hungry_max,
 )
@@ -167,12 +166,6 @@ def test_branch_recursion_agrees_with_the_profile_route():
 # ----------------------------------------------------------------------
 # branch stars
 # ----------------------------------------------------------------------
-
-
-def test_star_size_formula():
-    assert star_of_branches_size(3, 2, 2) == 6
-    assert star_of_branches_size(4, 4, 4) == 20
-    assert star_of_branches_size(2, 1, 3) == 4
 
 
 def test_star_bounds_small_table():

@@ -232,15 +232,37 @@ def test_verification_report_serializes():
     assert text == verify_all(max_edges=3, max_score=6, sweep_limit=500).to_text()
 
 
+def failed_rows(report) -> dict[str, str]:
+    return {f"{r.section} {r.label}": r.actual for r in report.failures()}
+
+
 def test_corrupted_branch_size_is_caught():
     wrong = {9: max_branch_size(9) + 1}
     report = verify_all(
         max_edges=2, max_score=12, sweep_limit=500, branch_size_override=wrong
     )
-    assert not report.ok
-    bad_sections = {r.section for r in report.failures()}
-    assert "branch-size" in bad_sections
-    assert "beautiful-tree" in bad_sections
+    assert failed_rows(report) == {
+        "branch-size k=9": "35",
+        "beautiful-tree k<=12": "k=9: 34 edges, hungry 9, caterpillar 14",
+    }
+
+
+def test_a_wrong_spider_size_fails_the_spider_row(monkeypatch):
+    size = oracle.extremal_size_contraction
+    monkeypatch.setattr(oracle, "extremal_size_contraction", lambda k: size(k) + (k == 5))
+    report = verify_all(max_edges=2, max_score=8, sweep_limit=500)
+    assert failed_rows(report) == {"extremal-spider k<=8": "k=5: 6 edges, score 5"}
+
+
+def test_a_wrong_branch_size_fails_the_ratio_and_beautiful_rows(monkeypatch):
+    size = oracle.max_branch_size
+    monkeypatch.setattr(oracle, "max_branch_size", lambda k: size(k) + 20 * (k == 8))
+    report = verify_all(max_edges=2, max_score=12, sweep_limit=500)
+    assert failed_rows(report) == {
+        "branch-size k=8": "43",
+        "branch-ratio k<=12": "2*size(8) >= 3*size(7)",
+        "beautiful-tree k<=12": "k=8: 23 edges, hungry 8, caterpillar 13",
+    }
 
 
 @pytest.mark.parametrize("k", [0, 13])

@@ -48,6 +48,7 @@ def test_edges_are_normalized():
         (4, ((0, 1), (1, 2), (0, 2)), "cycle"),
         ("3", ((0, 1), (1, 2)), "^vertex_count must be an integer, got '3'$"),
         (2.0, ((0, 1),), "^vertex_count must be an integer, got 2.0$"),
+        (True, (), "^vertex_count must be an integer, got True$"),
     ],
 )
 def test_rejects_non_trees(n, edges, hint):
