@@ -11,12 +11,15 @@ as a FAIL row with a canonical-code witness attached.
 The census puts every free tree class through one check, ``_check_tree``,
 whose small picklable result records each fact about that tree and, for a
 failed duality, the step and the exception.  The same ``map`` call runs the
-checks in this process or in one process pool opened for the whole run, and
-``_fold`` streams each edge count's trees, paired with their results, into
-that count's rows.  Each row is a minimum, ties broken by canonical code, so
-the report does not depend on the worker count.  Canonical codes only label
-the trees a row names, so the fold computes them for those witnesses alone:
-the trees at each bound's minimum and any tree that clashes or fails.
+checks in this process or, when more than one worker runs, in one process
+pool opened for the whole run.  Only then are the pool and its imports
+(``multiprocessing`` and what it pulls in) loaded, so no other run pays to
+start them.  ``_fold`` streams each edge count's trees, paired with their
+results, into that count's rows.  Each row is a minimum, ties broken by
+canonical code, so the report does not depend on the worker count.
+Canonical codes only label the trees a row names, so the fold computes them
+for those witnesses alone: the trees at each bound's minimum and any tree
+that clashes or fails.
 
 The duality round trip must hand back the census tree itself:
 ``free_trees`` labels every class in preorder, and the family
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -614,7 +616,8 @@ def verify_all(
     most ``MAX_SCORE``, checked before any tree is built, and the branch-size
     recurrence is tabulated once up to it.  ``workers`` is clamped
     to the CPU count; above one, the checks run in a single process pool
-    opened for the whole call.  The report does not depend on it.
+    opened for the whole call, and only then is the pool imported.  The
+    report does not depend on it.
     """
     if max_edges < 1 or max_score < 1 or sweep_limit < 1 or workers < 1:
         raise ValueError("bounds and worker count must be positive")
@@ -628,7 +631,12 @@ def verify_all(
         raise ValueError(f"branch_size_override keys must lie in 1..{max_score}")
     records: list[CheckRecord] = []
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here, so that no other run loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
         check = map if pool is None else partial(pool.map, chunksize=_CHUNK)
         for m in range(1, max_edges + 1):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -811,3 +812,44 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path):
         assert (code, out.getvalue(), err.getvalue()) == (
             fresh.returncode, fresh.stdout, fresh.stderr
         ), argv
+
+
+# Runs each argv in turn in a fresh process and prints, as JSON, their exit
+# codes and stdouts and which process-pool modules the process then holds.
+_FRESH_RUNS = """
+import io, json, sys
+from contextlib import redirect_stdout
+import catbound, catbound.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = catbound.cli.main(argv)
+    runs.append([code, out.getvalue()])
+pool = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+print(json.dumps({"runs": runs, "pool": pool}))
+"""
+
+_SMALL_VERIFY = ["verify", "--max-edges", "3", "--max-k", "3", "--sweep", "10"]
+
+
+def _fresh_runs(*argvs: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUNS, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_serial_process_never_imports_the_process_pool():
+    serial = _fresh_runs(["eval", "p", "--m", "10"], _SMALL_VERIFY)
+    assert serial["pool"] == []
+    assert [code for code, _ in serial["runs"]] == [0, 0]
+    assert serial["runs"][0][1] == "7\n"
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: --workers 2 is clamped to a serial run")
+    pooled = _fresh_runs(_SMALL_VERIFY + ["--workers", "2"])
+    assert pooled["pool"] == ["multiprocessing", "concurrent.futures"]
+    assert pooled["runs"] == serial["runs"][1:]

@@ -1,5 +1,7 @@
 """Enumeration, brute-force oracles, and the verification harness."""
 
+import concurrent.futures
+
 import pytest
 
 import catbound.induced as induced
@@ -301,7 +303,8 @@ class InlinePool:
 @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
 def test_workers_are_clamped_to_the_cpu_count(monkeypatch, cpus, pools):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    # verify_all imports the pool when it opens one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=64)
     assert InlinePool.sizes == pools
