@@ -51,7 +51,7 @@ from .induced import (
 )
 from .oracle import _SEARCH_LIMIT, MAX_SCORE, verify_all
 from .render import render_segments, render_tree
-from .trees import format_tree, is_spider, parse_tree
+from .trees import _check_count, format_tree, is_spider, parse_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,9 +168,7 @@ def _load_family(path: str) -> SegmentFamily:
     if not isinstance(data, dict) or "n" not in data or "segments" not in data:
         raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
     n, segments = data["n"], data["segments"]
-    # JSON yields exact types, so ``type(x) is int`` is ``_is_int``: a
-    # bool's type is bool
-    if type(n) is not int:
+    if not _is_int(n):
         raise ValueError(f"{path}: n must be an integer")
     not_pairs = f"{path}: segments must be [a, b] pairs"
     if type(segments) is not list:
@@ -180,7 +178,7 @@ def _load_family(path: str) -> SegmentFamily:
         if type(p) is not list or len(p) != 2:
             raise ValueError(not_pairs)
         a, b = p
-        if type(a) is not int or type(b) is not int:
+        if not (_is_int(a) and _is_int(b)):
             raise ValueError(not_pairs)
         pairs.append((a, b))
     try:
@@ -387,18 +385,10 @@ def _cmd_path(args) -> int:
 def _cmd_verify(args) -> int:
     # refused here so that the message names the flag, not verify_all's
     # parameter; the library keeps its own checks
-    if args.max_edges < 1:
-        raise ValueError("--max-edges must be positive")
-    if args.max_edges >= _SEARCH_LIMIT:
-        raise ValueError(f"--max-edges must be at most {_SEARCH_LIMIT - 1}")
-    if args.max_k < 1:
-        raise ValueError("--max-k must be positive")
-    if args.max_k > MAX_SCORE:
-        raise ValueError(f"--max-k must be at most {MAX_SCORE}")
-    if args.sweep < 1:
-        raise ValueError("--sweep must be positive")
-    if args.workers < 1:
-        raise ValueError("--workers must be positive")
+    _check_count(args.max_edges, "--max-edges", 1, _SEARCH_LIMIT - 1)
+    _check_count(args.max_k, "--max-k", 1, MAX_SCORE)
+    _check_count(args.sweep, "--sweep", 1)
+    _check_count(args.workers, "--workers", 1)
     # only k <= --max-k is checked, so any other K would corrupt nothing;
     # refused before its branch size, which has about K/6 digits, is computed
     if args.corrupt_f is not None and not 1 <= args.corrupt_f <= args.max_k:

@@ -40,7 +40,7 @@ from math import isqrt
 from typing import Iterable
 
 from .induced import CaterpillarWitness, max_caterpillar
-from .trees import Tree, diameter_path, leaves
+from .trees import Tree, _check_count, diameter_path, leaves
 
 
 # ======================================================================
@@ -158,6 +158,7 @@ def contract_to_caterpillar(t: Tree, k: int) -> ContractionPlan:
     away in sorted-edge order; caterpillars are closed under contraction, so
     the order does not affect validity, only reproducibility.
     """
+    _check_count(k, "k")
     return _plan(t, k)[0]
 
 
@@ -221,11 +222,18 @@ def _steps(
 # ======================================================================
 
 
+def _check_spider(d: int, l: int) -> None:
+    """Refuse a diameter ``d`` or leaf count ``l`` that no spider has."""
+    _check_count(d, "d")
+    _check_count(l, "l")
+    if d < 2 or l < 2:
+        raise ValueError("need diameter >= 2 and >= 2 leaves")
+
+
 def max_edges_diameter_leaves(d: int, l: int) -> int:
     """Largest edge count of a tree with diameter ``d`` and ``l`` leaves:
     d*l/2 for even d, (d-1)*l/2 + 1 for odd d."""
-    if d < 2 or l < 2:
-        raise ValueError("need diameter >= 2 and >= 2 leaves")
+    _check_spider(d, l)
     if d % 2 == 0:
         return d * l // 2
     return (d - 1) * l // 2 + 1
@@ -236,15 +244,12 @@ def build_spider(d: int, l: int) -> Tree:
     legs laid out longest first, vertices numbered leg by leg.
 
     Even d: l legs of length d/2.  Odd d: one leg of length (d+1)/2 and
-    l-1 legs of length (d-1)/2 (so odd d needs d >= 3).
+    l-1 legs of length (d-1)/2.
     """
-    if d < 2 or l < 2:
-        raise ValueError("need diameter >= 2 and >= 2 leaves")
+    _check_spider(d, l)
     if d % 2 == 0:
         lengths = [d // 2] * l
     else:
-        if d < 3:
-            raise ValueError("odd diameter needs d >= 3")
         lengths = [(d + 1) // 2] + [(d - 1) // 2] * (l - 1)
     edges: list[tuple[int, int]] = []
     nxt = 1
@@ -263,8 +268,7 @@ def extremal_size_contraction(k: int) -> int:
 
     k % 4 == 0: k(k+4)/8; k % 4 == 2: (k+2)^2/8; odd k: (k+1)(k+3)/8.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_count(k, "k", 0)
     if k % 2 == 1:
         return (k + 1) * (k + 3) // 8
     if k % 4 == 0:
@@ -277,8 +281,7 @@ def extremal_spider(k: int) -> Tree:
     maximum is exactly k.  k = 1 is the single edge; otherwise an even
     diameter d and leaf count l with d + l - 2 = k are balanced so that
     d*l/2 is maximal."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_count(k, "k", 1)
     if k == 1:
         return Tree(2, ((0, 1),))
     if k % 4 == 0:
@@ -295,7 +298,6 @@ def extremal_spider(k: int) -> Tree:
 def contraction_guarantee(m: int) -> int:
     """The caterpillar size every tree with m edges can be contracted to:
     ceil(sqrt(8m) - 2), evaluated exactly with integer square roots."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_count(m, "m", 1)
     r = isqrt(8 * m)
     return r - 2 if r * r == 8 * m else r - 1

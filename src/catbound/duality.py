@@ -251,6 +251,7 @@ def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
     ``t``'s: the round trip returns ``t`` itself and builds no second tree."""
     if t.m < 1:
         raise ValueError("needs at least one edge")
+    _check_count(root, "root")
     if not 0 <= root < t.vertex_count:
         raise ValueError("root out of range")
     adjacency = t.adjacency

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import RootedTree, Tree, _heaviest_path, _rooted
+from .trees import RootedTree, Tree, _check_count, _heaviest_path, _rooted
 
 
 # ======================================================================
@@ -107,8 +107,7 @@ _ARITY_SMALL = {2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3, 8: 2}
 def max_branch_size(k: int) -> int:
     """Largest edge count of a branch whose very hungry maximum is k:
     1, 2, 3, 5, 7 up to k = 5, then one closed form per residue mod 3."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_count(k, "k", 1)
     if k <= 5:
         return _BRANCH_SMALL[k]
     r = k % 3
@@ -122,8 +121,7 @@ def max_branch_size(k: int) -> int:
 def branch_arity(k: int) -> int:
     """Smallest child count c realizing max_branch_size(k) as
     c * max_branch_size(k - c) + 1; equals 3 for every k >= 9."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    _check_count(k, "k", 2)
     return _ARITY_SMALL.get(k, 3)
 
 
@@ -159,8 +157,7 @@ class BeautifulProfile:
 
 def beautiful_profile(k: int) -> BeautifulProfile:
     """Profile of the size-maximal branch with very hungry maximum k."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_count(k, "k", 1)
     counts = [1]
     rest = k
     while rest >= 2:
@@ -221,8 +218,7 @@ def _star_shape(k: int) -> tuple[int, int]:
 def branch_star_bound(k: int) -> int:
     """Largest edge count of a star of equal branches whose induced
     caterpillar maximum is k: r * max_branch_size(x) for the star's shape."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    _check_count(k, "k", 2)
     r, x = _star_shape(k)
     return r * max_branch_size(x)
 
@@ -231,8 +227,7 @@ def extremal_branch_star(k: int) -> Tree:
     """The extremal tree for the induced bound: r copies of the beautiful
     branch of parameter x sharing one root (k = 1 is the single edge).
     Shared root is vertex 0; copies are numbered consecutively."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_count(k, "k", 1)
     if k == 1:
         return Tree(2, ((0, 1),))
     r, x = _star_shape(k)
@@ -251,13 +246,13 @@ def extremal_branch_star(k: int) -> Tree:
 # ======================================================================
 
 
-@lru_cache(maxsize=None)
+# typed: 7.0 and True must reach the check, not the cached 7 and 1
+@lru_cache(maxsize=None, typed=True)
 def extremal_size_induced(k: int) -> int:
     """Largest edge count m such that some m-edge tree has no induced
     caterpillar bigger than k: k itself through k = 1, the extremal star's
     ``branch_star_bound(k)`` beyond."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_count(k, "k", 0)
     if k <= 1:
         return k
     return branch_star_bound(k)
@@ -266,8 +261,7 @@ def extremal_size_induced(k: int) -> int:
 def induced_guarantee_reference(m: int) -> int:
     """Reference definition of the guarantee: the largest k with
     extremal_size_induced(k - 1) < m."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_count(m, "m", 1)
     k = 1
     while extremal_size_induced(k) < m:
         k += 1
@@ -307,8 +301,10 @@ def _ceil_6log3(num: int, den: int) -> int:
 def induced_guarantee_residue(r: int, m: int) -> int:
     """Largest k congruent to r mod 6 with extremal_size_induced(k-1) < m,
     by the exact closed form (valid for m >= 171)."""
+    _check_count(r, "r")
     if not 0 <= r <= 5:
         raise ValueError("residue out of range 0..5")
+    _check_count(m, "m")
     if m <= _INVERTED_THROUGH:
         raise ValueError(f"closed forms apply for m >= {_INVERTED_THROUGH + 1}")
     c, s, gamma, add = _RESIDUE_PARAMS[r]
@@ -321,8 +317,7 @@ def induced_guarantee(m: int) -> int:
     tree with m edges: the thresholds inverted directly through m = 170, the
     best residue closed form beyond.  Agrees with induced_guarantee_reference
     everywhere."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_count(m, "m", 1)
     if m <= _INVERTED_THROUGH:
         return induced_guarantee_reference(m)
     return max(induced_guarantee_residue(r, m) for r in range(6))

@@ -10,13 +10,15 @@ as a FAIL row with a canonical-code witness attached.
 
 The census puts every free tree class through one check, ``_check_tree``,
 whose small picklable result records each fact about that tree and, for a
-failed duality, the step and the exception.  The same ``map`` call runs the
-checks in this process or, when more than one worker runs, in one process
-pool opened for the whole run.  Only then are the pool and its imports
-(``multiprocessing`` and what it pulls in) loaded, so no other run pays to
-start them.  ``_fold`` streams each edge count's trees, paired with their
-results, into that count's rows.  Each row is a minimum, ties broken by
-canonical code, so the report does not depend on the worker count.
+failed duality, the step and the exception.  The checks run in this
+process or, when more than one worker runs, in one process pool opened for
+the whole run.  Only then are the pool and its imports (``multiprocessing``
+and what it pulls in) loaded, so no other run pays to start them.  The pool
+gets the trees a chunk per task, with at most two tasks per worker in
+flight (``_pooled``), so the parent holds a few hundred trees at a time at
+any edge count.  ``_fold`` streams each edge count's trees, paired with
+their results, into that count's rows.  Each row is a minimum, ties broken
+by canonical code, so the report does not depend on the worker count.
 Canonical codes only label the trees a row names, so the fold computes them
 for those witnesses alone: the trees at each bound's minimum and any tree
 that clashes or fails.
@@ -45,9 +47,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Iterable, Iterator
 
 from .contraction import (
@@ -71,7 +73,7 @@ from .induced import (
     max_caterpillar,
     very_hungry_max,
 )
-from .trees import Tree, canonical_code
+from .trees import Tree, _check_count, canonical_code
 
 #: trees per task sent to a worker: enough to hide the pickling round trip,
 #: few enough that both workers finish an edge count at about the same time
@@ -97,8 +99,7 @@ def _free_tree_count(m: int) -> int:
     formula t(x) = r(x) - (r(x)^2 - r(x^2)) / 2 over the rooted-tree counts
     r (A000081), which follow r(k+1) = sum_j s(j) r(k-j+1) / k with
     s(j) = sum over divisors d of j of d r(d)."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _check_count(m, "m", 0)
     n = m + 1  # vertices
     r = [0, 1]
     s = [0]
@@ -145,15 +146,9 @@ def _next_rooted_layout(layout: list[int], p: int | None = None) -> list[int] | 
 
 def _split_layout(layout: list[int]) -> tuple[list[int], list[int]]:
     """First root subtree (re-rooted) and the remainder (still rooted)."""
-    cut = None
-    seen_one = False
-    for i, level in enumerate(layout):
-        if level == 1:
-            if seen_one:
-                cut = i
-                break
-            seen_one = True
-    if cut is None:
+    try:  # the second vertex at depth 1 starts the second root subtree
+        cut = layout.index(1, layout.index(1) + 1)
+    except ValueError:  # there is one root subtree
         cut = len(layout)
     left = [layout[i] - 1 for i in range(1, cut)]
     rest = [0] + layout[cut:]
@@ -188,12 +183,15 @@ def _jump_to_free(layout: list[int]) -> list[int] | None:
 def tree_from_pruefer(seq: tuple[int, ...], vertex_count: int) -> Tree:
     """The labeled tree with the given Prüfer code."""
     n = vertex_count
+    _check_count(n, "vertex_count")
     if n < 2:
         raise ValueError("Prüfer codes describe trees on at least 2 vertices")
     if len(seq) != n - 2:
         raise ValueError(f"code for {n} vertices must have length {n - 2}")
-    if any(not 0 <= x < n for x in seq):
-        raise ValueError("code entry out of range")
+    for x in seq:
+        _check_count(x, "code entry")
+        if not 0 <= x < n:
+            raise ValueError("code entry out of range")
     import heapq
 
     degree = [1] * n
@@ -215,8 +213,7 @@ def tree_from_pruefer(seq: tuple[int, ...], vertex_count: int) -> Tree:
 def free_trees(edge_count: int) -> Iterator[Tree]:
     """All isomorphism classes of trees with the given number of edges, one
     per canonical level sequence."""
-    if edge_count < 0:
-        raise ValueError("edge count must be non-negative")
+    _check_count(edge_count, "edge count", 0)
     if edge_count == 0:
         yield Tree(1, ())
         return
@@ -289,16 +286,14 @@ def brute_contraction_guarantee(edge_count: int) -> int:
     ``max_caterpillar_by_contraction``; the minimum is exhaustive over
     classes, but no sequence of contractions is searched, so this checks the
     closed form against the formula, not the formula itself."""
-    if edge_count < 1:
-        raise ValueError("edge count must be positive")
+    _check_count(edge_count, "edge count", 1)
     return min(max_caterpillar_by_contraction(t) for t in free_trees(edge_count))
 
 
 def brute_induced_guarantee(edge_count: int) -> int:
     """Worst induced-caterpillar size over every tree with that many
     edges."""
-    if edge_count < 1:
-        raise ValueError("edge count must be positive")
+    _check_count(edge_count, "edge count", 1)
     return min(brute_max_caterpillar(t) for t in free_trees(edge_count))
 
 
@@ -306,8 +301,7 @@ def branch_size_recurrence(k: int) -> int:
     """Largest branch a score-k budget supports, from the defining
     recurrence: spend one edge to the root, then split the remaining score
     over equal children."""
-    if k < 1:
-        raise ValueError("score must be positive")
+    _check_count(k, "score", 1)
     return _branch_sizes(k)[k]
 
 
@@ -347,8 +341,7 @@ def guarantee_change_points(limit: int) -> list[int]:
     """Every edge budget in [1, limit] where ``induced_guarantee`` or its
     reference can change value, padded with both neighbours of each
     candidate so each constant interval gets its endpoints checked."""
-    if limit < 1:
-        raise ValueError("limit must be positive")
+    _check_count(limit, "limit", 1)
     last = _INVERTED_THROUGH
     pts = {1, 2, 3, 4, 5, last, last + 1, last + 2, limit}
     k = 1
@@ -476,6 +469,27 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
     if size is None:
         size = max_caterpillar(t).size
     return score, brute, size == brute, failure
+
+
+def _check_chunk(trees: list[Tree]) -> list[tuple[int, int, bool, str | None]]:
+    """``_check_tree`` of each tree, one pool task."""
+    return [_check_tree(t) for t in trees]
+
+
+def _pooled(pool, workers: int, trees: Iterator[Tree]) -> Iterator[tuple]:
+    """Each of ``trees`` with its ``_check_tree`` result, in order, checked
+    in ``pool`` ``_CHUNK`` trees per task with at most ``2 * workers`` tasks
+    in flight: enough to keep every worker busy, while this holds at most
+    ``(2 * workers + 1) * _CHUNK`` trees (``Executor.map`` would submit them
+    all at once)."""
+    window: deque = deque()
+    for chunk in iter(lambda: list(itertools.islice(trees, _CHUNK)), []):
+        window.append((chunk, pool.submit(_check_chunk, chunk)))
+        if len(window) > 2 * workers:
+            done, future = window.popleft()
+            yield from zip(done, future.result())
+    for done, future in window:
+        yield from zip(done, future.result())
 
 
 def _verdict(
@@ -607,28 +621,32 @@ def verify_all(
     """Re-derive the package's guarantees and constructions from scratch
     and compare.  ``branch_size_override`` substitutes claimed branch
     sizes, which is how the tests prove a wrong table cannot slip through;
-    its keys must lie in 1..``max_score``, the scores that are checked.
+    its keys, integers like its sizes, must lie in 1..``max_score``, the
+    scores that are checked.
 
     Every free tree class with 1 to ``max_edges`` edges goes through one
     ``_check_tree``, and each edge count's rows are minima over those
     results, ties broken by canonical code; ``max_edges`` is at most 19, so
     that the exhaustive search sees at most 20 vertices.  ``max_score`` is at
     most ``MAX_SCORE``, checked before any tree is built, and the branch-size
-    recurrence is tabulated once up to it.  ``workers`` is clamped
-    to the CPU count; above one, the checks run in a single process pool
-    opened for the whole call, and only then is the pool imported.  The
-    report does not depend on it.
+    recurrence is tabulated once up to it.  ``workers`` is clamped to the
+    CPUs this process may run on (``os.sched_getaffinity``, else
+    ``os.cpu_count()``); above one, ``_pooled`` streams the checks through
+    a single process pool opened for the whole call, and only then is the
+    pool imported.  The report does not depend on it.
     """
-    if max_edges < 1 or max_score < 1 or sweep_limit < 1 or workers < 1:
-        raise ValueError("bounds and worker count must be positive")
-    if max_edges >= _SEARCH_LIMIT:
-        raise ValueError(f"max_edges must be at most {_SEARCH_LIMIT - 1}")
-    if max_score > MAX_SCORE:
-        raise ValueError(f"max_score must be at most {MAX_SCORE}")
-    workers = min(workers, os.cpu_count() or 1)
+    _check_count(max_edges, "max_edges", 1, _SEARCH_LIMIT - 1)
+    _check_count(max_score, "max_score", 1, MAX_SCORE)
+    _check_count(sweep_limit, "sweep_limit", 1)
+    _check_count(workers, "workers", 1)
     claimed = dict(branch_size_override or {})
-    if any(not 1 <= k <= max_score for k in claimed):
-        raise ValueError(f"branch_size_override keys must lie in 1..{max_score}")
+    for k, size in claimed.items():
+        _check_count(k, "branch_size_override key")
+        _check_count(size, "branch_size_override size")
+        if not 1 <= k <= max_score:
+            raise ValueError(f"branch_size_override keys must lie in 1..{max_score}")
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
     records: list[CheckRecord] = []
 
     pool = None
@@ -638,10 +656,12 @@ def verify_all(
 
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
-        check = map if pool is None else partial(pool.map, chunksize=_CHUNK)
         for m in range(1, max_edges + 1):
-            mine, theirs = itertools.tee(free_trees(m))
-            records += _fold(m, zip(mine, check(_check_tree, theirs)))
+            if pool is None:
+                checked = ((t, _check_tree(t)) for t in free_trees(m))
+            else:
+                checked = _pooled(pool, workers, free_trees(m))
+            records += _fold(m, checked)
 
     # one table serves the branch-size rows and the searched thresholds of
     # the guarantee sweep, which reach m = 170 at k = 21, so at x <= 10

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .duality import AlternatingPath, SegmentFamily
-from .trees import Tree, _rooted, centroids
+from .trees import Tree, _check_count, _rooted, centroids
 
 _BG = "#ffffff"
 _RIM = "#d9dde4"
@@ -97,6 +97,7 @@ def render_tree(t: Tree, root: int | None = None) -> str:
     sit over the middle of their children."""
     if root is None:
         root = min(centroids(t))
+    _check_count(root, "root")
     if not 0 <= root < t.vertex_count:
         raise ValueError("root out of range")
 

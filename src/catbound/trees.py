@@ -67,15 +67,20 @@ def _check_integer_ids(edges: Iterable[Any]) -> None:
             ) from None
 
 
-def _check_count(value: Any, name: str) -> None:
+def _check_count(
+    value: Any, name: str, low: int | None = None, high: int | None = None
+) -> None:
     """Raise ``ValueError`` naming the count ``name`` unless ``value`` is an
-    integer, as ``operator.index`` decides, other than a ``bool``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        _as_index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    integer (its type has ``__index__``) other than a ``bool`` and lies in
+    ``low``..``high``, each bound None for none.  Every count the package
+    takes is checked here, so each refusal of one reads the same."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+        raise ValueError(f"{name} must be {bound}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}")
 
 
 class _lazy:
@@ -194,6 +199,7 @@ class RootedTree:
     root: int
 
     def __post_init__(self) -> None:
+        _check_count(self.root, "root")
         if not (0 <= self.root < self.tree.vertex_count):
             raise ValueError(f"root {self.root} out of range")
 

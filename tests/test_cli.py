@@ -621,6 +621,27 @@ def test_verify_refuses_a_non_positive_bound_naming_the_flag(capsys, monkeypatch
     )
 
 
+@pytest.mark.parametrize(
+    "flags, refusal",
+    [
+        (["--max-edges", "0", "--max-k", "0"], "--max-edges must be positive"),
+        (["--max-k", "0", "--max-edges", "20"], "--max-edges must be at most 19"),
+        (["--max-k", "201", "--sweep", "0"], "--max-k must be at most 200"),
+        (["--max-k", "-1", "--workers", "0"], "--max-k must be positive"),
+        (["--workers", "0", "--sweep", "-5"], "--sweep must be positive"),
+        (["--workers", "0", "--corrupt-f", "99"], "--workers must be positive"),
+    ],
+)
+def test_verify_names_the_first_bad_flag_in_a_fixed_order(
+    capsys, monkeypatch, flags, refusal
+):
+    def never(*args, **kwargs):
+        raise AssertionError("verified before the refusal")
+
+    monkeypatch.setattr(cli, "verify_all", never)
+    assert run(capsys, "verify", *flags) == (1, "", f"catbound: error: {refusal}\n")
+
+
 def test_verify_json_output(capsys):
     code, out, _ = run(capsys, "verify", "--max-edges", "3", "--max-k", "6", "--sweep", "500", "--json")
     assert code == 0

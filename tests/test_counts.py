@@ -1,0 +1,178 @@
+"""One rule for every count the package takes: ``trees._check_count``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import catbound.oracle as oracle
+from catbound import (
+    AlternatingPath,
+    RootedTree,
+    SegmentFamily,
+    Tree,
+    beautiful_profile,
+    beautiful_tree,
+    branch_arity,
+    branch_size_recurrence,
+    branch_star_bound,
+    brute_contraction_guarantee,
+    brute_induced_guarantee,
+    build_spider,
+    contract_to_caterpillar,
+    contraction_guarantee,
+    extremal_branch_star,
+    extremal_size_contraction,
+    extremal_size_induced,
+    extremal_spider,
+    free_trees,
+    guarantee_change_points,
+    induced_guarantee,
+    induced_guarantee_reference,
+    induced_guarantee_residue,
+    max_branch_size,
+    max_edges_diameter_leaves,
+    render_tree,
+    tree_from_pruefer,
+    tree_to_segments,
+    verify_all,
+)
+
+PATH = Tree(3, ((0, 1), (1, 2)))
+SMALL_VERIFY = {"max_edges": 1, "max_score": 1, "sweep_limit": 1}
+
+# each public function that takes a count, a root or a vertex count: a call
+# with the bad value in that place, and the name its refusal gives it
+COUNTS = {
+    "Tree": (lambda x: Tree(x, ()), "vertex_count"),
+    "RootedTree": (lambda x: RootedTree(PATH, x), "root"),
+    "SegmentFamily": (lambda x: SegmentFamily(x, ()), "n"),
+    "AlternatingPath": (lambda x: AlternatingPath((), x), "k"),
+    "tree_to_segments": (lambda x: tree_to_segments(PATH, x), "root"),
+    "render_tree": (lambda x: render_tree(PATH, x), "root"),
+    "contract_to_caterpillar": (lambda x: contract_to_caterpillar(PATH, x), "k"),
+    "max_edges_diameter_leaves-d": (lambda x: max_edges_diameter_leaves(x, 3), "d"),
+    "max_edges_diameter_leaves-l": (lambda x: max_edges_diameter_leaves(4, x), "l"),
+    "build_spider-d": (lambda x: build_spider(x, 3), "d"),
+    "build_spider-l": (lambda x: build_spider(4, x), "l"),
+    "extremal_size_contraction": (extremal_size_contraction, "k"),
+    "extremal_spider": (extremal_spider, "k"),
+    "contraction_guarantee": (contraction_guarantee, "m"),
+    "max_branch_size": (max_branch_size, "k"),
+    "branch_arity": (branch_arity, "k"),
+    "beautiful_profile": (beautiful_profile, "k"),
+    "beautiful_tree": (beautiful_tree, "k"),
+    "branch_star_bound": (branch_star_bound, "k"),
+    "extremal_branch_star": (extremal_branch_star, "k"),
+    "extremal_size_induced": (extremal_size_induced, "k"),
+    "induced_guarantee_reference": (induced_guarantee_reference, "m"),
+    "induced_guarantee": (induced_guarantee, "m"),
+    "induced_guarantee_residue-r": (lambda x: induced_guarantee_residue(x, 200), "r"),
+    "induced_guarantee_residue-m": (lambda x: induced_guarantee_residue(0, x), "m"),
+    "free_trees": (lambda x: next(free_trees(x)), "edge count"),
+    "brute_contraction_guarantee": (brute_contraction_guarantee, "edge count"),
+    "brute_induced_guarantee": (brute_induced_guarantee, "edge count"),
+    "branch_size_recurrence": (branch_size_recurrence, "score"),
+    "guarantee_change_points": (guarantee_change_points, "limit"),
+    "tree_from_pruefer-count": (lambda x: tree_from_pruefer((), x), "vertex_count"),
+    "tree_from_pruefer-entry": (lambda x: tree_from_pruefer((x, 0), 4), "code entry"),
+    **{
+        f"verify_all-{name}": (
+            lambda x, name=name: verify_all(**{**SMALL_VERIFY, name: x}), name
+        )
+        for name in ("max_edges", "max_score", "sweep_limit", "workers")
+    },
+}
+
+
+@pytest.mark.parametrize("bad", [7.5, 7.0, True, "7"])
+@pytest.mark.parametrize("call, name", COUNTS.values(), ids=list(COUNTS))
+def test_every_count_must_be_an_integer(call, name, bad):
+    with pytest.raises(ValueError) as caught:
+        call(bad)
+    assert str(caught.value) == f"{name} must be an integer, got {bad!r}"
+
+
+# every refusal of an integer out of range that goes through _check_count,
+# with its text
+OUT_OF_RANGE = [
+    (lambda: extremal_size_contraction(-1), "k must be non-negative"),
+    (lambda: extremal_spider(0), "k must be positive"),
+    (lambda: contraction_guarantee(0), "m must be positive"),
+    (lambda: max_branch_size(0), "k must be positive"),
+    (lambda: branch_arity(1), "k must be at least 2"),
+    (lambda: beautiful_profile(0), "k must be positive"),
+    (lambda: beautiful_tree(-4), "k must be positive"),
+    (lambda: branch_star_bound(1), "k must be at least 2"),
+    (lambda: extremal_branch_star(0), "k must be positive"),
+    (lambda: extremal_size_induced(-1), "k must be non-negative"),
+    (lambda: induced_guarantee_reference(0), "m must be positive"),
+    (lambda: induced_guarantee(-5), "m must be positive"),
+    (lambda: oracle._free_tree_count(-1), "m must be non-negative"),
+    (lambda: next(free_trees(-1)), "edge count must be non-negative"),
+    (lambda: brute_contraction_guarantee(0), "edge count must be positive"),
+    (lambda: brute_induced_guarantee(0), "edge count must be positive"),
+    (lambda: branch_size_recurrence(0), "score must be positive"),
+    (lambda: guarantee_change_points(0), "limit must be positive"),
+    (lambda: verify_all(max_edges=0), "max_edges must be positive"),
+    (lambda: verify_all(max_edges=20), "max_edges must be at most 19"),
+    (lambda: verify_all(max_score=0), "max_score must be positive"),
+    (lambda: verify_all(max_score=201), "max_score must be at most 200"),
+    (lambda: verify_all(sweep_limit=0), "sweep_limit must be positive"),
+    (lambda: verify_all(workers=-1), "workers must be positive"),
+    # the first parameter at fault is named
+    (lambda: verify_all(max_edges=20, sweep_limit=0), "max_edges must be at most 19"),
+    (lambda: verify_all(max_score=0, workers=0), "max_score must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", OUT_OF_RANGE)
+def test_counts_out_of_range_are_refused_with_one_text(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+# the texts _check_count writes for a bound
+RANGE_PHRASES = (
+    "must be positive", "must be non-negative", "must be at least", "must be at most"
+)
+
+# raises that may state a range themselves: parse_tree refuses a negative id
+# on a numbered line of its text format, which is not a count argument
+OWN_RANGE_TEXT = {("trees.py", "parse_tree")}
+
+
+def range_texts(node, file, func=None):
+    """(file, innermost enclosing function, text) of each string in a
+    ``raise`` under ``node`` that states a range."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        for part in ast.walk(node.exc):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                if any(phrase in part.value for phrase in RANGE_PHRASES):
+                    yield file, func, part.value
+    for child in ast.iter_child_nodes(node):
+        yield from range_texts(child, file, func)
+
+
+def raised_range_texts():
+    source = Path(__file__).parents[1] / "src" / "catbound"
+    return [
+        found
+        for path in sorted(source.glob("*.py"))
+        for found in range_texts(ast.parse(path.read_text()), path.name)
+    ]
+
+
+def test_only_check_count_states_a_count_range():
+    allowed = OWN_RANGE_TEXT | {("trees.py", "_check_count")}
+    stray = [f for f in raised_range_texts() if f[:2] not in allowed]
+    assert stray == []
+
+
+def test_the_range_scan_sees_check_count_itself():
+    # a scan that found nothing at all would pass the test above vacuously
+    found = {f[:2] for f in raised_range_texts()}
+    assert ("trees.py", "_check_count") in found

@@ -275,6 +275,22 @@ def test_overrides_outside_the_checked_scores_are_refused(k):
         )
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({8.5: 999}, "branch_size_override key must be an integer, got 8.5"),
+        ({True: 2}, "branch_size_override key must be an integer, got True"),
+        ({8: 25.0}, "branch_size_override size must be an integer, got 25.0"),
+    ],
+)
+def test_overrides_that_are_not_integers_are_refused(override, message):
+    with pytest.raises(ValueError) as caught:
+        verify_all(
+            max_edges=1, max_score=9, sweep_limit=10, branch_size_override=override
+        )
+    assert str(caught.value) == message
+
+
 def test_workers_do_not_change_the_report():
     solo = verify_all(max_edges=7, max_score=8, sweep_limit=500)
     team = verify_all(max_edges=7, max_score=8, sweep_limit=500, workers=3)
@@ -296,19 +312,83 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
-@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
-def test_workers_are_clamped_to_the_cpu_count(monkeypatch, cpus, pools):
+def report_cpus(monkeypatch, affinity, cpus):
+    """Make this process see ``affinity`` CPUs it may run on (None: a
+    platform with no affinity call) and ``cpus`` CPUs in the machine."""
+    if affinity is None:
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            oracle.os, "sched_getaffinity", lambda pid: set(range(affinity)),
+            raising=False,
+        )
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+
+
+def assert_clamped(monkeypatch, pools):
+    """``verify_all`` with 64 workers opens ``pools`` (the sizes of the pools
+    it opens) and reports what a serial run does."""
     # verify_all imports the pool when it opens one, so patch it at its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=64)
     assert InlinePool.sizes == pools
     assert report.records == verify_all(max_edges=3, max_score=6, sweep_limit=500).records
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+def test_workers_are_clamped_to_the_cpu_count(monkeypatch, cpus, pools):
+    # None: a platform that reports neither an affinity set nor a CPU count
+    report_cpus(monkeypatch, cpus, cpus)
+    assert_clamped(monkeypatch, pools)
+
+
+@pytest.mark.parametrize(
+    "affinity, cpus, pools",
+    # ``taskset -c 0`` on a 2-CPU machine; a platform with no affinity call
+    [(1, 2, []), (None, 2, [2])],
+)
+def test_workers_are_clamped_to_the_cpus_this_process_may_use(
+    monkeypatch, affinity, cpus, pools
+):
+    report_cpus(monkeypatch, affinity, cpus)
+    assert_clamped(monkeypatch, pools)
+
+
+def test_the_pooled_census_generates_trees_a_bounded_window_ahead(monkeypatch):
+    # Executor.map would take every class of an edge count before the
+    # first result came back: 1,300 trees ahead of the fold at m = 12
+    report_cpus(monkeypatch, 2, 2)
+    generated = folded = lead = 0
+    real_free_trees, real_fold = oracle.free_trees, oracle._fold
+
+    def counted(m):
+        nonlocal generated
+        for t in real_free_trees(m):
+            generated += 1
+            yield t
+
+    def watched(m, checked):
+        def pairs():
+            nonlocal folded, lead
+            for pair in checked:
+                folded += 1
+                lead = max(lead, generated - folded)
+                yield pair
+
+        return real_fold(m, pairs())
+
+    monkeypatch.setattr(oracle, "free_trees", counted)
+    monkeypatch.setattr(oracle, "_fold", watched)
+    report = verify_all(max_edges=12, max_score=1, sweep_limit=1, workers=2)
+    assert report.ok and folded == sum(FREE_TREE_COUNTS[1:13])
+    assert 0 < lead < 5 * oracle._CHUNK  # two tasks per worker, and one more
 
 
 def test_failed_duality_rows_name_the_step_and_the_exception(monkeypatch):
