@@ -19,17 +19,8 @@ The dictionary:
 * caterpillar reached by contraction  <->  alternating path among the
   family (self-avoiding, unused segments may be crossed).
 
-``compatible_path`` walks the witness caterpillar spine cell by cell and
-chains each cell's segments in boundary order, which is chord index order:
-chords are sorted by opening label, so a cell's boundary, walked with the
-cell on the left, meets its child cells' chords in index order and then its
-own chord.  Within a cell the chords bordering it occupy pairwise
-non-interleaving intervals of the cell boundary, and consecutive boundary
-chords have label-free gaps, so visiting chords in boundary order keeps
-connectors crossing-free; when the chord leading to the next spine cell is
-not last in boundary order, the chain visits the chords before it, jumps to
-the far end, sweeps back, and leaves through the exit chord (the jump
-connector nests the skipped intervals instead of interleaving them).
+``compatible_path`` chains each witness spine cell's segments in boundary
+order; the loop in ``_compatible_chain`` states the rule and why it holds.
 
 Costs: a family is checked in O(n log n), its cell tree (``_structure``) is
 found in O(n), and a compatible chain is built in O(n).  ``validate_path``
@@ -49,14 +40,13 @@ checked its edges.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .contraction import ContractionPlan, _plan
 from .induced import CaterpillarWitness
-from .trees import Tree, _check_count, _lazy
+from .trees import Tree, _check_count, _check_counts, _lazy
 
 
 # ======================================================================
@@ -130,13 +120,15 @@ class SegmentFamily:
 @dataclass(frozen=True)
 class AlternatingPath:
     """A polygonal chain e0, e1, ..., e_{2k-1} over endpoint labels whose
-    edges alternate family segments (even positions) and connectors."""
+    edges alternate family segments (even positions) and connectors.  The
+    endpoints, a sequence of integers, are kept as a tuple."""
 
     endpoints: tuple[int, ...]
     k: int
 
     def __post_init__(self) -> None:
         _check_count(self.k, "k")
+        object.__setattr__(self, "endpoints", _check_counts(self.endpoints, "endpoint"))
         if self.k < 1 or len(self.endpoints) != 2 * self.k:
             raise ValueError("endpoint count must be twice the segment count")
 
@@ -395,51 +387,6 @@ def _accepts(s: SegmentFamily, e: tuple[int, ...], compatible: bool) -> bool:
 # ======================================================================
 
 
-def _chain_cell(
-    chords: tuple[tuple[int, int], ...],
-    cell: int,
-    wanted: Iterable[int],
-    entry: int | None,
-    entry_point: int | None,
-    exit_chord: int | None,
-) -> list[tuple[int, int, int]]:
-    """Order the wanted chords of one cell into a traversal (chord, enter,
-    leave).  From the entry chord on, boundary order is the child chords
-    after it by index, then the cell's own chord ``cell - 1``, the smallest
-    index, then the child chords before it; with no entry it starts just
-    past the own chord.  See the module docstring for why the result cannot
-    cross."""
-    own = cell - 1
-    order = sorted(wanted)
-    cut = bisect_right(order, own if entry is None else entry)
-    order = order[cut:] + order[:cut]
-    back = False  # walking against boundary order
-    if entry is not None:
-        p_e, q_e = chords[entry]
-        if entry == own:
-            p_e, q_e = q_e, p_e
-        if entry_point == p_e:
-            back = True
-            order.reverse()
-        elif entry_point != q_e:
-            raise AssertionError("entry point not on entry chord")
-    # a child chord is met low label first, the own chord high label first
-    items = [
-        (c, *chords[c]) if (c == own) == back else (c, *chords[c][::-1])
-        for c in order
-    ]
-    if exit_chord is None:
-        return items
-    at = order.index(exit_chord)
-    if entry is None:  # start just past the exit chord, leave through it
-        return items[at + 1 :] + items[:at] + [items[at]]
-    if at == len(items) - 1:
-        return items
-    tail = [(c, q, p) for c, p, q in reversed(items[at + 1 :])]
-    c, p, q = items[at]
-    return items[:at] + tail + [(c, q, p)]
-
-
 def _checked(s: SegmentFamily, path: AlternatingPath, mode: str) -> AlternatingPath:
     report = validate_path(s, path, mode)
     if not report.ok:
@@ -486,8 +433,8 @@ def _compatible_chain(
         on_spine[v] = True
 
     # split the witness chords into links between spine cells and the
-    # chords each spine cell carries on its own, in index order, so sorting
-    # a cell's chords with its exit chord appended is linear
+    # chords each spine cell carries on its own, in index order, so a cell's
+    # exit chord goes in by one binary search
     links = 0
     at_cell: dict[int, list[int]] = {c: [] for c in spine}
     for i in witness_chords:
@@ -514,22 +461,51 @@ def _compatible_chain(
     if links != len(exits):
         raise ValueError("witness segments join non-consecutive spine cells")
 
-    out: list[tuple[int, int, int]] = []
-    point: int | None = None
+    # Each spine cell chains the chords it carries and its exit chord in
+    # boundary order, which is index order: walked with the cell on the left,
+    # its boundary meets its child chords by index, then its own chord
+    # ``cell - 1``.  The walk starts past the entry chord, or in the first
+    # cell past the exit chord, or with no exit past the own chord.  Going
+    # forward a child chord is met low label first, the own chord high label
+    # first; a chain that reaches the entry chord's other end walks backward,
+    # meeting each chord the other way round.  Bordering chords hold
+    # non-interleaving boundary intervals with label-free gaps, so no two
+    # connectors cross.  An exit chord that is not last is kept for the end:
+    # the chain jumps from the chord before it to the far end and sweeps
+    # back, a connector that nests the skipped intervals.
+    endpoints: list[int] = []
     entry: int | None = None
     exits.append(None)
     for cell, exit_chord in zip(spine, exits):
-        wanted = at_cell[cell]
+        order = at_cell[cell]
         if exit_chord is not None:
-            wanted.append(exit_chord)
-        if entry is None and not wanted:
+            insort(order, exit_chord)
+        if entry is None and not order:
             raise ValueError("spine cell carries no witness segment")
-        if wanted:
-            out += _chain_cell(chords, cell, wanted, entry, point, exit_chord)
-            point = out[-1][2]
+        own = cell - 1
+        back = False  # walking against boundary order
+        if entry is None:
+            cut = bisect_right(order, own if exit_chord is None else exit_chord)
+        else:
+            cut = bisect_right(order, entry)
+            p, q = chords[entry][::-1] if entry == own else chords[entry]
+            back = endpoints[-1] == p
+            if not back and endpoints[-1] != q:
+                raise AssertionError("entry point not on entry chord")
+        if 0 < cut < len(order):
+            order = order[cut:] + order[:cut]
+        if back:
+            order.reverse()
+        jump = len(order)
+        if exit_chord is not None and order[-1] != exit_chord:  # not in a first cell
+            jump = order.index(exit_chord)
+            order[jump:] = reversed(order[jump:])
+        for i, c in enumerate(order):
+            if i == jump:
+                back = not back
+            endpoints += chords[c] if (c == own) == back else chords[c][::-1]
         entry = exit_chord
 
-    endpoints = [x for _, a, b in out for x in (a, b)]
     return AlternatingPath(tuple(endpoints), w.size)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import RootedTree, Tree, _check_count, _heaviest_path, _rooted
+from .trees import RootedTree, Tree, _check_count, _check_counts, _heaviest_path, _rooted
 
 
 # ======================================================================
@@ -134,7 +134,8 @@ class BeautifulProfile:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = self.counts
+        c = _check_counts(self.counts, "profile count")
+        object.__setattr__(self, "counts", c)
         if len(c) < 2 or c[0] != 1 or c[-1] != 0:
             raise ValueError("profile must start with 1 and end with 0")
         body = c[1:-1]
@@ -246,12 +247,20 @@ def extremal_branch_star(k: int) -> Tree:
 # ======================================================================
 
 
-# typed: 7.0 and True must reach the check, not the cached 7 and 1
-@lru_cache(maxsize=None, typed=True)
 def extremal_size_induced(k: int) -> int:
     """Largest edge count m such that some m-edge tree has no induced
     caterpillar bigger than k: k itself through k = 1, the extremal star's
     ``branch_star_bound(k)`` beyond."""
+    try:
+        return _extremal_size_induced(k)
+    except TypeError:  # the cache cannot hash k, such as a list
+        _check_count(k, "k", 0)
+        raise
+
+
+# typed: 7.0 and True must reach the check, not the cached 7 and 1
+@lru_cache(maxsize=None, typed=True)
+def _extremal_size_induced(k: int) -> int:
     _check_count(k, "k", 0)
     if k <= 1:
         return k
@@ -263,7 +272,7 @@ def induced_guarantee_reference(m: int) -> int:
     extremal_size_induced(k - 1) < m."""
     _check_count(m, "m", 1)
     k = 1
-    while extremal_size_induced(k) < m:
+    while _extremal_size_induced(k) < m:
         k += 1
     return k
 

@@ -33,6 +33,7 @@ rootings.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index as _as_index
 from typing import Any, Callable, Iterable, Iterator
@@ -81,6 +82,18 @@ def _check_count(
         raise ValueError(f"{name} must be {bound}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be at most {high}")
+
+
+def _check_counts(values: Any, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple, once ``_check_count`` finds each item an
+    integer called ``name``; anything but a sequence raises ``ValueError``
+    naming it ``name`` + "s".  Plain ints pass on one look at their types."""
+    if not isinstance(values, Sequence):
+        raise ValueError(f"{name}s must be a sequence of integers, got {values!r}")
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            _check_count(x, name)
+    return tuple(values)
 
 
 class _lazy:

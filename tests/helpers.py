@@ -584,9 +584,9 @@ def structure_by_index_stack(chords, tree: Tree | None = None) -> tuple:
     return cycles, tree
 
 
-def chain_cell_by_modulo(cycle, wanted, entry, entry_point, exit_chord) -> list:
-    """``duality._chain_cell`` finding chords with ``next(...)`` scans and
-    walking the boundary with ``% size`` rotations."""
+def _chain_one_cell_by_modulo(cycle, wanted, entry, entry_point, exit_chord) -> list:
+    """One cell of ``compatible_chain_by_min_max``: its chords found with
+    ``next(...)`` scans, its boundary walked with ``% size`` rotations."""
     if entry is None:
         items = [it for it in cycle if it[0] in wanted]
         if exit_chord is not None:
@@ -618,7 +618,7 @@ def chain_cell_by_modulo(cycle, wanted, entry, entry_point, exit_chord) -> list:
 
 def compatible_chain_by_min_max(chords, w: CaterpillarWitness) -> AlternatingPath:
     """``duality._compatible_chain`` normalising cell pairs with ``min`` and
-    ``max`` and chaining each cell with ``chain_cell_by_modulo`` over the
+    ``max`` and chaining each cell with ``_chain_one_cell_by_modulo`` over the
     boundary cycles of ``structure_by_index_stack``."""
     cycles, t = structure_by_index_stack(chords)
     cells = set(range(t.vertex_count))
@@ -664,7 +664,10 @@ def compatible_chain_by_min_max(chords, w: CaterpillarWitness) -> AlternatingPat
         if entry is None and not wanted:
             raise ValueError("spine cell carries no witness segment")
         if wanted:
-            out += chain_cell_by_modulo(cycles[cell], wanted, entry, point, exit_chord)
+            cell_chain = _chain_one_cell_by_modulo(
+                cycles[cell], wanted, entry, point, exit_chord
+            )
+            out += cell_chain
             point = out[-1][2]
         entry = exit_chord
     endpoints: list = []

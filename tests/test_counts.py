@@ -8,6 +8,7 @@ import pytest
 import catbound.oracle as oracle
 from catbound import (
     AlternatingPath,
+    BeautifulProfile,
     RootedTree,
     SegmentFamily,
     Tree,
@@ -35,6 +36,7 @@ from catbound import (
     render_tree,
     tree_from_pruefer,
     tree_to_segments,
+    validate_path,
     verify_all,
 )
 
@@ -85,12 +87,50 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [7.5, 7.0, True, "7"])
+@pytest.mark.parametrize("bad", [7.5, 7.0, True, "7", [7]])
 @pytest.mark.parametrize("call, name", COUNTS.values(), ids=list(COUNTS))
 def test_every_count_must_be_an_integer(call, name, bad):
     with pytest.raises(ValueError) as caught:
         call(bad)
     assert str(caught.value) == f"{name} must be an integer, got {bad!r}"
+
+
+class Label(int):
+    """An integer type other than ``int``, which takes the item-by-item
+    check."""
+
+
+def one_segment_path(endpoints):
+    return AlternatingPath(endpoints, 1)
+
+
+# each public constructor that takes a sequence of integers, with bad input
+# and its refusal: the first item at fault is named
+SEQUENCES = [
+    (BeautifulProfile, (1, 2.0, 0), "profile count must be an integer, got 2.0"),
+    (BeautifulProfile, (1, True, 0), "profile count must be an integer, got True"),
+    (BeautifulProfile, True, "profile counts must be a sequence of integers, got True"),
+    (one_segment_path, (0, 1.0), "endpoint must be an integer, got 1.0"),
+    (one_segment_path, (0, True, 2.5, 3), "endpoint must be an integer, got True"),
+    (one_segment_path, ("0", 1), "endpoint must be an integer, got '0'"),
+    (one_segment_path, 1.5, "endpoints must be a sequence of integers, got 1.5"),
+    (one_segment_path, {0, 1}, "endpoints must be a sequence of integers, got {0, 1}"),
+]
+
+
+@pytest.mark.parametrize("build, bad, message", SEQUENCES)
+def test_sequences_of_counts_must_hold_integers(build, bad, message):
+    with pytest.raises(ValueError) as caught:
+        build(bad)
+    assert str(caught.value) == message
+
+
+def test_sequences_of_integers_are_kept_as_tuples():
+    assert BeautifulProfile([1, 2, 0]).counts == (1, 2, 0)
+    assert AlternatingPath([0, 1], 1).endpoints == (0, 1)
+    path = AlternatingPath((Label(0), 1), 1)
+    assert path.endpoints == (0, 1)
+    assert validate_path(SegmentFamily(1, ((0, 1),)), path, "simple").ok
 
 
 # every refusal of an integer out of range that goes through _check_count,

@@ -539,8 +539,8 @@ def test_a_wrong_star_shape_fails_both_star_rows(monkeypatch, capsys, request):
     # over every shape, and the guarantee it inverts at m = 6, can tell
     shape = induced._star_shape
     monkeypatch.setattr(induced, "_star_shape", lambda k: (5, 1) if k == 5 else shape(k))
-    induced.extremal_size_induced.cache_clear()
-    request.addfinalizer(induced.extremal_size_induced.cache_clear)
+    induced._extremal_size_induced.cache_clear()
+    request.addfinalizer(induced._extremal_size_induced.cache_clear)
     assert main(["verify", "--max-edges", "3", "--max-k", "8", "--sweep", "500"]) == 2
     rows = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()[:-1]}
     assert rows["extremal-branch-star"].startswith("FAIL")

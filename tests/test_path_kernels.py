@@ -7,11 +7,13 @@ its chords off parent cells.  Each must reproduce its reference in
 ``helpers``: ``validate_path_by_sweep``, which sends every path through the
 sweep, and ``compatible_chain_by_min_max``, which finds the witness chords
 with a scan over every tree edge and chains each cell with its own
-``chain_cell_by_modulo`` over the boundary cycles that
+``_chain_one_cell_by_modulo`` over the boundary cycles that
 ``structure_by_index_stack`` lists, so it shares no chaining code with the
 library.  So the same chain or the same ``ValueError``, and the same
 ``PathReport``, issues in the same order, on every census class through 10
-edges and on broken paths over 250- to 1000-segment families.
+edges and on broken paths over 250- to 1000-segment families.  The
+compatible chain of every census class through 12 edges, and the among
+chain over its kept chords, match the reference too.
 A valid path never reaches the sweep.
 """
 
@@ -31,7 +33,8 @@ from catbound import (
     tree_to_segments,
     validate_path,
 )
-from catbound.duality import _compatible_chain
+from catbound.contraction import _plan
+from catbound.duality import _compatible_chain, _structure
 from helpers import (
     broken_paths,
     compatible_chain_by_min_max,
@@ -43,10 +46,11 @@ from helpers import (
 MODES = ("simple", "compatible")
 
 
-def census_families():
-    """The family of every census class through 10 edges, as the census
-    builds it: rooted at 0, so its cell tree is the class's own tree."""
-    for m in range(1, 11):
+def census_families(max_edges: int = 10):
+    """The family of every census class through ``max_edges`` edges, as
+    the census builds it: rooted at 0, so its cell tree is the class's own
+    tree."""
+    for m in range(1, max_edges + 1):
         for t in free_trees(m):
             yield tree_to_segments(t, 0)
 
@@ -72,12 +76,32 @@ def reports(family, endpoints) -> list:
     return out
 
 
+def among_chain_input(family):
+    """The chords ``among_path`` chains, its kept ones, with their cell tree
+    and the plan's witness over it.  The cell tree is the contracted tree,
+    whose ids follow the kept chords but not, in general, a preorder."""
+    plan, witness = _plan(family._tree)
+    dropped = {step.edge[1] - 1 for step in plan.contract_sequence}
+    kept = tuple(c for i, c in enumerate(family.pairs) if i not in dropped)
+    return kept, _structure(kept, plan.kept_caterpillar), witness
+
+
+def assert_chains_like_the_edge_scan(family) -> None:
+    """The family's compatible chain and its among chain, each against
+    ``compatible_chain_by_min_max`` on the same chords and witness."""
+    witness = max_caterpillar(family._tree)
+    assert _compatible_chain(
+        family.pairs, family._tree, witness
+    ) == compatible_chain_by_min_max(family.pairs, witness)
+    kept, cell_tree, witness = among_chain_input(family)
+    among = _compatible_chain(kept, cell_tree, witness)
+    assert among == compatible_chain_by_min_max(kept, witness)
+    assert among == among_path(family)[0]
+
+
 def test_every_census_class_chains_like_the_edge_scan():
-    for family in census_families():
-        witness = max_caterpillar(family._tree)
-        assert _compatible_chain(
-            family.pairs, family._tree, witness
-        ) == compatible_chain_by_min_max(family.pairs, witness)
+    for family in census_families(12):
+        assert_chains_like_the_edge_scan(family)
 
 
 def test_valid_paths_never_reach_the_crossing_sweep(monkeypatch):

@@ -1,14 +1,15 @@
 """The shared per-tree kernels against their references in ``helpers``.
 
 ``Tree`` validation, ``_heaviest_path``, ``tree_to_segments``,
-``_structure``, ``_chain_cell``, ``_compatible_chain``, ``validate_path``
-and ``_contract_all`` must each reproduce its reference exactly: the same
+``_structure``, ``_compatible_chain``, ``validate_path`` and
+``_contract_all`` must each reproduce its reference exactly: the same
 outputs and tie-breaks on every small tree class under relabelling, on
 random and 1000-edge trees, and the same exception, message and edge index
 or the same path issues, in the same order, on malformed input.
 ``_heaviest_path`` is held to the all-pairs search under unit, {0, 1, 2}
-and deg - 1 weights, and ``validate_path`` to the sweep with no accepting
-scan.
+and deg - 1 weights, ``validate_path`` to the sweep with no accepting scan,
+and ``_compatible_chain`` to the reference's per-cell chaining on a witness
+along every path of a small cell tree, walked both ways.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from catbound import (
     AlternatingPath,
+    CaterpillarWitness,
     Tree,
     among_path,
     compatible_path,
@@ -31,11 +33,10 @@ from catbound import (
     validate_path,
 )
 from catbound.contraction import _contract_all
-from catbound.duality import _chain_cell, _compatible_chain, _structure
+from catbound.duality import _compatible_chain, _structure
 from catbound.trees import _heaviest_path
 from helpers import (
     broken_paths,
-    chain_cell_by_modulo,
     compatible_chain_by_min_max,
     contract_all_by_find,
     heaviest_path_by_all_pairs,
@@ -66,25 +67,43 @@ def assert_structure_matches(chords, tree=None):
     assert _structure(chords, tree) == structure_by_index_stack(chords, tree)[1]
 
 
-def assert_chain_cells_match(chords, cell, cycle, rng: random.Random) -> None:
-    """``_chain_cell`` on ``chords`` against ``chain_cell_by_modulo`` on the
-    reference's boundary ``cycle`` of ``cell``: every entry (none, or each
-    chord entered at either end) against a few random wanted sets, each
-    with and without an exit chord."""
-    bordering = [c for c, _, _ in cycle]
-    entries = [(None, None)] + [(c, x) for c, p, q in cycle for x in (p, q)]
-    for entry, point in entries:
-        others = [c for c in bordering if c != entry]
-        for _ in range(3):
-            wanted = {c for c in others if rng.random() < 0.6}
-            exits = [None] + sorted(wanted)
-            if entry is None and not wanted:
-                continue
-            for exit_chord in exits:
-                args = (wanted, entry, point, exit_chord)
-                assert _chain_cell(chords, cell, *args) == chain_cell_by_modulo(
-                    cycle, *args
-                )
+def spine_witnesses(t: Tree, rng: random.Random):
+    """A caterpillar witness along every path of ``t``, walked both ways,
+    with each neighbour of the path a leaf of it at random.  Chained, each
+    spine cell is entered at either end of its entry chord, or not at all,
+    is left by an exit chord or not, and wants a random set of its other
+    chords."""
+    adjacency = t.adjacency
+    for start in range(t.vertex_count):
+        parent = {start: start}
+        queue = [start]
+        for u in queue:
+            for v in adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        for end in range(t.vertex_count):
+            spine = [end]
+            while spine[-1] != start:
+                spine.append(parent[spine[-1]])
+            spine.reverse()
+            vertices = set(spine)
+            for u in spine:
+                vertices.update(v for v in adjacency[u] if rng.random() < 0.6)
+            if len(vertices) > 1:
+                size = len(vertices) - 1
+                yield CaterpillarWitness(frozenset(vertices), tuple(spine), size)
+
+
+def assert_spines_chain_alike(family, rng: random.Random) -> None:
+    """``_compatible_chain`` against ``compatible_chain_by_min_max``, which
+    chains each cell with ``_chain_one_cell_by_modulo``, on every spine of the
+    family's cell tree; each chain must also be compatible."""
+    chords, cell_tree = family.pairs, family._tree
+    for witness in spine_witnesses(cell_tree, rng):
+        chain = _compatible_chain(chords, cell_tree, witness)
+        assert chain == compatible_chain_by_min_max(chords, witness)
+        assert validate_path(family, chain, "compatible").ok
 
 
 def assert_reports_match(family, endpoints) -> None:
@@ -120,8 +139,7 @@ def assert_matches_previous(t: Tree, rng: random.Random, exhaustive: bool = True
     chain = _compatible_chain(chords, cell_tree, witness)
     assert chain == compatible_chain_by_min_max(chords, witness)
     if exhaustive:
-        for cell, cycle in enumerate(structure_by_index_stack(chords)[0]):
-            assert_chain_cells_match(chords, cell, cycle, rng)
+        assert_spines_chain_alike(family, rng)
 
     chains = [compatible_path(family, witness).endpoints, among_path(family)[0].endpoints]
     for chain in chains:
