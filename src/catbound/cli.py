@@ -8,6 +8,9 @@ File formats: trees are the edge-list text format of ``parse_tree``;
 segment families are JSON ``{"n": N, "segments": [[a, b], ...]}``;
 alternating paths are JSON ``{"mode": M, "segments": K, "endpoints":
 [...]}``, K optional and half the endpoint count.  Numbers are JSON integers.
+The loaders only read a format; the constructors (``Tree``,
+``SegmentFamily``, ``AlternatingPath``) judge the values read, and a file's
+error is the constructor's message after the file's path.
 
 The argument parser is built once per process, on the first ``main`` call:
 a shell command builds it once either way, and callers that run many
@@ -151,11 +154,6 @@ def _emit(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: floats and booleans do not count."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _read_json(path: str) -> Any:
     try:
         return json.loads(_read(path))
@@ -167,43 +165,24 @@ def _load_family(path: str) -> SegmentFamily:
     data = _read_json(path)
     if not isinstance(data, dict) or "n" not in data or "segments" not in data:
         raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
-    n, segments = data["n"], data["segments"]
-    if not _is_int(n):
-        raise ValueError(f"{path}: n must be an integer")
-    not_pairs = f"{path}: segments must be [a, b] pairs"
-    if type(segments) is not list:
-        raise ValueError(not_pairs)
-    pairs = []
-    for p in segments:
-        if type(p) is not list or len(p) != 2:
-            raise ValueError(not_pairs)
-        a, b = p
-        if not (_is_int(a) and _is_int(b)):
-            raise ValueError(not_pairs)
-        pairs.append((a, b))
     try:
-        return SegmentFamily(n, tuple(pairs))
+        return SegmentFamily(data["n"], data["segments"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_path(path: str) -> tuple[AlternatingPath, str]:
     data = _read_json(path)
-    if not isinstance(data, dict) or "endpoints" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("endpoints"), list):
         raise ValueError(f'{path}: expected {{"mode": ..., "endpoints": [...]}}')
-    endpoints = data["endpoints"]
-    if not isinstance(endpoints, list) or not all(map(_is_int, endpoints)):
-        raise ValueError(f"{path}: endpoints must be a list of integers")
-    if len(endpoints) % 2:
-        raise ValueError(f"{path}: odd endpoint count")
-    k = data.get("segments", len(endpoints) // 2)
-    if not _is_int(k) or 2 * k != len(endpoints):
-        raise ValueError(f"{path}: segments must be half the endpoint count")
     mode = data.get("mode", "simple")
     if mode not in ("simple", "among", "compatible"):
         raise ValueError(f"{path}: unknown mode {mode!r}")
+    endpoints = data["endpoints"]
+    k = data.get("segments", len(endpoints) // 2)
     try:
-        return AlternatingPath(tuple(endpoints), k), mode
+        _check_count(k, "segments")  # named as the file names it, not "k"
+        return AlternatingPath(endpoints, k), mode
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -59,8 +59,9 @@ class SegmentFamily:
     """n pairwise non-crossing segments on endpoint labels 0..2n-1.
 
     Pairs are normalized to (low, high) sorted by low.  Construction rejects
-    anything that is not a perfect matching of the labels and any pair of
-    interleaving (crossing) segments.
+    anything that is not a perfect matching of the labels, which are ints (a
+    bool or a float is no label), and any pair of interleaving (crossing)
+    segments.
     """
 
     n: int
@@ -92,6 +93,10 @@ class SegmentFamily:
                 partner[a], partner[b] = b, a
         except TypeError:  # a label that is not an integer
             raise ValueError(unmatched) from None
+        # labels now match 0..2n-1, so only labels 0 and 1 can be bools,
+        # and both lie in the first two pairs
+        if bool in {type(x) for pair in norm[:2] for x in pair}:
+            raise ValueError(unmatched)
         stack: list[int] = []  # opening labels of the open segments
         for x, y in enumerate(partner):
             if y > x:
@@ -333,8 +338,7 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
 
 def _accepts(s: SegmentFamily, e: tuple[int, ...], compatible: bool) -> bool:
     """True when ``validate_path`` would find no issue with endpoints ``e``,
-    in O(n).  False hands the path to the reporter, which decides; valid
-    paths whose labels are not ints in a tuple land there too.
+    in O(n).  False hands the path to the reporter, which decides.
 
     With labels in range and distinct and each segment position a family
     pair, no connector is a segment, and two chords share a label only as
@@ -350,12 +354,9 @@ def _accepts(s: SegmentFamily, e: tuple[int, ...], compatible: bool) -> bool:
     this one is still open: the two cross."""
     partner: list[int] = s._partner
     size = len(partner)
-    try:
-        if min(e) < 0 or max(e) >= size or len(set(e)) != len(e):
-            return False
-        if tuple(map(partner.__getitem__, e[::2])) != e[1::2]:
-            return False
-    except TypeError:  # labels that are not integers: the report says why
+    if min(e) < 0 or max(e) >= size or len(set(e)) != len(e):
+        return False
+    if tuple(map(partner.__getitem__, e[::2])) != e[1::2]:
         return False
     if compatible or len(e) == size:
         other = partner

@@ -251,17 +251,12 @@ def extremal_size_induced(k: int) -> int:
     """Largest edge count m such that some m-edge tree has no induced
     caterpillar bigger than k: k itself through k = 1, the extremal star's
     ``branch_star_bound(k)`` beyond."""
-    try:
-        return _extremal_size_induced(k)
-    except TypeError:  # the cache cannot hash k, such as a list
-        _check_count(k, "k", 0)
-        raise
-
-
-# typed: 7.0 and True must reach the check, not the cached 7 and 1
-@lru_cache(maxsize=None, typed=True)
-def _extremal_size_induced(k: int) -> int:
     _check_count(k, "k", 0)
+    return _extremal_size_induced(k)
+
+
+@lru_cache(maxsize=None)
+def _extremal_size_induced(k: int) -> int:
     if k <= 1:
         return k
     return branch_star_bound(k)

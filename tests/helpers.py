@@ -25,7 +25,6 @@ from catbound import (
     max_caterpillar_by_contraction,
     tree_from_pruefer,
 )
-from catbound.cli import _is_int, _read_json
 from catbound.duality import _checked, _compatible_chain, _crossing_pairs
 from catbound.oracle import _verdict
 from catbound.trees import _EdgeError
@@ -404,26 +403,6 @@ def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, Contract
     inner = _compatible_chain(sub.pairs, sub._tree, witness)
     endpoints = tuple(labels[x] for x in inner.endpoints)
     return _checked(s, AlternatingPath(endpoints, cap), "simple"), plan
-
-
-def load_family_by_generators(path: str) -> SegmentFamily:
-    """``cli._load_family`` checking each pair with nested ``all``/``_is_int``
-    generators and building the pair tuple in a second pass."""
-    data = _read_json(path)
-    if not isinstance(data, dict) or "n" not in data or "segments" not in data:
-        raise ValueError(f'{path}: expected {{"n": ..., "segments": [...]}}')
-    n, segments = data["n"], data["segments"]
-    if not _is_int(n):
-        raise ValueError(f"{path}: n must be an integer")
-    if not isinstance(segments, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
-        for p in segments
-    ):
-        raise ValueError(f"{path}: segments must be [a, b] pairs")
-    try:
-        return SegmentFamily(n, tuple((a, b) for a, b in segments))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def fold_by_lists(m: int, checks) -> list:

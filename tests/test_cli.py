@@ -36,7 +36,7 @@ from catbound import (
 import catbound.cli as cli
 import catbound.duality as duality
 from catbound.cli import main
-from helpers import load_family_by_generators, path_tree, spider_tree, star_tree, trees
+from helpers import family_error_by_sorting, path_tree, spider_tree, star_tree, trees
 
 
 def run(capsys, *argv):
@@ -337,22 +337,21 @@ def test_path_rejects_malformed_family_files(capsys, tmp_path):
     bad.write_text("not json")
     code, _, err = run(capsys, "path", "among", "--segments", str(bad))
     assert code == 1 and "JSON" in err
-    bad.write_text('{"n": null, "segments": [[0, 1]]}')
-    code, _, err = run(capsys, "path", "among", "--segments", str(bad))
-    assert code == 1 and err == f"catbound: error: {bad}: n must be an integer\n"
-    for text in (
-        '{"n": 1, "segments": [[0, 1e400]]}',
-        '{"n": 1, "segments": [[0.7, 1.2]]}',
-        '{"n": 1, "segments": [[true, 1]]}',
-        '{"n": 1, "segments": [[0, 1, 2]]}',
+    for text, message in (
+        ('{"n": null, "segments": [[0, 1]]}', "n must be an integer, got None"),
+        ('{"n": 1.9, "segments": [[0, 1]]}', "n must be an integer, got 1.9"),
+        ('{"n": true, "segments": [[0, 1]]}', "n must be an integer, got True"),
+        ('{"n": 1, "segments": [[0, 1e400]]}', "segments must perfectly match labels 0..2n-1"),
+        ('{"n": 1, "segments": [[0.7, 1.2]]}', "segments must perfectly match labels 0..2n-1"),
+        ('{"n": 1, "segments": [[false, 1]]}', "segments must perfectly match labels 0..2n-1"),
+        ('{"n": 1, "segments": [[true, 1]]}', "degenerate segment (1, True)"),
+        ('{"n": 1, "segments": [[0, 1, 2]]}', "segments must perfectly match labels 0..2n-1"),
+        ('{"n": 1, "segments": [0, 1]}', "segments must perfectly match labels 0..2n-1"),
+        ('{"n": 1, "segments": "01"}', "segments must perfectly match labels 0..2n-1"),
     ):
         bad.write_text(text)
         code, _, err = run(capsys, "path", "among", "--segments", str(bad))
-        assert code == 1 and err == f"catbound: error: {bad}: segments must be [a, b] pairs\n"
-    for text in ('{"n": 1.9, "segments": [[0, 1]]}', '{"n": true, "segments": [[0, 1]]}'):
-        bad.write_text(text)
-        code, _, err = run(capsys, "path", "among", "--segments", str(bad))
-        assert code == 1 and err == f"catbound: error: {bad}: n must be an integer\n"
+        assert code == 1 and err == f"catbound: error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -420,15 +419,27 @@ def test_render_refuses_invalid_paths_with_exit_2(tmp_path, capsys):
     assert code == 2 and "unused segment" in err
 
 
-@pytest.mark.parametrize("endpoints", ["5", "[0, 1e400]", "[0.5, 1]", "[true, 1]"])
-def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints):
+_NOT_A_PATH = '{"mode": ..., "endpoints": [...]}'
+
+
+@pytest.mark.parametrize(
+    "endpoints, message",
+    [
+        ("5", f"expected {_NOT_A_PATH}"),
+        ("[0, 1e400]", "endpoint must be an integer, got inf"),
+        ("[0.5, 1]", "endpoint must be an integer, got 0.5"),
+        ("[true, 1]", "endpoint must be an integer, got True"),
+    ],
+    ids=["5", "[0, 1e400]", "[0.5, 1]", "[true, 1]"],
+)
+def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints, message):
     seg_file = tmp_path / "fam.json"
     path_file = tmp_path / "chain.json"
     seg_file.write_text('{"n": 3, "segments": [[0, 5], [1, 4], [2, 3]]}')
     path_file.write_text('{"mode": "compatible", "endpoints": %s}' % endpoints)
     code, _, err = run(capsys, "render", "--segments", str(seg_file), "--path", str(path_file), "--out", str(tmp_path / "x.svg"))
     assert code == 1
-    assert err == f"catbound: error: {path_file}: endpoints must be a list of integers\n"
+    assert err == f"catbound: error: {path_file}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -438,9 +449,11 @@ def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints):
         ('{"mode": 5, "endpoints": [0, 5]}', "unknown mode 5"),
         ('{"mode": "fancy", "endpoints": [0, 5]}', "unknown mode 'fancy'"),
         ('{"mode": "compatible", "endpoints": []}', "endpoint count must be twice the segment count"),
-        ('{"segments": 7, "endpoints": [0, 5]}', "segments must be half the endpoint count"),
-        ('{"segments": "x", "endpoints": [0, 5]}', "segments must be half the endpoint count"),
-        ('{"segments": true, "endpoints": [0, 5]}', "segments must be half the endpoint count"),
+        ('{"mode": "compatible", "endpoints": [0, 5, 1]}', "endpoint count must be twice the segment count"),
+        ('{"segments": 7, "endpoints": [0, 5]}', "endpoint count must be twice the segment count"),
+        ('{"segments": "x", "endpoints": [0, 5]}', "segments must be an integer, got 'x'"),
+        ('{"segments": true, "endpoints": [0, 5]}', "segments must be an integer, got True"),
+        ('{"segments": 1}', f"expected {_NOT_A_PATH}"),
     ],
 )
 def test_path_file_errors_name_the_file(tmp_path, capsys, text, message):
@@ -731,13 +744,28 @@ def test_fuzzed_files_exit_cleanly(family, chain, tree, root):
                 assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
 
 
-def _load_outcome(load, path: str) -> tuple:
-    """(exit code, message or pairs) of one family load."""
-    try:
-        family = load(path)
-    except ValueError as exc:
-        return 1, str(exc)
-    return 0, (family.n, family.pairs)
+def _family_by_definition(doc) -> tuple:
+    """(0, (n, pairs)) for the family a document defines, else (1, fault):
+    the document must be a JSON object whose ``n`` and every label are
+    integers, not booleans, whose segments are n >= 1 [a, b] lists, and
+    whose pairs ``family_error_by_sorting`` finds no fault in.  The fault
+    is that function's message, or None where the document fails before
+    its pairs are judged."""
+
+    def is_int(x) -> bool:
+        return type(x) is int
+
+    if not (isinstance(doc, dict) and "n" in doc and "segments" in doc):
+        return 1, None
+    n, segments = doc["n"], doc["segments"]
+    if not (is_int(n) and type(segments) is list and n == len(segments) >= 1):
+        return 1, None
+    if not all(type(p) is list and len(p) == 2 and all(map(is_int, p)) for p in segments):
+        return 1, None
+    fault = family_error_by_sorting(segments)
+    if fault is not None:
+        return 1, fault
+    return 0, (n, tuple(sorted((min(a, b), max(a, b)) for a, b in segments)))
 
 
 _odd_label = _labels | st.booleans() | st.floats(0, 3) | st.none()
@@ -755,18 +783,25 @@ _near_pairs = st.one_of(
     )
 )
 @example(doc={"n": 1, "segments": [[0, True]]})
+@example(doc={"n": 2, "segments": [[False, 3], [1, 2]]})
+@example(doc={"n": 2, "segments": [[0, 3], [True, 2]]})
 @example(doc={"n": 1, "segments": [[0, 1.0]]})
 @example(doc={"n": True, "segments": [[0, 1]]})
 @example(doc={"n": 1, "segments": [[0, 1, 2]]})
 @example(doc={"n": 2, "segments": [[0, 1], 2]})
 @example(doc={"n": 2, "segments": [[0, 2], [1, 3]]})
-def test_family_loader_matches_the_generator_loader(doc):
+def test_family_loader_accepts_exactly_the_defined_families(doc):
     with tempfile.TemporaryDirectory() as work:
         fam = str(Path(work) / "fam.json")
         Path(fam).write_text(json.dumps(doc), encoding="utf-8")
-        assert _load_outcome(cli._load_family, fam) == _load_outcome(
-            load_family_by_generators, fam
-        )
+        code, want = _family_by_definition(doc)
+        try:
+            family = cli._load_family(fam)
+        except ValueError as exc:
+            assert code == 1, exc
+            assert str(exc) == f"{fam}: {want}" if want else str(exc).startswith(f"{fam}: ")
+        else:
+            assert (code, want) == (0, (family.n, family.pairs))
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,9 @@ def test_pairs_are_normalized_and_sorted():
         ("1", ((0, 1),), "^n must be an integer, got '1'$"),
         (1.0, ((0, 1),), "^n must be an integer, got 1.0$"),
         (True, ((0, 1),), "^n must be an integer, got True$"),
+        (1, ((False, True),), "^segments must perfectly match labels 0..2n-1$"),
+        (2, ((0, 3), (True, 2)), "^segments must perfectly match labels 0..2n-1$"),
+        (2, ((3, False), (1, 2)), "^segments must perfectly match labels 0..2n-1$"),
     ],
 )
 def test_family_validation(n, pairs, hint):

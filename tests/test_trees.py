@@ -128,14 +128,29 @@ def test_format_is_one_edge_per_line():
         ("0 0\n", "self-loop"),
         ("0 1\n2 3\n1 0\n", "line 3: duplicate"),
         ("0 1\n1 2\n2 0\n3 4\n", "line 3: .* cycle"),
-        ("0 1\n0 1\n", "not contiguous"),
+        ("0 1\n0 1\n", "line 2: duplicate"),
         ("0 2\n", "out of range"),
         ("", "no edges"),
+        ("0 1\n1 5\n", "^line 2: .* out of range"),
+        ("0 1_0\n", "^line 1: vertex ids must be base-10 integers$"),
+        ("+0 1\n", "^line 1: vertex ids must be base-10 integers$"),
+        ("\u0661 0\n", "^line 1: vertex ids must be base-10 integers$"),
+        ("0 \uff11\n", "^line 1: vertex ids must be base-10 integers$"),
+        ("0 1\n--1 0\n", "^line 2: vertex ids must be base-10 integers$"),
+        ("0 -\n", "^line 1: vertex ids must be base-10 integers$"),
+        ("0 -1\n", "^line 1: edge \\(-1, 0\\) out of range 0..1$"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, hint):
     with pytest.raises(TreeParseError, match=hint):
         parse_tree(text)
+
+
+def test_parse_reads_ascii_digits_after_at_most_one_minus():
+    assert parse_tree("00 1\n2 -0\n").edges == ((0, 1), (0, 2))
+    # past int()'s conversion limit an id is no base-10 integer either
+    with pytest.raises(TreeParseError, match="^line 1: vertex ids must be base-10"):
+        parse_tree("0 " + "1" * 5000)
 
 
 @given(trees())
