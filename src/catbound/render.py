@@ -6,6 +6,13 @@ same bytes — the tests diff renders directly.  Families are drawn on a
 circle (convex position is all that matters combinatorially) with an
 optional alternating path overlaid; trees are drawn in layers below a
 root.
+
+A family picture formats each coordinate once: one ``%`` call formats
+every endpoint's x, another every y, and each chord, path point and dot
+reuses those strings; each label's two coordinates are formatted in its
+dot's template.  ``_fmt`` turns a ``-0.00`` into ``0.00`` for the header
+and the tree pictures; the family picture needs no such fix-up, because
+every coordinate it draws lies within 274 of the centre 320, in 46..594.
 """
 
 from __future__ import annotations
@@ -39,6 +46,19 @@ def _header(width: float, height: float) -> str:
     )
 
 
+# one chord, and one endpoint dot with its label
+_CHORD_LINE = (
+    '<line x1="%s" y1="%s" x2="%s" y2="%s" '
+    f'stroke="{_CHORD}" stroke-width="2"/>\n'
+)
+_DOT_LABEL = (
+    f'<circle cx="%s" cy="%s" r="4" fill="{_DOT}"/>\n'
+    '<text x="%.2f" y="%.2f" font-family="monospace" '
+    f'font-size="13" fill="{_TEXT}" text-anchor="middle" '
+    'dominant-baseline="central">%d</text>\n'
+)
+
+
 def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> str:
     """Draw the family's endpoints on a circle with one chord per segment,
     plus the alternating path as a polyline when given."""
@@ -47,28 +67,20 @@ def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> st
     radius = 250.0
     label_radius = radius + 24
     count = 2 * s.n
-    # each endpoint's coordinates are formatted once, and its label reuses
-    # the angle's cos and sin: the same floats as computing them again
-    xs, ys, labels = [], [], []
-    for i in range(count):
-        angle = -math.pi / 2 + 2 * math.pi * i / count
-        cos_a, sin_a = math.cos(angle), math.sin(angle)
-        xs.append(_fmt(cx + radius * cos_a))
-        ys.append(_fmt(cy + radius * sin_a))
-        labels.append(
-            (_fmt(cx + label_radius * cos_a), _fmt(cy + label_radius * sin_a))
-        )
+    angles = [-math.pi / 2 + 2 * math.pi * i / count for i in range(count)]
+    coss = list(map(math.cos, angles))
+    sins = list(map(math.sin, angles))
+    # every coordinate lies in cx - label_radius .. cx + label_radius
+    # (46..594), so none prints as -0.00 and none needs _fmt
+    xs = ("%.2f " * count % tuple([cx + radius * c for c in coss])).split()
+    ys = ("%.2f " * count % tuple([cy + radius * c for c in sins])).split()
 
     parts = [_header(size, size)]
     parts.append(
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         f'fill="none" stroke="{_RIM}" stroke-width="1"/>\n'
     )
-    for a, b in s.pairs:
-        parts.append(
-            f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
-            f'stroke="{_CHORD}" stroke-width="2"/>\n'
-        )
+    parts += [_CHORD_LINE % (xs[a], ys[a], xs[b], ys[b]) for a, b in s.pairs]
     if path is not None:
         pts = " ".join(f"{xs[e]},{ys[e]}" for e in path.endpoints)
         parts.append(
@@ -80,13 +92,11 @@ def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> st
             f'<circle cx="{xs[e0]}" cy="{ys[e0]}" r="7" fill="none" '
             f'stroke="{_PATH}" stroke-width="2"/>\n'
         )
-    for i, (lx, ly) in enumerate(labels):
-        parts.append(f'<circle cx="{xs[i]}" cy="{ys[i]}" r="4" fill="{_DOT}"/>\n')
-        parts.append(
-            f'<text x="{lx}" y="{ly}" font-family="monospace" '
-            f'font-size="13" fill="{_TEXT}" text-anchor="middle" '
-            f'dominant-baseline="central">{i}</text>\n'
-        )
+    parts += [
+        _DOT_LABEL
+        % (xs[i], ys[i], cx + label_radius * coss[i], cy + label_radius * sins[i], i)
+        for i in range(count)
+    ]
     parts.append("</svg>\n")
     return "".join(parts)
 

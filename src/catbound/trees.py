@@ -22,15 +22,22 @@ in O(n) with two rooted passes and breaks ties the same way for both,
 toward the lexicographically smallest endpoint pair.
 
 The text interchange format is one edge per line: two base-10 vertex ids,
-ASCII digits after at most one ``-``, separated by whitespace.  Blank lines
-and lines whose first non-space character is ``#`` are ignored.
-``parse_tree`` only reads this format: ``Tree`` judges the edges it reads,
-and its message names the line of the edge at fault.
+ASCII digits after at most one ``-``, separated by spaces and tabs.  Only
+``\n`` ends a line, and one ``\r`` before it is dropped, so CRLF text
+reads the same.  Lines of spaces and tabs only, and lines whose first other
+character is ``#``, are ignored; a comment runs to the end of its line,
+whatever it holds.  ``parse_tree`` only reads this format: ``Tree`` judges
+the edges it reads, and its message names the line of the edge at fault.
 
 Isomorphism is decided by canonical codes: rooted subtree codes are
 parenthesis strings with children sorted, the root is the centroid, and a
 bicentroidal tree takes the lexicographically smaller of its two centroid
-rootings.
+rootings.  The centroids come from one rooting's subtree sizes, by a walk
+down from vertex 0 into the subtree of more than n/2 vertices while there
+is one.  A rooted code is built in one pass over the reversed breadth-first
+order: each vertex sorts the codes its children passed up and passes its
+own to its parent.  The codes of all subtrees are kept as bytes, so the
+cost is O(n * height) in time and memory.
 """
 
 from __future__ import annotations
@@ -243,15 +250,22 @@ def parse_tree(text: str) -> Tree:
     """
     edges: list[tuple[int, int]] = []
     lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise TreeParseError(
-                f"line {lineno}: expected two vertex ids, got {stripped!r}"
-            )
+    rows = text.split("\n")
+    if "\r" in text:
+        rows = [row[:-1] if row.endswith("\r") else row for row in rows]
+    for lineno, raw in enumerate(rows, 1):
+        parts = raw.replace("\t", " ").split(" ")
+        # only a line other than two words and one separator, as format_tree
+        # writes an edge, drops the empty words between separators
+        if len(parts) != 2 or not (parts[0] and parts[1]) or parts[0][0] == "#":
+            parts = [part for part in parts if part]
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 2:
+                got = raw.strip(" \t")
+                raise TreeParseError(
+                    f"line {lineno}: expected two vertex ids, got {got!r}"
+                )
         u, v = parts
         try:
             # int() alone would also read "+1", "1_0" and non-ASCII digits
@@ -451,41 +465,48 @@ def is_spider(t: Tree) -> bool:
 
 def centroids(t: Tree) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component left by their
-    removal."""
+    removal.
+
+    Rooted at 0, a vertex with a child subtree of more than n/2 vertices is
+    no centroid, and neither is anything outside that subtree, so a walk
+    down into such subtrees stops at the first centroid.  Its parent side
+    holds fewer than n/2 vertices, since the walk entered a subtree of more,
+    so a second centroid is a child whose subtree holds exactly n/2."""
     n = t.vertex_count
-    if n == 1:
-        return (0,)
     order, parent = _rooted(t, 0)
     size = [1] * n
     for u in reversed(order[1:]):
         size[parent[u]] += size[u]
-    best = n + 1
-    out: list[int] = []
-    for v in range(n):
-        parts = [n - size[v]] if v != 0 else []
-        parts += [size[w] for w in t.adjacency[v] if parent[w] == v]
-        worst = max(parts)
-        if worst < best:
-            best = worst
-            out = [v]
-        elif worst == best:
-            out.append(v)
-    return tuple(sorted(out))
+    adjacency = t.adjacency
+    v, other = 0, -1
+    descended = True
+    while descended:
+        descended = False
+        for w in adjacency[v]:
+            if parent[w] == v:
+                twice = 2 * size[w]
+                if twice > n:
+                    v = w
+                    descended = True
+                    break
+                if twice == n:
+                    other = w
+    return (v,) if other < 0 else (min(v, other), max(v, other))
 
 
 def _ahu_code(t: Tree, root: int) -> bytes:
+    """The rooted code, built in one pass that visits children first: each
+    vertex sorts the codes its children passed up and passes its own to its
+    parent, the root to a spare slot n."""
+    n = t.vertex_count
     order, parent = _rooted(t, root)
-    codes: list[bytes | None] = [None] * t.vertex_count
-    children: list[list[int]] = [[] for _ in range(t.vertex_count)]
-    for v in order:
-        if v != root:
-            children[parent[v]].append(v)
+    parent[root] = n
+    passed: list[list[bytes]] = [[] for _ in range(n + 1)]
     for v in reversed(order):
-        parts = sorted(codes[c] for c in children[v])  # type: ignore[type-var]
-        codes[v] = b"(" + b"".join(parts) + b")"  # type: ignore[arg-type]
-    out = codes[root]
-    assert out is not None
-    return out
+        codes = passed[v]
+        codes.sort()
+        passed[parent[v]].append(b"(" + b"".join(codes) + b")")
+    return passed[n][0]
 
 
 def canonical_code(t: Tree) -> CanonicalCode:

@@ -1,6 +1,7 @@
 """Builders and hypothesis strategies shared across test modules."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -27,7 +28,8 @@ from catbound import (
 )
 from catbound.duality import _checked, _compatible_chain, _crossing_pairs
 from catbound.oracle import _verdict
-from catbound.trees import _EdgeError
+from catbound.render import _CHORD, _DOT, _PATH, _RIM, _TEXT, _fmt, _header
+from catbound.trees import _EdgeError, _rooted
 
 
 def path_tree(n: int) -> Tree:
@@ -754,3 +756,92 @@ def brute_max_caterpillar_by_subsets(t: Tree) -> int:
             ):
                 return size - 1
     raise AssertionError("unreachable: every edge is a caterpillar")
+
+
+def centroids_by_components(t: Tree) -> tuple[int, ...]:
+    """``trees.centroids`` by the definition: every vertex's largest
+    component, its parent side and each child subtree of a rooting at 0,
+    and the vertices where that is least."""
+    n = t.vertex_count
+    if n == 1:
+        return (0,)
+    order, parent = _rooted(t, 0)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    best = n + 1
+    out: list = []
+    for v in range(n):
+        parts = [n - size[v]] if v != 0 else []
+        parts += [size[w] for w in t.adjacency[v] if parent[w] == v]
+        worst = max(parts)
+        if worst < best:
+            best = worst
+            out = [v]
+        elif worst == best:
+            out.append(v)
+    return tuple(sorted(out))
+
+
+def ahu_code_by_child_lists(t: Tree, root: int) -> bytes:
+    """``trees._ahu_code`` listing each vertex's children in a pass of its
+    own, then sorting the children's codes in a second pass."""
+    order, parent = _rooted(t, root)
+    codes: list = [None] * t.vertex_count
+    children: list = [[] for _ in range(t.vertex_count)]
+    for v in order:
+        if v != root:
+            children[parent[v]].append(v)
+    for v in reversed(order):
+        parts = sorted(codes[c] for c in children[v])
+        codes[v] = b"(" + b"".join(parts) + b")"
+    return codes[root]
+
+
+def render_segments_by_elements(s: SegmentFamily, path: AlternatingPath | None = None) -> str:
+    """``render.render_segments`` formatting every coordinate with ``_fmt``,
+    label coordinates included, and each element with its own f-string."""
+    size = 640.0
+    cx = cy = size / 2
+    radius = 250.0
+    label_radius = radius + 24
+    count = 2 * s.n
+    xs, ys, labels = [], [], []
+    for i in range(count):
+        angle = -math.pi / 2 + 2 * math.pi * i / count
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        xs.append(_fmt(cx + radius * cos_a))
+        ys.append(_fmt(cy + radius * sin_a))
+        labels.append(
+            (_fmt(cx + label_radius * cos_a), _fmt(cy + label_radius * sin_a))
+        )
+    parts = [_header(size, size)]
+    parts.append(
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+        f'fill="none" stroke="{_RIM}" stroke-width="1"/>\n'
+    )
+    for a, b in s.pairs:
+        parts.append(
+            f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
+            f'stroke="{_CHORD}" stroke-width="2"/>\n'
+        )
+    if path is not None:
+        pts = " ".join(f"{xs[e]},{ys[e]}" for e in path.endpoints)
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{_PATH}" '
+            'stroke-width="3.5" stroke-linejoin="round" opacity="0.85"/>\n'
+        )
+        e0 = path.endpoints[0]
+        parts.append(
+            f'<circle cx="{xs[e0]}" cy="{ys[e0]}" r="7" fill="none" '
+            f'stroke="{_PATH}" stroke-width="2"/>\n'
+        )
+    for i, (lx, ly) in enumerate(labels):
+        parts.append(f'<circle cx="{xs[i]}" cy="{ys[i]}" r="4" fill="{_DOT}"/>\n')
+        parts.append(
+            f'<text x="{lx}" y="{ly}" font-family="monospace" '
+            f'font-size="13" fill="{_TEXT}" text-anchor="middle" '
+            f'dominant-baseline="central">{i}</text>\n'
+        )
+    parts.append("</svg>\n")
+    return "".join(parts)

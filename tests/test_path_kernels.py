@@ -2,7 +2,7 @@
 
 ``validate_path`` accepts a valid path with one stack scan over the labels
 and sends only a path that fails it through the segment lookups and the
-crossing sweep; ``_compatible_chain`` marks the witness in lists and reads
+crossing sweep; ``_compatible_chain`` sorts the witness cells and reads
 its chords off parent cells.  Each must reproduce its reference in
 ``helpers``: ``validate_path_by_sweep``, which sends every path through the
 sweep, and ``compatible_chain_by_min_max``, which finds the witness chords
@@ -14,7 +14,8 @@ library.  So the same chain or the same ``ValueError``, and the same
 edges and on broken paths over 250- to 1000-segment families.  The
 compatible chain of every census class through 12 edges, and the among
 chain over its kept chords, match the reference too.
-A valid path never reaches the sweep.
+A valid path never reaches the sweep.  A table pins the outcome of witness
+vertices that are floats, bools, strings, negative or past the last cell.
 """
 
 import random
@@ -25,6 +26,7 @@ import catbound.duality as duality
 from catbound import (
     AlternatingPath,
     CaterpillarWitness,
+    Tree,
     among_path,
     compatible_path,
     free_trees,
@@ -210,3 +212,47 @@ def test_faulty_witnesses_raise_like_the_edge_scan_on_census_classes():
 @pytest.mark.parametrize("name", ["pruefer-250", "path-250"])
 def test_faulty_witnesses_raise_like_the_edge_scan_at_scale(name):
     assert_witnesses_chain_like_the_edge_scan(large_family(name), random.Random(name))
+
+
+class _Cell(int):
+    """An integer vertex id whose type is not ``int``."""
+
+
+# (name, vertex set, spine, size) of witnesses over the cell tree of
+# FAULT_FAMILY, whose largest caterpillar is every cell on spine (1, 2, 3),
+# and each one's outcome: a vertex equal to a cell is that cell, as in a set
+WITNESS_VALUES = [
+    ("as found", {0, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "ok"),
+    ("float leaf", {0.0, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "ok"),
+    ("bool cell", {0, True, 2, 3, 4, 5, 6}, (1, 2, 3), "ok"),
+    ("bool spine", {0, 1, 2, 3, 4, 5, 6}, (True, 2, 3), "ok"),
+    ("int subclass", set(map(_Cell, range(7))), tuple(map(_Cell, (1, 2, 3))), "ok"),
+    ("float spine", {0, 1.0, 2, 3, 4, 5, 6}, (1.0, 2, 3), TypeError),
+    ("half", {0, 0.5, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
+    ("negative", {-1, 0, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
+    ("past the last cell", {0, 1, 2, 3, 4, 5, 6, 7}, (1, 2, 3), "does not fit"),
+    ("string", {"0", 1, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
+    ("spine leaves the set", {0, 1, 2, 4, 5, 6}, (1, 2, 3), "does not fit"),
+    ("empty", set(), (), "size disagrees"),
+]
+FAULT_FAMILY = tree_to_segments(
+    Tree(7, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6))), 0
+)
+
+
+@pytest.mark.parametrize("name, vertices, spine, want", WITNESS_VALUES)
+def test_witness_vertex_values_get_the_verdicts_of_a_cell_scan(
+    name, vertices, spine, want
+):
+    chords, t = FAULT_FAMILY.pairs, FAULT_FAMILY._tree
+    w = CaterpillarWitness(frozenset(vertices), spine, 6)
+    if want == "ok":
+        chain = _compatible_chain(chords, t, w)
+        assert chain == _compatible_chain(chords, t, max_caterpillar(t))
+        assert {type(x) for x in chain.endpoints} == {int}
+    elif want is TypeError:  # a spine vertex indexes a list
+        with pytest.raises(TypeError):
+            _compatible_chain(chords, t, w)
+    else:
+        with pytest.raises(ValueError, match=want):
+            _compatible_chain(chords, t, w)

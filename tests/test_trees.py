@@ -115,6 +115,12 @@ def test_parse_ignores_blanks_and_comments():
     assert t.edges == ((0, 1), (1, 2))
 
 
+def test_parse_reads_crlf_tabs_and_free_text_comments():
+    assert parse_tree("0 1\r\n\t1 \t 2\t\r\n").edges == ((0, 1), (1, 2))
+    # a comment runs to the next \n, whatever it holds
+    assert parse_tree(" \t# a\x0cb\u2028c 9 9\n0 1\n").edges == ((0, 1),)
+
+
 def test_format_is_one_edge_per_line():
     assert format_tree(path_tree(3)) == "0 1\n1 2\n"
 
@@ -139,6 +145,16 @@ def test_format_is_one_edge_per_line():
         ("0 1\n--1 0\n", "^line 2: vertex ids must be base-10 integers$"),
         ("0 -\n", "^line 1: vertex ids must be base-10 integers$"),
         ("0 -1\n", "^line 1: edge \\(-1, 0\\) out of range 0..1$"),
+        # only spaces and tabs separate ids, and only \n ends a line
+        ("0\u30001\n", "^line 1: expected two vertex ids"),
+        ("0\xa01\n", "^line 1: expected two vertex ids"),
+        ("0 1\x0c1 2\n2 9\n", "^line 1: expected two vertex ids"),
+        ("0 1\x1c1 2\n", "^line 1: expected two vertex ids"),
+        ("0 1\u20281 2\n", "^line 1: expected two vertex ids"),
+        ("0 1\r1 2\n", "^line 1: expected two vertex ids"),
+        ("0 1\n1\x0b 2\n", "^line 2: vertex ids must be base-10 integers$"),
+        ("0 1\n\x0c\n", "^line 2: expected two vertex ids"),
+        ("0 1\r\r\n", "^line 1: vertex ids must be base-10 integers$"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, hint):
