@@ -308,13 +308,8 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
         raise ValueError(f"unknown mode {mode!r}")
     if _accepts(s, p.endpoints, mode == "compatible"):
         return PathReport(True, mode, ())
-    issues: list[str] = []
     e = p.endpoints
-    limit = 2 * s.n
-    if min(e) < 0 or max(e) >= limit:
-        for x in e:
-            if not 0 <= x < limit:
-                issues.append(f"label {x} out of range 0..{limit - 1}")
+    issues = _range_issues(e, 2 * s.n)
     if len(set(e)) != len(e):
         dups = sorted(x for x, count in Counter(e).items() if count > 1)
         issues.append(f"repeated labels {dups}")
@@ -337,6 +332,13 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
     for j, i in sorted((j, i) for i, j in crossings if j >= k):
         issues.append(f"chain edge {edges[i]} crosses unused segment {unused[j - k]}")
     return PathReport(not issues, mode, tuple(issues))
+
+
+def _range_issues(e: tuple[int, ...], limit: int) -> list[str]:
+    """An issue for each endpoint label of ``e`` outside 0..limit - 1."""
+    if min(e) >= 0 and max(e) < limit:
+        return []
+    return [f"label {x} out of range 0..{limit - 1}" for x in e if not 0 <= x < limit]
 
 
 def _accepts(s: SegmentFamily, e: tuple[int, ...], compatible: bool) -> bool:
@@ -420,8 +422,13 @@ def _compatible_chain(
             cells = []
     else:  # a vertex such as 1.0 or True is the cell it equals, as in a set
         cells = [v for v in range(count) if v in vs]
-    # every witness vertex is a cell exactly when each one was found
-    if len(cells) != len(vs) or not vs.issuperset(w.spine):
+    # every witness vertex is a cell exactly when each one was found; a
+    # spine vertex such as 1.0 equals a cell but indexes no list
+    spine = list(w.spine)
+    indexes = {int}.issuperset(map(type, spine)) or all(
+        hasattr(type(v), "__index__") for v in spine
+    )
+    if len(cells) != len(vs) or not vs.issuperset(spine) or not indexes:
         raise ValueError("witness does not fit this family's cell tree")
 
     # cell v > 0 lies behind chord v - 1, across from its parent cell
@@ -430,7 +437,6 @@ def _compatible_chain(
     if len(witness_chords) != w.size or w.size < 1:
         raise ValueError("witness size disagrees with its induced edges")
 
-    spine = list(w.spine)
     if not spine:
         if w.size != 1:
             raise ValueError("empty spine only fits a single-segment witness")

@@ -56,7 +56,10 @@ def max_caterpillar(t: Tree) -> CaterpillarWitness:
 
     O(n): the spine path is the heaviest path when vertex v weighs
     deg(v) - 1 (``trees._heaviest_path``), and the caterpillar is that
-    path with every edge incident to it.
+    path with every edge incident to it.  Every leaf weighs 0, so past a
+    single edge the path's passes run over the inner vertices alone, and a
+    leaf beside an end of the heaviest inner path ends the path when the
+    tie-break picks it.
     """
     if t.m < 1:
         raise ValueError("needs at least one edge")
@@ -234,12 +237,12 @@ def extremal_branch_star(k: int) -> Tree:
     r, x = _star_shape(k)
     branch = beautiful_tree(x)[0].tree
     edges: list[tuple[int, int]] = []
-    offset = 1
-    for _ in range(r):
-        remap = lambda v: 0 if v == 0 else offset + v - 1
-        edges.extend((remap(u), remap(v)) for u, v in branch.edges)
-        offset += branch.vertex_count - 1
-    return Tree(offset, tuple(edges))
+    # each copy shifts every branch vertex but the shared root 0, which
+    # only an edge's smaller end can be
+    step = branch.vertex_count - 1
+    for shift in range(0, r * step, step):
+        edges += [(u and u + shift, v + shift) for u, v in branch.edges]
+    return Tree(r * step + 1, tuple(edges))
 
 
 # ======================================================================

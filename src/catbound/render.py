@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .duality import AlternatingPath, SegmentFamily
+from .duality import AlternatingPath, SegmentFamily, _range_issues
 from .trees import Tree, _check_count, _rooted, centroids
 
 _BG = "#ffffff"
@@ -61,7 +61,12 @@ _DOT_LABEL = (
 
 def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> str:
     """Draw the family's endpoints on a circle with one chord per segment,
-    plus the alternating path as a polyline when given."""
+    plus the alternating path as a polyline when given, once each of its
+    endpoint labels is one of the family's."""
+    if path is not None:
+        issues = _range_issues(path.endpoints, 2 * s.n)
+        if issues:
+            raise ValueError(issues[0])
     size = 640.0
     cx = cy = size / 2
     radius = 250.0

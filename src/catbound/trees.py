@@ -18,8 +18,14 @@ neighbours in ascending order: centroids and canonical codes here,
 the induced caterpillar (``induced.max_caterpillar``) are one problem, a
 heaviest path under non-negative vertex weights: unit weights give the
 diameter, weights deg - 1 the caterpillar.  ``_heaviest_path`` solves it
-in O(n) with two rooted passes and breaks ties the same way for both,
-toward the lexicographically smallest endpoint pair.
+in O(n) with two rootings and breaks ties the same way for both, toward
+the lexicographically smallest endpoint pair.  Its passes run over the
+core, the tree less its leaves of weight 0: under weights deg - 1 that is
+every leaf, under unit weights none.  Two facts keep the ties: a zero leaf
+ends a best path exactly when its neighbour does, and its path weight to
+any other vertex equals its neighbour's.  So the passes find the core's
+best ends, and a zero leaf takes part in the tie-break only through its
+neighbour.
 
 The text interchange format is one edge per line: two base-10 vertex ids,
 ASCII digits after at most one ``-``, separated by spaces and tabs.  Only
@@ -42,8 +48,10 @@ cost is O(n * height) in time and memory.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from operator import index as _as_index
 from typing import Any, Callable, Iterable, Iterator
 
@@ -241,13 +249,45 @@ class CanonicalCode:
 # ======================================================================
 
 
+def _formatted_edges(text: str) -> tuple[tuple[int, int], ...] | None:
+    """The edges of text in exactly ``format_tree``'s shape, read with one
+    split; None for any other text, or an id past ``int()``'s digit limit.
+
+    The shape is checked as: ASCII digits, spaces and line ends only, a
+    line end last, no line with two spaces and two ids on every line.  One
+    regex over whole lines would hold some 200 bytes of matcher state per
+    line while it runs."""
+    if not re.fullmatch(r"[0-9 \n]*\n", text) or re.search(" [0-9]* ", text):
+        return None
+    ids = text.split()
+    if len(ids) != 2 * text.count("\n"):
+        return None
+    try:
+        numbers = map(int, ids)
+        return tuple(zip(numbers, numbers))
+    except ValueError:  # an id past the digit limit
+        return None
+
+
 def parse_tree(text: str) -> Tree:
     """Parse the edge-list text format into a Tree on len(edges) + 1 vertices.
 
     Raises TreeParseError for a line that is not two vertex ids, and for
     text with no edge.  Every other error is ``Tree``'s, raised as a
     TreeParseError that names the line of the edge at fault.
+
+    Text in exactly ``format_tree``'s shape, two runs of ASCII digits and
+    one space on each line, every line ended by ``\n``, is read with one
+    split, edge i from line i + 1 (``_formatted_edges``).  All other text,
+    and an id past ``int()``'s digit limit, is read line by line, which
+    reports every fault.
     """
+    pairs = _formatted_edges(text)
+    if pairs is not None:
+        try:
+            return Tree(len(pairs) + 1, pairs)
+        except _EdgeError as exc:
+            raise TreeParseError(f"line {exc.index + 1}: {exc}") from None
     edges: list[tuple[int, int]] = []
     lines: list[int] = []
     rows = text.split("\n")
@@ -293,7 +333,7 @@ def parse_tree(text: str) -> Tree:
 
 def format_tree(t: Tree) -> str:
     """Inverse of parse_tree: one 'u v' line per edge, sorted."""
-    return "".join(f"{u} {v}\n" for u, v in t.edges)
+    return "%s %s\n" * t.m % tuple(chain.from_iterable(t.edges))
 
 
 # ======================================================================
@@ -331,23 +371,49 @@ def _heaviest_path(t: Tree, weight: list[int]) -> tuple[int, ...]:
     """The path of largest total weight, for non-negative vertex weights;
     among those, the one whose endpoint pair is lexicographically smallest.
 
-    One rooting at 0 serves two passes.  Up the tree, down[v] is the best
-    value of a path going down from v.  Back down, up[v] is the best value
-    of a path from v's parent that avoids v's subtree (rerooting): the
-    parent's weight plus the best of its own up value and its other
-    children's down values.  Weights are non-negative, so a path ending at
-    v is best extended as far as it goes: v's weight plus the best of its
-    children's down values and its up value.
+    The passes run over the core: every vertex but the leaves of weight 0,
+    which are marked visited before the first rooting (a tree of two
+    vertices keeps both).  The core is a subtree, rooted at its first
+    vertex.  A zero leaf z adds nothing to a path through its neighbour c,
+    so a path from z to another vertex weighs what the path from c does,
+    and z ends an optimal path exactly when c does.
+
+    One rooting serves two passes.  Up the tree, down[v] is the best value
+    of a path going down from v.  Back down, up[v] is the best value of a
+    path from v's parent that avoids v's subtree (rerooting): the parent's
+    weight plus the best of its own up value and its other children's down
+    values.  Weights are non-negative, so a path ending at v is best
+    extended as far as it goes: v's weight plus the best of its children's
+    down values and its up value.
 
     The smallest vertex ``a`` at which an optimal path ends is the smallest
     endpoint of any optimal path, since every partner of ``a`` is itself
-    such an end; the pass back down finds it.  A second rooting, at ``a``,
-    sums each a..v path as it goes and picks the smallest vertex ``b``
-    whose a..b path is optimal (possibly ``a`` itself), so (a, b) is the
-    pair a scan of all pairs in lexicographic order would stop at.
+    such an end.  The pass back down finds the smallest core end; the first
+    zero leaf below it whose neighbour is an end, if any, is ``a``
+    instead.  ``a`` alone is the path when its weight is optimal.  Else a
+    second rooting, at ``a`` or its neighbour, sums each path from ``a`` as
+    it goes and takes ``b``, the smallest of the core vertices whose path
+    from ``a`` is optimal and of their zero leaves other than ``a``.  So
+    (a, b) is the pair a scan of all pairs in lexicographic order would
+    stop at.
     """
     n = t.vertex_count
-    order, parent = _rooted(t, 0)
+    adjacency = t.adjacency
+    marked = n > 2 and not all(weight)  # some weight is 0
+    if marked:  # -3 marks a zero leaf, -2 a vertex not yet visited
+        unseen = [-3 if x == 0 and d == 1 else -2 for x, d in zip(weight, t.degrees)]
+    else:
+        unseen = [-2] * n
+    root = unseen.index(-2)
+    parent = unseen.copy()
+    parent[root] = -1
+    order = [root]
+    for u in order:
+        for w in adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                order.append(w)
+
     top1 = [0] * n  # best down value among v's children
     top2 = [0] * n  # second best, from a different child
     arg1 = [-1] * n  # the child holding top1
@@ -378,28 +444,52 @@ def _heaviest_path(t: Tree, weight: list[int]) -> tuple[int, ...]:
                 end = x
         if u < a and weight[u] + end == best:
             a = u
+    for z in range(a if marked else 0):  # a smaller zero leaf beside an end
+        if parent[z] == -3:
+            c = adjacency[z][0]
+            if weight[c] + max(top1[c], up[c]) == best:
+                a = z
+                break
+    if weight[a] == best:
+        return (a,)
 
-    # root at a, keeping the value of each a..v path
-    parent = [-2] * n
-    parent[a] = -1
+    # root at a's core vertex, keeping the weight of each path from a
+    start = a if parent[a] != -3 else adjacency[a][0]
+    parent = unseen
+    parent[start] = -1
     acc = [0] * n
-    acc[a] = weight[a]
-    b = a if weight[a] == best else n
-    order = [a]
-    adjacency = t.adjacency
+    acc[start] = weight[start]  # a zero leaf a adds nothing
+    b = start if acc[start] == best else n
+    ends = [b] if marked and b < n else []  # core ends whose zero leaves may be b
+    order = [start]
     for u in order:
         x = acc[u]
         for w in adjacency[u]:
             if parent[w] == -2:
                 parent[w] = u
                 y = acc[w] = x + weight[w]
-                if y == best and w < b:
-                    b = w
+                if y == best:
+                    if w < b:
+                        b = w
+                    if marked:
+                        ends.append(w)
                 order.append(w)
+    for y in ends:  # ascending neighbours: the first zero leaf is the least
+        for z in adjacency[y]:
+            if z >= b:
+                break
+            if parent[z] == -3 and z != a:
+                b = z
+                break
     path = [b]
-    while b != a:
+    if parent[b] == -3:  # a zero leaf hangs off its core neighbour
+        b = adjacency[b][0]
+        path.append(b)
+    while b != start:
         b = parent[b]
         path.append(b)
+    if start != a:
+        path.append(a)
     path.reverse()
     return tuple(path)
 

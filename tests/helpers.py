@@ -53,6 +53,16 @@ def spider_tree(*legs: int) -> Tree:
     return Tree(nxt, tuple(edges))
 
 
+def caterpillar_tree(*legs: int) -> Tree:
+    """Spine 0..len(legs)-1, spine vertex i carrying legs[i] leaves."""
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    leaf = len(legs)
+    for i, count in enumerate(legs):
+        edges += [(i, v) for v in range(leaf, leaf + count)]
+        leaf += count
+    return Tree(leaf, tuple(edges))
+
+
 def free_trees_by_leaf_growth(max_edges: int) -> list[list[Tree]]:
     """One representative of every isomorphism class of trees with m edges,
     for m = 0..max_edges, listed by m.  Each class at m + 1 edges is found

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbound import (
+    AlternatingPath,
     SegmentFamily,
     among_path,
     canonical_code,
@@ -32,6 +34,7 @@ from catbound import (
     segments_to_tree,
     tree_from_pruefer,
     tree_to_segments,
+    validate_path,
 )
 import catbound.cli as cli
 import catbound.duality as duality
@@ -502,6 +505,21 @@ def test_render_functions_are_pure():
     assert render_segments(family) == render_segments(family)
     assert render_tree(path_tree(5)) == render_tree(path_tree(5))
     assert render_tree(star_tree(5)) == render_tree(star_tree(5))
+
+
+@pytest.mark.parametrize(
+    "endpoints, message",
+    [
+        ((-1, 0, 1, 2), "label -1 out of range 0..3"),  # would wrap to label 3
+        ((0, 3, 1, 4), "label 4 out of range 0..3"),  # past the last dot
+    ],
+)
+def test_render_segments_refuses_a_path_label_outside_the_family(endpoints, message):
+    family = SegmentFamily(2, ((0, 3), (1, 2)))
+    path = AlternatingPath(endpoints, 2)
+    assert message in validate_path(family, path, "simple").issues
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render_segments(family, path)
 
 
 # sha256 of render_tree output; a root of None is the default (a centroid)

@@ -227,7 +227,7 @@ WITNESS_VALUES = [
     ("bool cell", {0, True, 2, 3, 4, 5, 6}, (1, 2, 3), "ok"),
     ("bool spine", {0, 1, 2, 3, 4, 5, 6}, (True, 2, 3), "ok"),
     ("int subclass", set(map(_Cell, range(7))), tuple(map(_Cell, (1, 2, 3))), "ok"),
-    ("float spine", {0, 1.0, 2, 3, 4, 5, 6}, (1.0, 2, 3), TypeError),
+    ("float spine", {0, 1.0, 2, 3, 4, 5, 6}, (1.0, 2, 3), "does not fit"),
     ("half", {0, 0.5, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
     ("negative", {-1, 0, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
     ("past the last cell", {0, 1, 2, 3, 4, 5, 6, 7}, (1, 2, 3), "does not fit"),
@@ -250,9 +250,6 @@ def test_witness_vertex_values_get_the_verdicts_of_a_cell_scan(
         chain = _compatible_chain(chords, t, w)
         assert chain == _compatible_chain(chords, t, max_caterpillar(t))
         assert {type(x) for x in chain.endpoints} == {int}
-    elif want is TypeError:  # a spine vertex indexes a list
-        with pytest.raises(TypeError):
-            _compatible_chain(chords, t, w)
     else:
         with pytest.raises(ValueError, match=want):
             _compatible_chain(chords, t, w)

@@ -7,9 +7,13 @@ outputs and tie-breaks on every small tree class under relabelling, on
 random and 1000-edge trees, and the same exception, message and edge index
 or the same path issues, in the same order, on malformed input.
 ``_heaviest_path`` is held to the all-pairs search under unit, {0, 1, 2}
-and deg - 1 weights, ``validate_path`` to the sweep with no accepting scan,
-and ``_compatible_chain`` to the reference's per-cell chaining on a witness
-along every path of a small cell tree, walked both ways.
+and deg - 1 weights, and, since its passes skip the leaves of weight 0,
+under weights that are 0 on leaves only, on inner vertices only, everywhere
+or nowhere, or positive on every leaf; ``max_caterpillar`` is held to the
+all-pairs witness.  ``validate_path`` is held to the sweep with no
+accepting scan, and ``_compatible_chain`` to the reference's per-cell
+chaining on a witness along every path of a small cell tree, walked both
+ways.
 """
 
 import random
@@ -25,6 +29,8 @@ from catbound import (
     among_path,
     compatible_path,
     contract_to_caterpillar,
+    extremal_branch_star,
+    extremal_spider,
     free_trees,
     max_caterpillar,
     max_caterpillar_by_contraction,
@@ -36,13 +42,19 @@ from catbound.contraction import _contract_all
 from catbound.duality import _compatible_chain, _structure
 from catbound.trees import _heaviest_path
 from helpers import (
+    adversarial_tree,
     broken_paths,
+    caterpillar_tree,
     compatible_chain_by_min_max,
     contract_all_by_find,
     heaviest_path_by_all_pairs,
+    max_caterpillar_by_all_pairs,
     outcome,
     path_tree,
     relabeled,
+    relabeled_twin,
+    spider_tree,
+    star_tree,
     structure_by_index_stack,
     tree_by_set_check,
     tree_to_segments_by_phase_stack,
@@ -191,6 +203,74 @@ def test_thousand_edge_trees(shape):
     # the family's own structure again, handed its cell tree
     family = tree_to_segments(t, 0)
     assert_structure_matches(family.pairs, family._tree)
+
+
+# ----------------------------------------------------------------------
+# zero leaves: the heaviest path's passes run over the rest of the tree
+# ----------------------------------------------------------------------
+
+
+def zero_weightings(t: Tree, rng: random.Random) -> dict:
+    """Weightings of small values, so ties abound, by where the zeros lie."""
+    n = t.vertex_count
+    leaf = [d <= 1 for d in t.degrees]
+    inner = [d - 1 for d in t.degrees]
+    return {
+        "zero on leaves only": [0 if leaf[v] else rng.randrange(1, 3) for v in range(n)],
+        "zero on inner vertices only": [
+            rng.randrange(1, 3) if leaf[v] else rng.randrange(2) for v in range(n)
+        ],
+        "all zero": [0] * n,
+        "none zero": [rng.randrange(1, 3) for _ in range(n)],
+        "positive leaves": [rng.randrange(1, 3) if leaf[v] else inner[v] for v in range(n)],
+    }
+
+
+def assert_heaviest_paths_match(t: Tree, rng: random.Random) -> None:
+    for name, weight in zero_weightings(t, rng).items():
+        assert _heaviest_path(t, weight) == heaviest_path_by_all_pairs(t, weight), name
+    if t.m:
+        assert max_caterpillar(t) == max_caterpillar_by_all_pairs(t)
+
+
+def test_zero_weights_on_every_small_class_under_relabelling():
+    rng = random.Random(25)
+    assert_heaviest_paths_match(Tree(1, ()), rng)
+    for m in range(1, 11):
+        for t in free_trees(m):
+            perm = list(range(t.vertex_count))
+            rng.shuffle(perm)
+            assert_heaviest_paths_match(t, rng)
+            assert_heaviest_paths_match(relabeled(t, perm), rng)
+
+
+ZERO_WEIGHT_SHAPES = {
+    "single edge": lambda: Tree(2, ((0, 1),)),
+    "star, centre 0": lambda: star_tree(7),
+    "star, centre 6": lambda: relabeled(star_tree(7), [6, 0, 1, 2, 3, 4, 5]),
+    "path": lambda: path_tree(9),
+    "caterpillar": lambda: caterpillar_tree(2, 0, 3, 1, 0, 2),
+    "caterpillar, labels reversed": lambda: relabeled(
+        caterpillar_tree(3, 1, 3), list(range(9, -1, -1))
+    ),
+    "spider": lambda: spider_tree(3, 1, 2, 3),
+    "extremal spider": lambda: extremal_spider(13),
+    "branch star 6": lambda: extremal_branch_star(6),
+    "branch star 13": lambda: extremal_branch_star(13),
+    "adversarial": lambda: adversarial_tree(300)[0],
+    "relabelled twin": lambda: relabeled_twin(300, seed=25),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_WEIGHT_SHAPES))
+def test_zero_weights_on_named_shapes(name):
+    assert_heaviest_paths_match(ZERO_WEIGHT_SHAPES[name](), random.Random(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_strategy(min_vertices=1, max_vertices=40), st.integers(0, 2**16))
+def test_zero_weights_on_random_trees(t, seed):
+    assert_heaviest_paths_match(t, random.Random(seed))
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,16 @@ from catbound import (
     leaves,
     parse_tree,
 )
-from helpers import contract_edge, path_tree, relabeled, spider_tree, star_tree, trees
+from catbound.trees import _formatted_edges
+from helpers import (
+    contract_edge,
+    outcome,
+    path_tree,
+    relabeled,
+    spider_tree,
+    star_tree,
+    trees,
+)
 
 
 # ----------------------------------------------------------------------
@@ -129,6 +138,7 @@ def test_format_is_one_edge_per_line():
     "text, hint",
     [
         ("0 1 2\n", "line 1"),
+        ("0 1 2\n3\n", "^line 1: expected two vertex ids"),  # 4 ids on 2 lines
         ("0 x\n", "line 1"),
         ("0 -1\n", "line 1"),
         ("0 0\n", "self-loop"),
@@ -164,9 +174,28 @@ def test_parse_errors_carry_line_numbers(text, hint):
 
 def test_parse_reads_ascii_digits_after_at_most_one_minus():
     assert parse_tree("00 1\n2 -0\n").edges == ((0, 1), (0, 2))
-    # past int()'s conversion limit an id is no base-10 integer either
-    with pytest.raises(TreeParseError, match="^line 1: vertex ids must be base-10"):
-        parse_tree("0 " + "1" * 5000)
+    # past int()'s conversion limit an id is no base-10 integer either,
+    # also in text of format_tree's shape
+    for text in ("0 " + "1" * 5000, "0 1\n0 " + "1" * 5000 + "\n"):
+        with pytest.raises(TreeParseError, match="^line .: vertex ids must be base-10"):
+            parse_tree(text)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=n
+        )
+    )
+)
+def test_formatted_text_reads_as_the_line_loop_reads_it(edges):
+    # text in format_tree's shape is read with one split; a comment line
+    # after it sends the same lines through the line loop
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    assert _formatted_edges(text) == tuple(edges)
+    assert outcome(lambda: parse_tree(text)) == outcome(
+        lambda: parse_tree(text + "# end\n")
+    )
 
 
 @given(trees())
