@@ -7,6 +7,8 @@ branches extremal).  A segment-family duality maps both questions to
 alternating paths through disjoint segments in convex position.
 """
 
+from types import ModuleType as _Module
+
 from .contraction import (
     ContractionPlan,
     ContractionStep,
@@ -20,7 +22,6 @@ from .contraction import (
 )
 from .duality import (
     AlternatingPath,
-    GeometricRealization,
     PathReport,
     SegmentFamily,
     among_path,
@@ -39,7 +40,6 @@ from .induced import (
     branch_star_bound,
     extremal_branch_star,
     extremal_size_induced,
-    format_table,
     induced_guarantee,
     induced_guarantee_reference,
     induced_guarantee_residue,
@@ -80,67 +80,9 @@ from .trees import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlternatingPath",
-    "BeautifulProfile",
-    "CanonicalCode",
-    "CaterpillarWitness",
-    "CheckRecord",
-    "ContractionPlan",
-    "ContractionStep",
-    "FREE_TREE_COUNTS",
-    "GeometricRealization",
-    "PathReport",
-    "RootedTree",
-    "SegmentFamily",
-    "Tree",
-    "TreeParseError",
-    "VerificationReport",
-    "among_path",
-    "beautiful_profile",
-    "beautiful_tree",
-    "branch_arity",
-    "branch_size_recurrence",
-    "branch_star_bound",
-    "brute_contraction_guarantee",
-    "brute_induced_guarantee",
-    "brute_max_caterpillar",
-    "build_spider",
-    "canonical_code",
-    "centroids",
-    "compatible_path",
-    "contract_to_caterpillar",
-    "contraction_guarantee",
-    "diameter",
-    "diameter_path",
-    "extremal_branch_star",
-    "extremal_size_contraction",
-    "extremal_size_induced",
-    "extremal_spider",
-    "format_table",
-    "format_tree",
-    "free_trees",
-    "guarantee_change_points",
-    "induced_guarantee",
-    "induced_guarantee_reference",
-    "induced_guarantee_residue",
-    "is_caterpillar",
-    "is_spider",
-    "leaves",
-    "max_branch_size",
-    "max_caterpillar",
-    "max_caterpillar_by_contraction",
-    "max_edges_diameter_leaves",
-    "parse_tree",
-    "realize_coordinates",
-    "render_segments",
-    "render_tree",
-    "segments_to_tree",
-    "tree_from_profile",
-    "tree_from_pruefer",
-    "tree_to_segments",
-    "validate_path",
-    "verify_all",
-    "very_hungry_max",
-    "__version__",
-]
+# the names imported above, so that each public name is listed once
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
+) + ["__version__"]

@@ -11,10 +11,6 @@ alternating paths are JSON ``{"mode": M, "segments": K, "endpoints":
 The loaders only read a format; the constructors (``Tree``,
 ``SegmentFamily``, ``AlternatingPath``) judge the values read, and a file's
 error is the constructor's message after the file's path.
-
-The argument parser is built once per process, on the first ``main`` call:
-a shell command builds it once either way, and callers that run many
-commands in one process reuse it.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .induced import (
     branch_star_bound,
     extremal_branch_star,
     extremal_size_induced,
-    format_table,
     induced_guarantee,
     max_branch_size,
     max_caterpillar,
@@ -258,6 +253,18 @@ def _cmd_eval(args) -> int:
 MAX_TABLE_ROWS = 1_000_000
 
 
+def _format_table(key: str, value: str, rows: list[tuple[int, int]], csv: bool) -> str:
+    """One or more (key, value) rows below a header, as CSV or as aligned
+    two-column text."""
+    if csv:
+        lines = [f"{key},{value}"] + [f"{k},{v}" for k, v in rows]
+    else:
+        kw = max(len(key), *(len(str(k)) for k, _ in rows))
+        vw = max(len(value), *(len(str(v)) for _, v in rows))
+        lines = [f"{k:>{kw}}  {v:>{vw}}" for k, v in [(key, value), *rows]]
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_table(args) -> int:
     flag, fn = _EVAL[args.quantity]
     if args.start > args.stop:
@@ -268,7 +275,7 @@ def _cmd_table(args) -> int:
         )
     _refuse_unprintable("table", args.quantity, args.stop)
     rows = [(i, fn(i)) for i in range(args.start, args.stop + 1)]
-    sys.stdout.write(format_table(flag.lstrip("-"), args.quantity, rows, args.csv))
+    sys.stdout.write(_format_table(flag.lstrip("-"), args.quantity, rows, args.csv))
     return 0
 
 

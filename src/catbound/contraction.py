@@ -1,36 +1,15 @@
 """Caterpillar bounds under edge contraction.
 
-Contracting edges can flatten any tree into a caterpillar; how large a
-caterpillar is guaranteed depends only on the edge count.  The quantities
-here:
+The largest caterpillar a tree contracts to has ``leaves + diameter - 2``
+edges; spiders with balanced legs are the extremal trees, and
+``contraction_guarantee(m)`` is the size every m-edge tree reaches.
 
-* ``max_caterpillar_by_contraction(t)``: the largest caterpillar size
-  reachable from ``t`` by contractions, which equals
-  ``leaves + diameter - 2``.
-* ``extremal_size_contraction(k)``: the largest edge count a tree can have
-  while no contraction yields a caterpillar bigger than ``k``; spiders with
-  balanced legs are the extremal trees (``extremal_spider``).
-* ``contraction_guarantee(m)``: the caterpillar size every m-edge tree can
-  reach, computed with exact integer square roots.
-
-``contract_to_caterpillar`` produces a replayable :class:`ContractionPlan`
-witnessing the bound: keep all leaf edges plus one diameter path, contract
-everything else, then contract surplus edges down to the requested size.
-Every plan, this one and ``duality.among_path``'s, comes from ``_plan``: one
-``_facts`` pass gives the score, the diameter path and the leaf set,
-``_steps`` lists the contracted edges, ``_contract_all`` replays them once,
-and one check accepts the result: its largest induced caterpillar has every
-edge.  ``among_path`` chains that witness too.  A tree scoring its own edge
-count is already a caterpillar, so a plan to that size keeps the tree itself
-and lists no steps.
-
-Plans are O(n) to build and to apply.  A step records only its edge in the
-source labeling.  The final tree comes from one union-find pass over all the
-contracted edges, relabelling each merged class by the rank of its smallest
-source id.  That is the labeling a replay of single contractions gives, each
-keeping the smaller id of its edge and shifting the higher ids down (the
-tests replay plans through such a ``contract_edge``, in ``tests/helpers.py``),
-without building a tree per step.
+Every plan, ``contract_to_caterpillar``'s and ``duality.among_path``'s,
+comes from ``_plan``: one ``_facts`` pass gives the score, the diameter
+path and the leaf set, ``_steps`` lists the contracted edges,
+``_contract_all`` replays them once, and one check accepts the result: its
+largest induced caterpillar has every edge.  Plans are O(n) to build and
+to apply.
 """
 
 from __future__ import annotations
@@ -136,9 +115,8 @@ class ContractionPlan:
     kept_caterpillar: Tree
 
     def apply(self, source: Tree) -> Tree:
-        """Replay the plan against ``source`` and return the final tree
-        (equal to ``kept_caterpillar``).  Raises ValueError when a step's
-        edge is not a source edge or is already collapsed, or when the
+        """Replay the plan against ``source`` and return the final tree.
+        Raises ValueError on a step ``_contract_all`` refuses, or when the
         result differs from ``kept_caterpillar``."""
         current = _contract_all(
             source, (step.edge for step in self.contract_sequence)

@@ -19,26 +19,8 @@ The dictionary:
 * caterpillar reached by contraction  <->  alternating path among the
   family (self-avoiding, unused segments may be crossed).
 
-``compatible_path`` chains each witness spine cell's segments in boundary
-order; the loop in ``_compatible_chain`` states the rule and why it holds.
-
-Costs: a family is checked in O(n log n), its cell tree (``_structure``) is
-found in O(n), and a compatible chain is built in O(n).  The chain's set-up
-sorts the witness cells and reads each one's parent cell, O(w log w) for a
-witness of w cells, not a scan of all n + 1 cells; only a witness vertex
-that is not an ``int``, such as ``1.0``, sends it through such a scan.
-``validate_path`` accepts a valid path in O(n) and reports a broken one in
-O(k log k + K) for k chain edges and K crossing pairs, so a report costs no
-more than what it lists.
-
-Each path the library builds is validated exactly once, as it leaves its
-public constructor: ``compatible_path`` checks its chain in 'compatible'
-mode and ``among_path`` checks its chain in 'simple' mode.  A failed check
-raises ``AssertionError``: it means the construction is wrong, not the
-input.  A tree is built for a family's cells only when none is known: the
-tree ``tree_to_segments`` came from, or the contracted tree of
-``among_path``'s plan, becomes the cell tree once ``_structure`` has
-checked its edges.
+Each path the library builds is validated exactly once, by ``_checked``,
+as it leaves its public constructor.
 """
 
 from __future__ import annotations
@@ -77,9 +59,7 @@ class SegmentFamily:
         unmatched = "segments must perfectly match labels 0..2n-1"
         try:
             norm = tuple(sorted([(a, b) if a < b else (b, a) for a, b in self.pairs]))
-        except TypeError:  # labels that do not compare, such as 0 and "a"
-            raise ValueError(unmatched) from None
-        except ValueError:  # a pair of the wrong length, such as (0, 1, 2)
+        except (TypeError, ValueError):  # labels 0 and "a", or a pair (0, 1, 2)
             raise ValueError(unmatched) from None
         object.__setattr__(self, "pairs", norm)
         if len(norm) != self.n:
@@ -115,13 +95,7 @@ class SegmentFamily:
         self.__dict__["_partner"] = partner
 
     @_lazy
-    def segment_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.pairs)
-
-    @_lazy
     def _tree(self) -> Tree:
-        # ``tree_to_segments`` leaves its source tree here when that tree's
-        # ids are the cells'; ``_structure`` checks its edges before keeping it
         return _structure(self.pairs, self.__dict__.get("_cell_tree"))
 
 
@@ -143,14 +117,6 @@ class AlternatingPath:
     def edges(self) -> list[tuple[int, int]]:
         e = self.endpoints
         return list(zip(e, e[1:]))
-
-
-@dataclass(frozen=True)
-class GeometricRealization:
-    """Exact integer coordinates for the labels, strictly convex in label
-    order."""
-
-    coordinates: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -246,14 +212,11 @@ def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
 
     Cells are numbered by opening label, so when ``root`` is 0 and the walk
     enters the vertices in id order (``t`` is labelled in this preorder),
-    cell i is vertex i.  The family then keeps ``t`` as a hint, and its
-    structure takes ``t`` as the cell tree once the cells' edges equal
-    ``t``'s: the round trip returns ``t`` itself and builds no second tree."""
+    cell i is vertex i.  The family then keeps ``t`` for ``_structure`` to
+    check and keep, so the round trip returns ``t`` itself."""
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    _check_count(root, "root")
-    if not 0 <= root < t.vertex_count:
-        raise ValueError("root out of range")
+    _check_count(root, "root", 0, t.vertex_count - 1)
     adjacency = t.adjacency
     seen = [False] * t.vertex_count
     seen[root] = True
@@ -285,10 +248,10 @@ def tree_to_segments(t: Tree, root: int = 0) -> SegmentFamily:
     return family
 
 
-def realize_coordinates(s: SegmentFamily) -> GeometricRealization:
+def realize_coordinates(s: SegmentFamily) -> tuple[tuple[int, int], ...]:
     """Label i sits at (i, i*i): integer points, strictly convex in label
     order, so segment crossings match pair interleavings exactly."""
-    return GeometricRealization(tuple((i, i * i) for i in range(2 * s.n)))
+    return tuple((i, i * i) for i in range(2 * s.n))
 
 
 # ======================================================================
@@ -313,10 +276,10 @@ def validate_path(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport
     if len(set(e)) != len(e):
         dups = sorted(x for x, count in Counter(e).items() if count > 1)
         issues.append(f"repeated labels {dups}")
-    family = s.segment_set
+    partner = s._partner
     for i in range(0, len(e) - 1, 2):
         a, b = e[i], e[i + 1]
-        if ((a, b) if a <= b else (b, a)) not in family:
+        if not 0 <= a < len(partner) or partner[a] != b:
             issues.append(f"position {i}: ({a}, {b}) is not a segment")
     edges = p.edges()
     unused = []
@@ -394,6 +357,9 @@ def _accepts(s: SegmentFamily, e: tuple[int, ...], compatible: bool) -> bool:
 
 
 def _checked(s: SegmentFamily, path: AlternatingPath, mode: str) -> AlternatingPath:
+    """``path`` once ``validate_path`` accepts it; a failure raises
+    ``AssertionError``, because it means the construction is wrong, not the
+    input."""
     report = validate_path(s, path, mode)
     if not report.ok:
         raise AssertionError(
@@ -416,19 +382,13 @@ def _compatible_chain(
     and their cell tree ``t``, in the chords' labels."""
     count = t.vertex_count
     vs = w.vertex_set
-    if {int}.issuperset(map(type, vs)):
-        cells = sorted(vs)
-        if cells and (cells[0] < 0 or cells[-1] >= count):
-            cells = []
-    else:  # a vertex such as 1.0 or True is the cell it equals, as in a set
-        cells = [v for v in range(count) if v in vs]
-    # every witness vertex is a cell exactly when each one was found; a
-    # spine vertex such as 1.0 equals a cell but indexes no list
-    spine = list(w.spine)
-    indexes = {int}.issuperset(map(type, spine)) or all(
-        hasattr(type(v), "__index__") for v in spine
-    )
-    if len(cells) != len(vs) or not vs.issuperset(spine) or not indexes:
+    try:  # cells are vertex ids, judged as every count is
+        cells = _check_counts(sorted(vs), "cell")
+        spine = list(_check_counts(w.spine, "cell"))
+        fits = isinstance(vs, (set, frozenset)) and vs.issuperset(spine)
+    except (TypeError, ValueError):  # TypeError: cells that do not sort
+        fits = False
+    if not fits or cells and (cells[0] < 0 or cells[-1] >= count):
         raise ValueError("witness does not fit this family's cell tree")
 
     # cell v > 0 lies behind chord v - 1, across from its parent cell

@@ -1,28 +1,12 @@
 """Caterpillar bounds under vertex removal (induced subtrees).
 
-The induced side of the story.  For a tree ``t``, ``max_caterpillar(t)``
-finds the largest caterpillar appearing as an induced subgraph: it equals
-the maximum over paths P of ``sum(deg(v) - 1 for v in P) + 1``, because the
-optimal caterpillar with spine inside P grabs every edge incident to P.
-
-The extremal constructions are built out of *branches*: a branch of
-parameter k is a rooted tree whose root meets a single edge and whose
-largest very hungry caterpillar (all edges incident to a root-to-leaf path)
-has exactly k edges.  ``max_branch_size(k)`` is the largest such branch,
-``beautiful_tree(k)`` builds it (every level has a uniform child count,
-recorded in a :class:`BeautifulProfile`), and gluing ``r`` branches at a
-shared root gives the extremal trees for the induced bound
-(``extremal_branch_star``).  Each star's shape, r branches of parameter x,
-is defined once, by ``_star_shape``: the tree, its edge count
-``branch_star_bound`` and the threshold ``extremal_size_induced`` all read
-it.  ``induced_guarantee(m)``, the caterpillar size certain to appear
-induced in any m-edge tree, inverts those thresholds directly through
-m = 170 and takes the best of six residue closed forms beyond, which the
-guarantee sweep checks against the inversion.
-
-Everything is exact integer arithmetic; the base-3 logarithms in the
-guarantee formulas are evaluated by comparing sixth powers against powers
-of three, never through floats.
+A branch of parameter k is a rooted tree whose root meets a single edge and
+whose largest very hungry caterpillar (all edges incident to a root-to-leaf
+path) has exactly k edges.  Stars of ``r`` equal branches glued at a shared
+root are the extremal trees of the induced bound; each star's shape is
+defined once, by ``_star_shape``, and the tree, its edge count and the
+thresholds all read it.  All arithmetic is exact: the base-3 logarithms of
+the guarantee compare sixth powers with powers of three, never floats.
 """
 
 from __future__ import annotations
@@ -56,10 +40,7 @@ def max_caterpillar(t: Tree) -> CaterpillarWitness:
 
     O(n): the spine path is the heaviest path when vertex v weighs
     deg(v) - 1 (``trees._heaviest_path``), and the caterpillar is that
-    path with every edge incident to it.  Every leaf weighs 0, so past a
-    single edge the path's passes run over the inner vertices alone, and a
-    leaf beside an end of the heaviest inner path ends the path when the
-    tie-break picks it.
+    path with every edge incident to it.
     """
     if t.m < 1:
         raise ValueError("needs at least one edge")
@@ -146,17 +127,6 @@ class BeautifulProfile:
             raise ValueError("interior counts must lie in 1..3")
         if any(a < b for a, b in zip(body, body[1:])):
             raise ValueError("interior counts must be non-increasing")
-
-    def edge_count(self) -> int:
-        total = 0
-        width = 1
-        for c in self.counts[:-1]:
-            width *= c
-            total += width
-        return total
-
-    def hungry_size(self) -> int:
-        return sum(self.counts)
 
 
 def beautiful_profile(k: int) -> BeautifulProfile:
@@ -329,22 +299,3 @@ def induced_guarantee(m: int) -> int:
         return induced_guarantee_reference(m)
     return max(induced_guarantee_residue(r, m) for r in range(6))
 
-
-# ======================================================================
-# table emission
-# ======================================================================
-
-
-def format_table(
-    key_label: str, value_label: str, rows: list[tuple[int, int]], csv: bool = False
-) -> str:
-    """Render (key, value) rows as CSV or aligned two-column text."""
-    if csv:
-        out = [f"{key_label},{value_label}"]
-        out += [f"{k},{v}" for k, v in rows]
-        return "\n".join(out) + "\n"
-    kw = max(len(key_label), *(len(str(k)) for k, _ in rows)) if rows else len(key_label)
-    vw = max(len(value_label), *(len(str(v)) for _, v in rows)) if rows else len(value_label)
-    out = [f"{key_label:>{kw}}  {value_label:>{vw}}"]
-    out += [f"{k:>{kw}}  {v:>{vw}}" for k, v in rows]
-    return "\n".join(out) + "\n"

@@ -6,41 +6,9 @@ Wright–Richmond–Odlyzko–McKay successor on canonical level sequences,
 maximum induced caterpillars from exhaustive search over subtrees, and branch
 sizes from the defining recurrence.  ``verify_all`` runs the whole battery and
 returns a line-per-check report instead of raising, so a regression shows up
-as a FAIL row with a canonical-code witness attached.
-
-The census puts every free tree class through one check, ``_check_tree``,
-whose small picklable result records each fact about that tree and, for a
-failed duality, the step and the exception.  The checks run in this
-process or, when more than one worker runs, in one process pool opened for
-the whole run.  Only then are the pool and its imports (``multiprocessing``
-and what it pulls in) loaded, so no other run pays to start them.  The pool
-gets the trees a chunk per task, with at most two tasks per worker in
-flight (``_pooled``), so the parent holds a few hundred trees at a time at
-any edge count.  ``_fold`` streams each edge count's trees, paired with
-their results, into that count's rows.  Each row is a minimum, ties broken
-by canonical code, so the report does not depend on the worker count.
-Canonical codes only label the trees a row names, so the fold computes them
-for those witnesses alone: the trees at each bound's minimum and any tree
-that clashes or fails.
-
-The duality round trip must hand back the census tree itself:
-``free_trees`` labels every class in preorder, and the family
-``tree_to_segments`` makes of a preorder tree at root 0 keeps that tree as
-its cell tree once its edges are checked against the cells'.  Any other
-tree fails the class as ``round trip``.  So the cells carry the census
-tree's ids, and a caterpillar class takes the witness its among path's plan
-checked and chained, which then uses every segment, as its DP witness and
-its compatible path too: one witness and one chain.
-
-Guarantee functions are step functions of the edge budget, so the sweep
-section compares implementation and reference only at change points: both
-are nondecreasing, and the candidate set below contains every index where
-either side can step, hence agreement at the candidates (each checked with
-its predecessor) implies agreement everywhere in the range.  Through
-m = 170 ``induced_guarantee`` inverts the extremal-star thresholds itself,
-so there the sweep compares it with the inversion of thresholds searched
-over every star shape (``_searched_thresholds``), and the extremal-star row
-checks each star's size against the same search.
+as a FAIL row with a canonical-code witness attached.  Each row is a minimum,
+ties broken by canonical code, so the report does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -73,7 +41,7 @@ from .induced import (
     max_caterpillar,
     very_hungry_max,
 )
-from .trees import Tree, _check_count, canonical_code
+from .trees import Tree, _check_count, _check_counts, canonical_code
 
 #: trees per task sent to a worker: enough to hide the pickling round trip,
 #: few enough that both workers finish an edge count at about the same time
@@ -159,15 +127,9 @@ def _jump_to_free(layout: list[int]) -> list[int] | None:
     """Return layout unchanged if it canonically encodes a free tree;
     otherwise skip ahead past the whole invalid stretch."""
     left, rest = _split_layout(layout)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
+    # valid when the first subtree is no higher than the rest, when equally
+    # high no larger, and when equally large no greater as a sequence
+    if (max(left), len(left), left) <= (max(rest), len(rest), rest):
         return layout
     p = len(left)
     succ = _next_rooted_layout(layout, p)
@@ -186,12 +148,11 @@ def tree_from_pruefer(seq: tuple[int, ...], vertex_count: int) -> Tree:
     _check_count(n, "vertex_count")
     if n < 2:
         raise ValueError("Prüfer codes describe trees on at least 2 vertices")
+    seq = _check_counts(seq, "code label")
     if len(seq) != n - 2:
         raise ValueError(f"code for {n} vertices must have length {n - 2}")
-    for x in seq:
-        _check_count(x, "code entry")
-        if not 0 <= x < n:
-            raise ValueError("code entry out of range")
+    if seq and not 0 <= min(seq) <= max(seq) < n:
+        raise ValueError("code label out of range")
     import heapq
 
     degree = [1] * n
@@ -340,7 +301,9 @@ def _searched_thresholds(limit: int, sizes: list[int]) -> list[int]:
 def guarantee_change_points(limit: int) -> list[int]:
     """Every edge budget in [1, limit] where ``induced_guarantee`` or its
     reference can change value, padded with both neighbours of each
-    candidate so each constant interval gets its endpoints checked."""
+    candidate so each constant interval gets its endpoints checked.  Both
+    never fall as m grows, so agreeing here they agree on all of [1, limit].
+    """
     _check_count(limit, "limit", 1)
     last = _INVERTED_THROUGH
     pts = {1, 2, 3, 4, 5, last, last + 1, last + 2, limit}
@@ -625,15 +588,10 @@ def verify_all(
     scores that are checked.
 
     Every free tree class with 1 to ``max_edges`` edges goes through one
-    ``_check_tree``, and each edge count's rows are minima over those
-    results, ties broken by canonical code; ``max_edges`` is at most 19, so
-    that the exhaustive search sees at most 20 vertices.  ``max_score`` is at
-    most ``MAX_SCORE``, checked before any tree is built, and the branch-size
-    recurrence is tabulated once up to it.  ``workers`` is clamped to the
-    CPUs this process may run on (``os.sched_getaffinity``, else
-    ``os.cpu_count()``); above one, ``_pooled`` streams the checks through
-    a single process pool opened for the whole call, and only then is the
-    pool imported.  The report does not depend on it.
+    ``_check_tree``; ``max_edges`` is at most 19, so that the exhaustive
+    search sees at most 20 vertices.  ``workers`` is clamped to the CPUs
+    this process may run on; above one, ``_pooled`` streams the checks
+    through one process pool opened for the whole call.
     """
     _check_count(max_edges, "max_edges", 1, _SEARCH_LIMIT - 1)
     _check_count(max_score, "max_score", 1, MAX_SCORE)

@@ -6,13 +6,6 @@ same bytes — the tests diff renders directly.  Families are drawn on a
 circle (convex position is all that matters combinatorially) with an
 optional alternating path overlaid; trees are drawn in layers below a
 root.
-
-A family picture formats each coordinate once: one ``%`` call formats
-every endpoint's x, another every y, and each chord, path point and dot
-reuses those strings; each label's two coordinates are formatted in its
-dot's template.  ``_fmt`` turns a ``-0.00`` into ``0.00`` for the header
-and the tree pictures; the family picture needs no such fix-up, because
-every coordinate it draws lies within 274 of the centre 320, in 46..594.
 """
 
 from __future__ import annotations
@@ -62,7 +55,8 @@ _DOT_LABEL = (
 def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> str:
     """Draw the family's endpoints on a circle with one chord per segment,
     plus the alternating path as a polyline when given, once each of its
-    endpoint labels is one of the family's."""
+    endpoint labels is one of the family's.  Each coordinate is formatted
+    once, by one ``%`` over every x and one over every y."""
     if path is not None:
         issues = _range_issues(path.endpoints, 2 * s.n)
         if issues:
@@ -112,9 +106,7 @@ def render_tree(t: Tree, root: int | None = None) -> str:
     sit over the middle of their children."""
     if root is None:
         root = min(centroids(t))
-    _check_count(root, "root")
-    if not 0 <= root < t.vertex_count:
-        raise ValueError("root out of range")
+    _check_count(root, "root", 0, t.vertex_count - 1)
 
     order, parent = _rooted(t, root)
     depth = [0] * t.vertex_count
@@ -134,25 +126,16 @@ def render_tree(t: Tree, root: int | None = None) -> str:
     step_x, step_y, margin = 64.0, 76.0, 48.0
     width = margin * 2 + step_x * max(next_slot - 1, 0)
     height = margin * 2 + step_y * max(depth)
-
-    def at(v: int) -> tuple[float, float]:
-        return margin + x[v] * step_x, margin + depth[v] * step_y
+    xs = [_fmt(margin + c * step_x) for c in x]
+    ys = [_fmt(margin + d * step_y) for d in depth]
 
     parts = [_header(width, height)]
-    for a, b in t.edges:
-        (x1, y1), (x2, y2) = at(a), at(b)
+    parts += [_CHORD_LINE % (xs[a], ys[a], xs[b], ys[b]) for a, b in t.edges]
+    for v, (px, py) in enumerate(zip(xs, ys)):
         parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{_CHORD}" stroke-width="2"/>\n'
-        )
-    for v in range(t.vertex_count):
-        px, py = at(v)
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="12" '
+            f'<circle cx="{px}" cy="{py}" r="12" '
             f'fill="{_NODE_FILL}" stroke="{_NODE_EDGE}" stroke-width="1.5"/>\n'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-family="monospace" '
+            f'<text x="{px}" y="{py}" font-family="monospace" '
             f'font-size="11" fill="{_TEXT}" text-anchor="middle" '
             f'dominant-baseline="central">{v}</text>\n'
         )

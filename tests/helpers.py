@@ -349,7 +349,7 @@ def validate_path_by_all_pairs(
     if len(set(e)) != len(e):
         dups = sorted({x for x in e if e.count(x) > 1})
         issues.append(f"repeated labels {dups}")
-    family = s.segment_set
+    family = frozenset(s.pairs)
     for i in range(0, len(e) - 1, 2):
         seg = (min(e[i], e[i + 1]), max(e[i], e[i + 1]))
         if seg not in family:
@@ -684,7 +684,7 @@ def validate_path_by_sweep(s: SegmentFamily, p: AlternatingPath, mode: str) -> P
     if len(set(e)) != len(e):
         dups = sorted(x for x, count in Counter(e).items() if count > 1)
         issues.append(f"repeated labels {dups}")
-    family = s.segment_set
+    family = frozenset(s.pairs)
     for i in range(0, len(e) - 1, 2):
         a, b = e[i], e[i + 1]
         if ((a, b) if a <= b else (b, a)) not in family:

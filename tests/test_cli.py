@@ -90,6 +90,12 @@ def test_table_csv(capsys):
     assert out == "m,q\n1,1\n2,2\n3,3\n4,4\n5,5\n6,5\n"
 
 
+def test_table_text_and_csv():
+    rows = [(1, 1), (2, 2), (10, 7)]
+    assert cli._format_table("m", "q", rows, csv=True) == "m,q\n1,1\n2,2\n10,7\n"
+    assert cli._format_table("m", "q", rows, csv=False) == " m  q\n 1  1\n 2  2\n10  7\n"
+
+
 def test_table_is_deterministic(capsys):
     first = run(capsys, "table", "f", "--from", "1", "--to", "20")
     second = run(capsys, "table", "f", "--from", "1", "--to", "20")

@@ -1,4 +1,5 @@
-"""One rule for every count the package takes: ``trees._check_count``."""
+"""One rule for every count and vertex id the package takes:
+``trees._check_count``."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,9 @@ from catbound import (
     validate_path,
     verify_all,
 )
+from catbound.cli import main
+from catbound.trees import _EdgeError
+from helpers import outcome
 
 PATH = Tree(3, ((0, 1), (1, 2)))
 SMALL_VERIFY = {"max_edges": 1, "max_score": 1, "sweep_limit": 1}
@@ -77,7 +81,7 @@ COUNTS = {
     "branch_size_recurrence": (branch_size_recurrence, "score"),
     "guarantee_change_points": (guarantee_change_points, "limit"),
     "tree_from_pruefer-count": (lambda x: tree_from_pruefer((), x), "vertex_count"),
-    "tree_from_pruefer-entry": (lambda x: tree_from_pruefer((x, 0), 4), "code entry"),
+    "tree_from_pruefer-entry": (lambda x: tree_from_pruefer((x, 0), 4), "code label"),
     **{
         f"verify_all-{name}": (
             lambda x, name=name: verify_all(**{**SMALL_VERIFY, name: x}), name
@@ -171,6 +175,74 @@ def test_counts_out_of_range_are_refused_with_one_text(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+# vertex ids judged by the count rule, with the outcome of each: the first
+# edge at fault is named, a bool id before a later fault included
+VERTEX_IDS = {
+    "float edges": (lambda: Tree(3, 1.5),
+        ValueError, "edges must be a sequence of vertex id pairs, got 1.5", None),
+    "bool edge": (lambda: Tree(2, ((False, True),)),
+        _EdgeError, "edge (False, True) is not a pair of integer vertex ids", 0),
+    "bool id after an edge": (lambda: Tree(3, ((0, 1), (True, 2))),
+        _EdgeError, "edge (True, 2) is not a pair of integer vertex ids", 1),
+    "bool id before a fault": (lambda: Tree(3, ((False, 1), (1, 5))),
+        _EdgeError, "edge (False, 1) is not a pair of integer vertex ids", 0),
+    "bool id in the faulty edge": (lambda: Tree(3, ((0, 1), (1, True))),
+        _EdgeError, "edge (1, True) is not a pair of integer vertex ids", 1),
+    "int code": (lambda: tree_from_pruefer(-1, 3),
+        ValueError, "code labels must be a sequence of integers, got -1", None),
+    "bool code label": (lambda: tree_from_pruefer((0, True), 4),
+        ValueError, "code label must be an integer, got True", None),
+    "code label past n": (lambda: tree_from_pruefer((0, 4), 4),
+        ValueError, "code label out of range", None),
+    "negative code label": (lambda: tree_from_pruefer((-1, 0), 4),
+        ValueError, "code label out of range", None),
+}
+
+
+@pytest.mark.parametrize(
+    "call, kind, message, index", VERTEX_IDS.values(), ids=list(VERTEX_IDS)
+)
+def test_vertex_ids_follow_the_count_rule(call, kind, message, index):
+    assert outcome(call) == (kind, message, index)
+
+
+def test_integer_subclass_ids_build_the_same_tree():
+    edges = ((Label(0), Label(1)), (Label(1), 2))
+    assert Tree(3, edges) == PATH
+    assert tree_from_pruefer((Label(1),), 3) == PATH
+
+
+# each bad root of the three-vertex PATH, and the one refusal of it
+BAD_ROOTS = [
+    (-1, "root must be non-negative"),
+    (3, "root must be at most 2"),
+    (1.0, "root must be an integer, got 1.0"),
+    (True, "root must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("root, message", BAD_ROOTS)
+def test_every_root_taker_refuses_a_bad_root_with_one_text(
+    root, message, tmp_path, capsys
+):
+    for call in (RootedTree, tree_to_segments, render_tree):
+        assert outcome(lambda: call(PATH, root)) == (ValueError, message, None)
+    tree = tmp_path / "path.txt"
+    tree.write_text("0 1\n1 2\n")
+    for argv in (
+        ["dual", "to-segments", "--tree", str(tree)],
+        ["render", "--tree", str(tree), "--out", str(tmp_path / "x.svg")],
+    ):
+        try:
+            code = main([*argv, "--root", str(root)])
+        except SystemExit as exc:  # argparse refuses 1.0 and True as ints
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        if isinstance(root, int) and not isinstance(root, bool):
+            assert err == f"catbound: error: {message}\n"
 
 
 # the texts _check_count writes for a bound

@@ -310,7 +310,7 @@ def _segments_cross(p1, p2, q1, q2):
 
 
 def test_coordinates_are_strictly_convex():
-    pts = realize_coordinates(SegmentFamily(4, ((0, 7), (1, 2), (3, 6), (4, 5)))).coordinates
+    pts = realize_coordinates(SegmentFamily(4, ((0, 7), (1, 2), (3, 6), (4, 5))))
     assert pts == tuple((i, i * i) for i in range(8))
     for i in range(len(pts) - 2):
         assert _orient(pts[i], pts[i + 1], pts[i + 2]) > 0
@@ -320,7 +320,7 @@ def test_coordinates_are_strictly_convex():
 @given(trees(max_vertices=12), st.data())
 def test_no_two_family_segments_cross_in_coordinates(t, data):
     family = tree_to_segments(t, data.draw(st.integers(0, t.vertex_count - 1)))
-    pts = realize_coordinates(family).coordinates
+    pts = realize_coordinates(family)
     pairs = family.pairs
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):

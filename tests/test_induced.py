@@ -1,5 +1,7 @@
 """Induced caterpillars: the search, branches, stars, and guarantee q."""
 
+import itertools
+import operator
 import random
 
 import pytest
@@ -18,7 +20,6 @@ from catbound import (
     contraction_guarantee,
     extremal_branch_star,
     extremal_size_induced,
-    format_table,
     induced_guarantee,
     induced_guarantee_reference,
     induced_guarantee_residue,
@@ -149,8 +150,9 @@ def test_profile_validation(counts, hint):
 def test_grown_branches_match_their_claims(k):
     rooted, profile = beautiful_tree(k)
     assert rooted.root == 0
-    assert profile.hungry_size() == k
-    assert profile.edge_count() == max_branch_size(k)
+    assert sum(profile.counts) == k
+    widths = itertools.accumulate(profile.counts[:-1], operator.mul)
+    assert sum(widths) == max_branch_size(k)
     assert rooted.tree.m == max_branch_size(k)
     assert very_hungry_max(rooted) == k
     assert max_caterpillar(rooted.tree).size <= 2 * k - 1
@@ -304,17 +306,3 @@ def test_residue_domain_errors():
         induced_guarantee_residue(6, 200)
     with pytest.raises(ValueError, match="171"):
         induced_guarantee_residue(0, 170)
-
-
-# ----------------------------------------------------------------------
-# table formatting
-# ----------------------------------------------------------------------
-
-
-def test_table_text_and_csv():
-    rows = [(1, 1), (2, 2), (10, 7)]
-    assert format_table("m", "q", rows, csv=True) == "m,q\n1,1\n2,2\n10,7\n"
-    text = format_table("m", "q", rows)
-    lines = text.splitlines()
-    assert lines[0].split() == ["m", "q"]
-    assert lines[-1].split() == ["10", "7"]

@@ -15,7 +15,8 @@ edges and on broken paths over 250- to 1000-segment families.  The
 compatible chain of every census class through 12 edges, and the among
 chain over its kept chords, match the reference too.
 A valid path never reaches the sweep.  A table pins the outcome of witness
-vertices that are floats, bools, strings, negative or past the last cell.
+vertices that are floats, bools, strings, negative or past the last cell,
+and of witness fields of the wrong kind.
 """
 
 import random
@@ -220,12 +221,13 @@ class _Cell(int):
 
 # (name, vertex set, spine, size) of witnesses over the cell tree of
 # FAULT_FAMILY, whose largest caterpillar is every cell on spine (1, 2, 3),
-# and each one's outcome: a vertex equal to a cell is that cell, as in a set
+# and each one's outcome: a cell is a vertex id, an int as every count is,
+# so a float or a bool equal to a cell is no cell
 WITNESS_VALUES = [
     ("as found", {0, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "ok"),
-    ("float leaf", {0.0, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "ok"),
-    ("bool cell", {0, True, 2, 3, 4, 5, 6}, (1, 2, 3), "ok"),
-    ("bool spine", {0, 1, 2, 3, 4, 5, 6}, (True, 2, 3), "ok"),
+    ("float leaf", {0.0, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
+    ("bool cell", {0, True, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
+    ("bool spine", {0, 1, 2, 3, 4, 5, 6}, (True, 2, 3), "does not fit"),
     ("int subclass", set(map(_Cell, range(7))), tuple(map(_Cell, (1, 2, 3))), "ok"),
     ("float spine", {0, 1.0, 2, 3, 4, 5, 6}, (1.0, 2, 3), "does not fit"),
     ("half", {0, 0.5, 1, 2, 3, 4, 5, 6}, (1, 2, 3), "does not fit"),
@@ -253,3 +255,25 @@ def test_witness_vertex_values_get_the_verdicts_of_a_cell_scan(
     else:
         with pytest.raises(ValueError, match=want):
             _compatible_chain(chords, t, w)
+
+
+# witness fields of the wrong kind: each gets the one refusal of a witness
+# that does not fit, not an AttributeError or a TypeError
+WITNESS_KINDS = {
+    "tuple of vertices": ((0, 1, 2, 3, 4, 5, 6), (1, 2, 3)),
+    "no spine": (frozenset(range(7)), None),
+    "no vertex set": (None, (1, 2, 3)),
+    "spine of floats": (frozenset(range(7)), (1.0, 2.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "vertices, spine", WITNESS_KINDS.values(), ids=list(WITNESS_KINDS)
+)
+def test_witness_fields_of_the_wrong_kind_do_not_fit(vertices, spine):
+    w = CaterpillarWitness(vertices, spine, 6)
+    assert outcome(lambda: compatible_path(FAULT_FAMILY, w)) == (
+        ValueError,
+        "witness does not fit this family's cell tree",
+        None,
+    )
