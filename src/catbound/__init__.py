@@ -63,7 +63,6 @@ from .oracle import (
 )
 from .render import render_segments, render_tree
 from .trees import (
-    CanonicalCode,
     RootedTree,
     Tree,
     TreeParseError,

@@ -105,7 +105,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-edges", type=int, default=10)
     p.add_argument("--max-k", type=int, default=21)
     p.add_argument("--sweep", type=int, default=200_000)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--corrupt-f",
         type=int,
@@ -374,22 +373,16 @@ def _cmd_verify(args) -> int:
     _check_count(args.max_edges, "--max-edges", 1, _SEARCH_LIMIT - 1)
     _check_count(args.max_k, "--max-k", 1, MAX_SCORE)
     _check_count(args.sweep, "--sweep", 1)
-    _check_count(args.workers, "--workers", 1)
-    # only k <= --max-k is checked, so any other K would corrupt nothing;
-    # refused before its branch size, which has about K/6 digits, is computed
+    # only k <= --max-k is checked, so any other K would corrupt nothing
     if args.corrupt_f is not None and not 1 <= args.corrupt_f <= args.max_k:
         raise ValueError(
             f"--corrupt-f must lie in 1..{args.max_k}, the --max-k range"
         )
-    override = None
-    if args.corrupt_f is not None:
-        override = {args.corrupt_f: max_branch_size(args.corrupt_f) + 1}
     report = verify_all(
         max_edges=args.max_edges,
         max_score=args.max_k,
         sweep_limit=args.sweep,
-        workers=args.workers,
-        branch_size_override=override,
+        misstated_branch=args.corrupt_f,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

@@ -15,11 +15,19 @@ to apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Iterable
 
 from .induced import CaterpillarWitness, max_caterpillar
-from .trees import Tree, _check_count, diameter_path, leaves
+from .trees import (
+    Tree,
+    _check_count,
+    _check_integer_ids,
+    _EdgeError,
+    diameter_path,
+    leaves,
+)
 
 
 # ======================================================================
@@ -116,11 +124,22 @@ class ContractionPlan:
 
     def apply(self, source: Tree) -> Tree:
         """Replay the plan against ``source`` and return the final tree.
-        Raises ValueError on a step ``_contract_all`` refuses, or when the
-        result differs from ``kept_caterpillar``."""
-        current = _contract_all(
-            source, (step.edge for step in self.contract_sequence)
-        )
+        Raises ValueError on a step that is not a pair of vertex ids, each
+        judged by ``_check_count``, on a step ``_contract_all`` refuses, or
+        when the result differs from ``kept_caterpillar``."""
+        edges = [step.edge for step in self.contract_sequence]
+        try:  # plain int ids pass on one look at their types
+            plain = {int}.issuperset(map(type, chain.from_iterable(edges)))
+        except TypeError:  # a step that is not iterable
+            plain = False
+        if not plain:
+            try:
+                _check_integer_ids(edges)
+            except _EdgeError as exc:
+                raise ValueError(
+                    f"{edges[exc.index]} is not an edge of the source tree"
+                ) from None
+        current = _contract_all(source, edges)
         if current != self.kept_caterpillar:
             raise ValueError("replay did not reproduce kept_caterpillar")
         return current

@@ -7,8 +7,8 @@ maximum induced caterpillars from exhaustive search over subtrees, and branch
 sizes from the defining recurrence.  ``verify_all`` runs the whole battery and
 returns a line-per-check report instead of raising, so a regression shows up
 as a FAIL row with a canonical-code witness attached.  Each row is a minimum,
-ties broken by canonical code, so the report does not depend on the worker
-count.
+ties broken by canonical code, so the report is the same whether the census
+runs in this process or in a process pool.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ from .induced import (
     very_hungry_max,
 )
 from .trees import Tree, _check_count, _check_counts, canonical_code
+
+#: smallest ``max_edges`` whose census ``verify_all`` runs in a process
+#: pool: from m = 13 on, one edge count takes over a second in one process,
+#: while all of m <= 12 takes about 0.6 s
+_POOL_FROM = 13
 
 #: trees per task sent to a worker: enough to hide the pickling round trip,
 #: few enough that both workers finish an edge count at about the same time
@@ -464,10 +469,6 @@ def _verdict(
     )
 
 
-def _code(t: Tree) -> str:
-    return str(canonical_code(t))
-
-
 def _fold(m: int, checked: Iterable[tuple[Tree, tuple]]) -> list[CheckRecord]:
     """The rows for edge count m from its trees paired with their
     ``_check_tree`` results, read as a stream.
@@ -500,10 +501,10 @@ def _fold(m: int, checked: Iterable[tuple[Tree, tuple]]) -> list[CheckRecord]:
         ("induced-bound", induced_guarantee, lows[1]),
     ):
         # no trees at all fails the census row above and these rows too
-        note = f"worst tree {min(map(_code, worst))}" if worst else "no trees"
+        note = f"worst tree {min(map(canonical_code, worst))}" if worst else "no trees"
         want = guarantee(m)
         rows.append(CheckRecord(section, label, low == want, str(want), str(low), note))
-    clash = min(map(_code, clashes), default=None)
+    clash = min(map(canonical_code, clashes), default=None)
     rows.append(
         CheckRecord(
             "caterpillar-search",
@@ -513,7 +514,7 @@ def _fold(m: int, checked: Iterable[tuple[Tree, tuple]]) -> list[CheckRecord]:
             "agree" if clash is None else f"clash at {clash}",
         )
     )
-    failed = min(((_code(t), why) for t, why in failures), default=None)
+    failed = min(((canonical_code(t), why) for t, why in failures), default=None)
     bad = None if failed is None else "failed at {} ({})".format(*failed)
     rows.append(_verdict("duality", label, "round trips and valid paths", bad))
     return rows
@@ -551,12 +552,12 @@ def _star_failures(top: int, sizes: list[int]) -> Iterator[str]:
             yield f"k={k}: {star.m} edges, caterpillar {found}"
 
 
-def _beautiful_failures(top: int, claimed: dict[int, int]) -> Iterator[str]:
+def _beautiful_failures(top: int, misstated: int | None) -> Iterator[str]:
     for k in range(1, top + 1):
         rooted, _profile = beautiful_tree(k)
         fed = very_hungry_max(rooted)
         cat = max_caterpillar(rooted.tree).size
-        want_edges = claimed.get(k, max_branch_size(k))
+        want_edges = max_branch_size(k) + (k == misstated)
         if rooted.tree.m != want_edges or fed != k or cat > 2 * k - 1:
             yield f"k={k}: {rooted.tree.m} edges, hungry {fed}, caterpillar {cat}"
 
@@ -578,37 +579,32 @@ def verify_all(
     max_edges: int = 10,
     max_score: int = 21,
     sweep_limit: int = 200_000,
-    workers: int = 1,
-    branch_size_override: dict[int, int] | None = None,
+    misstated_branch: int | None = None,
 ) -> VerificationReport:
     """Re-derive the package's guarantees and constructions from scratch
-    and compare.  ``branch_size_override`` substitutes claimed branch
-    sizes, which is how the tests prove a wrong table cannot slip through;
-    its keys, integers like its sizes, must lie in 1..``max_score``, the
-    scores that are checked.
+    and compare.  ``misstated_branch``, a score in 1..``max_score``, makes
+    the report take that score's branch size as ``max_branch_size`` + 1,
+    which is how the tests prove a wrong table cannot slip through.
 
     Every free tree class with 1 to ``max_edges`` edges goes through one
     ``_check_tree``; ``max_edges`` is at most 19, so that the exhaustive
-    search sees at most 20 vertices.  ``workers`` is clamped to the CPUs
-    this process may run on; above one, ``_pooled`` streams the checks
-    through one process pool opened for the whole call.
+    search sees at most 20 vertices.  From ``max_edges`` = ``_POOL_FROM``
+    on, when this process may run on 2 or more CPUs, ``_pooled`` streams the
+    checks through one process pool of that many workers, opened for the
+    whole call.  A smaller census runs in this process, so that its cost is
+    this process's own.
     """
     _check_count(max_edges, "max_edges", 1, _SEARCH_LIMIT - 1)
     _check_count(max_score, "max_score", 1, MAX_SCORE)
     _check_count(sweep_limit, "sweep_limit", 1)
-    _check_count(workers, "workers", 1)
-    claimed = dict(branch_size_override or {})
-    for k, size in claimed.items():
-        _check_count(k, "branch_size_override key")
-        _check_count(size, "branch_size_override size")
-        if not 1 <= k <= max_score:
-            raise ValueError(f"branch_size_override keys must lie in 1..{max_score}")
+    if misstated_branch is not None:
+        _check_count(misstated_branch, "misstated_branch", 1, max_score)
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     records: list[CheckRecord] = []
 
     pool = None
-    if workers > 1:
+    if max_edges >= _POOL_FROM and workers > 1:
         # imported here, so that no other run loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -626,7 +622,7 @@ def verify_all(
     recurrence = _branch_sizes(max(max_score, 10))
     for k in range(1, max_score + 1):
         want = recurrence[k]
-        got = claimed.get(k, max_branch_size(k))
+        got = max_branch_size(k) + (k == misstated_branch)
         records.append(
             CheckRecord(
                 "branch-size", f"k={k}", got == want, str(want), str(got)
@@ -643,7 +639,7 @@ def verify_all(
         ("extremal-branch-star", f"k<={star_top}", "sizes and caterpillars match",
          _star_failures(star_top, recurrence), ""),
         ("beautiful-tree", f"k<={beautiful_top}", "sizes, appetites, caterpillar cap",
-         _beautiful_failures(beautiful_top, claimed), ""),
+         _beautiful_failures(beautiful_top, misstated_branch), ""),
         ("guarantee-sweep", f"m<={sweep_limit}", "closed form equals reference",
          _sweep_failures(points, recurrence), f"{len(points)} change points"),
     ):

@@ -41,8 +41,9 @@ class _EdgeError(ValueError):
 def _check_integer_ids(edges: Iterable[Any]) -> None:
     """Raise ``_EdgeError`` at the first edge that is not a pair of vertex
     ids, each judged by ``_check_count``, and ``ValueError`` when ``edges``
-    is not iterable.  Tree validation calls it only once a fault has shown,
-    so valid input pays no per-edge type or length test."""
+    is not iterable.  ``Tree`` validation and ``ContractionPlan.apply``
+    call it only once a fault has shown, so valid input pays no per-edge
+    type or length test."""
     if not isinstance(edges, Iterable):
         raise ValueError(f"edges must be a sequence of vertex id pairs, got {edges!r}")
     for index, edge in enumerate(edges):
@@ -211,16 +212,6 @@ class RootedTree:
 
     def __post_init__(self) -> None:
         _check_count(self.root, "root", 0, self.tree.vertex_count - 1)
-
-
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Isomorphism-invariant code of a tree (nested-parenthesis bytes)."""
-
-    code: bytes
-
-    def __str__(self) -> str:
-        return self.code.decode("ascii")
 
 
 # ======================================================================
@@ -560,9 +551,9 @@ def _ahu_code(t: Tree, root: int) -> bytes:
     return passed[n][0]
 
 
-def canonical_code(t: Tree) -> CanonicalCode:
-    """Centroid-rooted canonical code; equal exactly for isomorphic trees.
-    A bicentroidal tree takes the smaller of its two rooted codes.  Every
-    subtree's code is kept as bytes, so the cost is O(n * height)."""
-    cents = centroids(t)
-    return CanonicalCode(min(_ahu_code(t, c) for c in cents))
+def canonical_code(t: Tree) -> str:
+    """Centroid-rooted canonical code, a nested-parenthesis string; equal
+    exactly for isomorphic trees.  A bicentroidal tree takes the smaller of
+    its two rooted codes.  Every subtree's code is kept as bytes, so the
+    cost is O(n * height)."""
+    return min(_ahu_code(t, c) for c in centroids(t)).decode("ascii")

@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import random
 import re
 import subprocess
@@ -645,7 +644,7 @@ def test_verify_refuses_corrupt_f_outside_the_checked_scores(capsys, monkeypatch
     ) == (1, "", "catbound: error: --corrupt-f must lie in 1..9, the --max-k range\n")
 
 
-@pytest.mark.parametrize("flag", ["--max-edges", "--max-k", "--workers"])
+@pytest.mark.parametrize("flag", ["--max-edges", "--max-k"])
 def test_verify_refuses_a_non_positive_bound_naming_the_flag(capsys, monkeypatch, flag):
     def never(*args, **kwargs):
         raise AssertionError("verified before the refusal")
@@ -664,9 +663,8 @@ def test_verify_refuses_a_non_positive_bound_naming_the_flag(capsys, monkeypatch
         (["--max-edges", "0", "--max-k", "0"], "--max-edges must be positive"),
         (["--max-k", "0", "--max-edges", "20"], "--max-edges must be at most 19"),
         (["--max-k", "201", "--sweep", "0"], "--max-k must be at most 200"),
-        (["--max-k", "-1", "--workers", "0"], "--max-k must be positive"),
-        (["--workers", "0", "--sweep", "-5"], "--sweep must be positive"),
-        (["--workers", "0", "--corrupt-f", "99"], "--workers must be positive"),
+        (["--max-k", "-1", "--sweep", "0"], "--max-k must be positive"),
+        (["--sweep", "-5", "--corrupt-f", "99"], "--sweep must be positive"),
     ],
 )
 def test_verify_names_the_first_bad_flag_in_a_fixed_order(
@@ -686,14 +684,21 @@ def test_verify_json_output(capsys):
     assert data["ok"] is True and data["failed"] == 0
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_text_matches_the_golden_report(capsys, workers):
+def test_verify_text_matches_the_golden_report(capsys):
     code, out, _ = run(
-        capsys, "verify", "--max-edges", "7", "--max-k", "12", "--sweep", "2000",
-        "--workers", workers,
+        capsys, "verify", "--max-edges", "7", "--max-k", "12", "--sweep", "2000"
     )
     assert code == 0
     assert out == (Path(__file__).parent / "verify_golden.txt").read_text()
+
+
+def test_verify_takes_no_worker_count(capsys):
+    # the census picks its own process pool
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--workers", "2"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert err == "catbound: error: unrecognized arguments: --workers 2\n"
 
 
 # ----------------------------------------------------------------------
@@ -928,8 +933,3 @@ def test_a_serial_process_never_imports_the_process_pool():
     assert serial["pool"] == []
     assert [code for code, _ in serial["runs"]] == [0, 0]
     assert serial["runs"][0][1] == "7\n"
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("one CPU: --workers 2 is clamped to a serial run")
-    pooled = _fresh_runs(_SMALL_VERIFY + ["--workers", "2"])
-    assert pooled["pool"] == ["multiprocessing", "concurrent.futures"]
-    assert pooled["runs"] == serial["runs"][1:]

@@ -172,15 +172,20 @@ def test_plan_refuses_to_replay_on_the_wrong_tree():
         plan.apply(path_tree(7))
 
 
-@pytest.mark.parametrize("edge", [(1, 0, 1), (0,), (0, 1, 2)])
+@pytest.mark.parametrize(
+    "edge", [(1, 0, 1), (0,), (0, 1, 2), (False, 1), 0, (0, "a"), (1.0, 2)]
+)
 def test_a_step_that_is_not_a_pair_is_no_edge(edge):
     t = path_tree(4)
     message = re.escape(f"{edge} is not an edge of the source tree")
-    with pytest.raises(ValueError, match=message):
-        _contract_all(t, [edge])
     plan = ContractionPlan(3, (ContractionStep(edge),), path_tree(3))
     with pytest.raises(ValueError, match=message):
         plan.apply(t)
+    # the plans of _plan itself hold int ids, so its replay judges only
+    # the pair
+    if type(edge) is tuple and {int}.issuperset(map(type, edge)):
+        with pytest.raises(ValueError, match=message):
+            _contract_all(t, [edge])
 
 
 @settings(max_examples=60)

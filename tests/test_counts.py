@@ -86,7 +86,7 @@ COUNTS = {
         f"verify_all-{name}": (
             lambda x, name=name: verify_all(**{**SMALL_VERIFY, name: x}), name
         )
-        for name in ("max_edges", "max_score", "sweep_limit", "workers")
+        for name in ("max_edges", "max_score", "sweep_limit", "misstated_branch")
     },
 }
 
@@ -163,10 +163,10 @@ OUT_OF_RANGE = [
     (lambda: verify_all(max_score=0), "max_score must be positive"),
     (lambda: verify_all(max_score=201), "max_score must be at most 200"),
     (lambda: verify_all(sweep_limit=0), "sweep_limit must be positive"),
-    (lambda: verify_all(workers=-1), "workers must be positive"),
+    (lambda: verify_all(misstated_branch=0), "misstated_branch must be positive"),
     # the first parameter at fault is named
     (lambda: verify_all(max_edges=20, sweep_limit=0), "max_edges must be at most 19"),
-    (lambda: verify_all(max_score=0, workers=0), "max_score must be positive"),
+    (lambda: verify_all(max_score=0, misstated_branch=0), "max_score must be positive"),
 ]
 
 

@@ -308,7 +308,7 @@ def test_census_computes_canonical_codes_only_for_row_witnesses(monkeypatch):
     codes: list = []
     for module in (trees, oracle):
         count_calls(monkeypatch, module, "canonical_code", codes)
-    report = verify_all(max_edges=9, max_score=6, sweep_limit=500, workers=1)
+    report = verify_all(max_edges=9, max_score=6, sweep_limit=500)
     assert report.ok
     # 200 classes; only the trees at each bound's minimum need a code
     assert len(codes) <= 60
@@ -417,7 +417,7 @@ def test_non_isomorphic_round_trips_fail_the_duality_row(monkeypatch):
         return path_tree(cell_tree.vertex_count + 1), {}
 
     monkeypatch.setattr(oracle, "segments_to_tree", wrong)
-    report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=1)
+    report = verify_all(max_edges=3, max_score=6, sweep_limit=500)
     failed = report.failures()
     assert [r.label for r in failed] == ["m=1", "m=2", "m=3"]
     assert all(r.section == "duality" for r in failed)

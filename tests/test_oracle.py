@@ -1,6 +1,7 @@
 """Enumeration, brute-force oracles, and the verification harness."""
 
 import concurrent.futures
+from pathlib import Path
 
 import pytest
 
@@ -86,9 +87,9 @@ def test_both_routes_agree():
 def test_levels_route_matches_networkx():
     networkx = pytest.importorskip("networkx")
     for m in range(2, 10):
-        mine = sorted(canonical_code(t).code for t in free_trees(m))
+        mine = sorted(canonical_code(t) for t in free_trees(m))
         theirs = sorted(
-            canonical_code(Tree(m + 1, tuple(g.edges()))).code
+            canonical_code(Tree(m + 1, tuple(g.edges())))
             for g in networkx.nonisomorphic_trees(m + 1)
         )
         assert mine == theirs
@@ -239,10 +240,7 @@ def failed_rows(report) -> dict[str, str]:
 
 
 def test_corrupted_branch_size_is_caught():
-    wrong = {9: max_branch_size(9) + 1}
-    report = verify_all(
-        max_edges=2, max_score=12, sweep_limit=500, branch_size_override=wrong
-    )
+    report = verify_all(max_edges=2, max_score=12, sweep_limit=500, misstated_branch=9)
     assert failed_rows(report) == {
         "branch-size k=9": "35",
         "beautiful-tree k<=12": "k=9: 34 edges, hungry 9, caterpillar 14",
@@ -269,32 +267,36 @@ def test_a_wrong_branch_size_fails_the_ratio_and_beautiful_rows(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 13])
 def test_overrides_outside_the_checked_scores_are_refused(k):
-    with pytest.raises(ValueError, match=r"keys must lie in 1\.\.12"):
-        verify_all(
-            max_edges=2, max_score=12, sweep_limit=500, branch_size_override={k: 1}
-        )
+    refusal = r"^misstated_branch must be (positive|at most 12)$"
+    with pytest.raises(ValueError, match=refusal):
+        verify_all(max_edges=2, max_score=12, sweep_limit=500, misstated_branch=k)
 
 
-@pytest.mark.parametrize(
-    "override, message",
-    [
-        ({8.5: 999}, "branch_size_override key must be an integer, got 8.5"),
-        ({True: 2}, "branch_size_override key must be an integer, got True"),
-        ({8: 25.0}, "branch_size_override size must be an integer, got 25.0"),
-    ],
-)
-def test_overrides_that_are_not_integers_are_refused(override, message):
+@pytest.mark.parametrize("k", [8.5, True, "9", (0, 1), ""])
+def test_overrides_that_are_not_integers_are_refused(k):
     with pytest.raises(ValueError) as caught:
-        verify_all(
-            max_edges=1, max_score=9, sweep_limit=10, branch_size_override=override
-        )
-    assert str(caught.value) == message
+        verify_all(max_edges=1, max_score=9, sweep_limit=10, misstated_branch=k)
+    assert str(caught.value) == f"misstated_branch must be an integer, got {k!r}"
 
 
-def test_workers_do_not_change_the_report():
-    solo = verify_all(max_edges=7, max_score=8, sweep_limit=500)
-    team = verify_all(max_edges=7, max_score=8, sweep_limit=500, workers=3)
-    assert solo.records == team.records
+def test_workers_do_not_change_the_report(monkeypatch):
+    golden = (Path(__file__).parent / "verify_golden.txt").read_text()
+    solo = verify_all(max_edges=7, max_score=12, sweep_limit=2000)
+    assert solo.to_text() == golden
+    # a real pool, sized by the CPUs this process may run on
+    monkeypatch.setattr(oracle, "_POOL_FROM", 7)
+    opened = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def recorded(max_workers):
+        opened.append(max_workers)
+        return real_pool(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    team = verify_all(max_edges=7, max_score=12, sweep_limit=2000)
+    if not opened:
+        pytest.skip("one CPU: the census ran in this process")
+    assert team.records == solo.records
 
 
 class InlinePool:
@@ -331,22 +333,39 @@ def report_cpus(monkeypatch, affinity, cpus):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
 
 
-def assert_clamped(monkeypatch, pools):
-    """``verify_all`` with 64 workers opens ``pools`` (the sizes of the pools
-    it opens) and reports what a serial run does."""
+def inline_pools(monkeypatch, pool_from) -> None:
+    """Lower the pool threshold to ``pool_from`` and let each pool that
+    ``verify_all`` opens be an ``InlinePool``."""
+    monkeypatch.setattr(oracle, "_POOL_FROM", pool_from)
     # verify_all imports the pool when it opens one, so patch it at its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
-    report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=64)
+
+
+def assert_pools(monkeypatch, pools):
+    """``verify_all`` through 3 edges, with the pool threshold lowered to 3,
+    opens ``pools`` (the sizes of the pools it opens) and reports what an
+    in-process run does."""
+    serial = verify_all(max_edges=3, max_score=6, sweep_limit=500)
+    inline_pools(monkeypatch, 3)
+    report = verify_all(max_edges=3, max_score=6, sweep_limit=500)
     assert InlinePool.sizes == pools
-    assert report.records == verify_all(max_edges=3, max_score=6, sweep_limit=500).records
+    assert report.records == serial.records
+
+
+def test_a_census_below_the_threshold_opens_no_pool(monkeypatch):
+    # the census workload's m <= 12 runs in this process, whatever the CPUs
+    report_cpus(monkeypatch, 64, 64)
+    inline_pools(monkeypatch, oracle._POOL_FROM)
+    assert verify_all(max_edges=12, max_score=1, sweep_limit=1).ok
+    assert InlinePool.sizes == []
 
 
 @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
 def test_workers_are_clamped_to_the_cpu_count(monkeypatch, cpus, pools):
     # None: a platform that reports neither an affinity set nor a CPU count
     report_cpus(monkeypatch, cpus, cpus)
-    assert_clamped(monkeypatch, pools)
+    assert_pools(monkeypatch, pools)
 
 
 @pytest.mark.parametrize(
@@ -358,13 +377,14 @@ def test_workers_are_clamped_to_the_cpus_this_process_may_use(
     monkeypatch, affinity, cpus, pools
 ):
     report_cpus(monkeypatch, affinity, cpus)
-    assert_clamped(monkeypatch, pools)
+    assert_pools(monkeypatch, pools)
 
 
 def test_the_pooled_census_generates_trees_a_bounded_window_ahead(monkeypatch):
     # Executor.map would take every class of an edge count before the
     # first result came back: 1,300 trees ahead of the fold at m = 12
     report_cpus(monkeypatch, 2, 2)
+    inline_pools(monkeypatch, 12)
     generated = folded = lead = 0
     real_free_trees, real_fold = oracle.free_trees, oracle._fold
 
@@ -386,7 +406,8 @@ def test_the_pooled_census_generates_trees_a_bounded_window_ahead(monkeypatch):
 
     monkeypatch.setattr(oracle, "free_trees", counted)
     monkeypatch.setattr(oracle, "_fold", watched)
-    report = verify_all(max_edges=12, max_score=1, sweep_limit=1, workers=2)
+    report = verify_all(max_edges=12, max_score=1, sweep_limit=1)
+    assert InlinePool.sizes == [2]
     assert report.ok and folded == sum(FREE_TREE_COUNTS[1:13])
     assert 0 < lead < 5 * oracle._CHUNK  # two tasks per worker, and one more
 
@@ -396,7 +417,7 @@ def test_failed_duality_rows_name_the_step_and_the_exception(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(oracle, "among_path", broken)
-    report = verify_all(max_edges=3, max_score=6, sweep_limit=500, workers=1)
+    report = verify_all(max_edges=3, max_score=6, sweep_limit=500)
     failed = report.failures()
     assert [r.label for r in failed] == ["m=1", "m=2", "m=3"]
     assert all(r.section == "duality" for r in failed)
@@ -423,7 +444,7 @@ def test_a_wrong_cell_tree_hint_fails_the_round_trip(monkeypatch, capsys):
         return family
 
     monkeypatch.setattr(oracle, "tree_to_segments", hinting)
-    report = verify_all(max_edges=4, max_score=6, sweep_limit=500, workers=1)
+    report = verify_all(max_edges=4, max_score=6, sweep_limit=500)
     failed = report.failures()
     assert [r.label for r in failed] == ["m=2", "m=3", "m=4"]
     assert all(r.section == "duality" for r in failed)
@@ -566,6 +587,6 @@ def test_sanity_of_bounds_arguments():
     with pytest.raises(ValueError):
         verify_all(max_edges=0)
     with pytest.raises(ValueError):
-        verify_all(workers=0)
+        verify_all(misstated_branch=0)
     with pytest.raises(ValueError):
         guarantee_change_points(0)
