@@ -2,10 +2,10 @@
 
 Output is plain SVG 1.1 built by string assembly with fixed two-decimal
 coordinates and a fixed palette, so the same input always produces the
-same bytes — the tests diff renders directly.  Families are drawn on a
-circle (convex position is all that matters combinatorially) with an
-optional alternating path overlaid; trees are drawn in layers below a
-root.
+same bytes — the tests diff renders directly.  Every number drawn is at
+least 46, so none prints as -0.00.  Families are drawn on a circle
+(convex position is all that matters combinatorially) with an optional
+alternating path overlaid; trees are drawn in layers below a root.
 """
 
 from __future__ import annotations
@@ -25,17 +25,12 @@ _NODE_EDGE = "#334155"
 _TEXT = "#111827"
 
 
-def _fmt(x: float) -> str:
-    out = f"{x:.2f}"
-    return "0.00" if out == "-0.00" else out
-
-
 def _header(width: float, height: float) -> str:
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="{_BG}"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">\n'
+        f'<rect width="{width:.2f}" height="{height:.2f}" fill="{_BG}"/>\n'
     )
 
 
@@ -69,14 +64,12 @@ def render_segments(s: SegmentFamily, path: AlternatingPath | None = None) -> st
     angles = [-math.pi / 2 + 2 * math.pi * i / count for i in range(count)]
     coss = list(map(math.cos, angles))
     sins = list(map(math.sin, angles))
-    # every coordinate lies in cx - label_radius .. cx + label_radius
-    # (46..594), so none prints as -0.00 and none needs _fmt
     xs = ("%.2f " * count % tuple([cx + radius * c for c in coss])).split()
     ys = ("%.2f " * count % tuple([cy + radius * c for c in sins])).split()
 
     parts = [_header(size, size)]
     parts.append(
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
         f'fill="none" stroke="{_RIM}" stroke-width="1"/>\n'
     )
     parts += [_CHORD_LINE % (xs[a], ys[a], xs[b], ys[b]) for a, b in s.pairs]
@@ -126,8 +119,8 @@ def render_tree(t: Tree, root: int | None = None) -> str:
     step_x, step_y, margin = 64.0, 76.0, 48.0
     width = margin * 2 + step_x * max(next_slot - 1, 0)
     height = margin * 2 + step_y * max(depth)
-    xs = [_fmt(margin + c * step_x) for c in x]
-    ys = [_fmt(margin + d * step_y) for d in depth]
+    xs = [f"{margin + c * step_x:.2f}" for c in x]
+    ys = [f"{margin + d * step_y:.2f}" for d in depth]
 
     parts = [_header(width, height)]
     parts += [_CHORD_LINE % (xs[a], ys[a], xs[b], ys[b]) for a, b in t.edges]

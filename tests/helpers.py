@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -28,8 +29,8 @@ from catbound import (
 )
 from catbound.duality import _checked, _compatible_chain, _crossing_pairs
 from catbound.oracle import _verdict
-from catbound.render import _CHORD, _DOT, _PATH, _RIM, _TEXT, _fmt, _header
-from catbound.trees import _EdgeError, _rooted
+from catbound.render import _CHORD, _DOT, _PATH, _RIM, _TEXT
+from catbound.trees import TreeParseError, _EdgeError, _rooted
 
 
 def path_tree(n: int) -> Tree:
@@ -809,8 +810,9 @@ def ahu_code_by_child_lists(t: Tree, root: int) -> bytes:
 
 
 def render_segments_by_elements(s: SegmentFamily, path: AlternatingPath | None = None) -> str:
-    """``render.render_segments`` formatting every coordinate with ``_fmt``,
-    label coordinates included, and each element with its own f-string."""
+    """``render.render_segments`` formatting every coordinate on its own,
+    label coordinates included, and each element with its own f-string,
+    the header too."""
     size = 640.0
     cx = cy = size / 2
     radius = 250.0
@@ -820,14 +822,19 @@ def render_segments_by_elements(s: SegmentFamily, path: AlternatingPath | None =
     for i in range(count):
         angle = -math.pi / 2 + 2 * math.pi * i / count
         cos_a, sin_a = math.cos(angle), math.sin(angle)
-        xs.append(_fmt(cx + radius * cos_a))
-        ys.append(_fmt(cy + radius * sin_a))
-        labels.append(
-            (_fmt(cx + label_radius * cos_a), _fmt(cy + label_radius * sin_a))
-        )
-    parts = [_header(size, size)]
+        xs.append(format(cx + radius * cos_a, ".2f"))
+        ys.append(format(cy + radius * sin_a, ".2f"))
+        label_x, label_y = cx + label_radius * cos_a, cy + label_radius * sin_a
+        labels.append((format(label_x, ".2f"), format(label_y, ".2f")))
+    side = format(size, ".2f")
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
+        f'viewBox="0 0 {side} {side}">\n'
+        f'<rect width="{side}" height="{side}" fill="#ffffff"/>\n'
+    ]
     parts.append(
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
         f'fill="none" stroke="{_RIM}" stroke-width="1"/>\n'
     )
     for a, b in s.pairs:
@@ -855,3 +862,76 @@ def render_segments_by_elements(s: SegmentFamily, path: AlternatingPath | None =
         )
     parts.append("</svg>\n")
     return "".join(parts)
+
+
+def parse_tree_by_lines(text: str) -> Tree:
+    """``trees.parse_tree`` as two readers: text in exactly ``format_tree``'s
+    shape read with one split, and every other text by a line loop that
+    judges each line."""
+    pairs = _formatted_edges(text)
+    if pairs is not None:
+        try:
+            return Tree(len(pairs) + 1, pairs)
+        except _EdgeError as exc:
+            raise TreeParseError(f"line {exc.index + 1}: {exc}") from None
+    edges: list[tuple[int, int]] = []
+    lines: list[int] = []
+    rows = text.split("\n")
+    if "\r" in text:
+        rows = [row[:-1] if row.endswith("\r") else row for row in rows]
+    for lineno, raw in enumerate(rows, 1):
+        parts = raw.replace("\t", " ").split(" ")
+        # only a line other than two words and one separator, as format_tree
+        # writes an edge, drops the empty words between separators
+        if len(parts) != 2 or not (parts[0] and parts[1]) or parts[0][0] == "#":
+            parts = [part for part in parts if part]
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 2:
+                got = raw.strip(" \t")
+                raise TreeParseError(
+                    f"line {lineno}: expected two vertex ids, got {got!r}"
+                )
+        u, v = parts
+        try:
+            # int() alone would also read "+1", "1_0" and non-ASCII digits
+            if not (
+                u.isascii()
+                and v.isascii()
+                and u.removeprefix("-").isdigit()
+                and v.removeprefix("-").isdigit()
+            ):
+                raise ValueError
+            # int() refuses an id of more digits than its conversion limit
+            edges.append((int(u), int(v)))
+        except ValueError:
+            raise TreeParseError(
+                f"line {lineno}: vertex ids must be base-10 integers"
+            ) from None
+        lines.append(lineno)
+    if not edges:
+        raise TreeParseError("no edges found")
+    try:
+        return Tree(len(edges) + 1, tuple(edges))
+    except _EdgeError as exc:
+        raise TreeParseError(f"line {lines[exc.index]}: {exc}") from None
+
+
+def _formatted_edges(text: str) -> tuple[tuple[int, int], ...] | None:
+    """The edges of text in exactly ``format_tree``'s shape, read with one
+    split; None for any other text, or an id past ``int()``'s digit limit.
+
+    The shape is checked as: ASCII digits, spaces and line ends only, a
+    line end last, no line with two spaces and two ids on every line.  One
+    regex over whole lines would hold some 200 bytes of matcher state per
+    line while it runs."""
+    if not re.fullmatch(r"[0-9 \n]*\n", text) or re.search(" [0-9]* ", text):
+        return None
+    ids = text.split()
+    if len(ids) != 2 * text.count("\n"):
+        return None
+    try:
+        numbers = map(int, ids)
+        return tuple(zip(numbers, numbers))
+    except ValueError:  # an id past the digit limit
+        return None

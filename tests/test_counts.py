@@ -250,10 +250,6 @@ RANGE_PHRASES = (
     "must be positive", "must be non-negative", "must be at least", "must be at most"
 )
 
-# raises that may state a range themselves: parse_tree refuses a negative id
-# on a numbered line of its text format, which is not a count argument
-OWN_RANGE_TEXT = {("trees.py", "parse_tree")}
-
 
 def range_texts(node, file, func=None):
     """(file, innermost enclosing function, text) of each string in a
@@ -279,8 +275,7 @@ def raised_range_texts():
 
 
 def test_only_check_count_states_a_count_range():
-    allowed = OWN_RANGE_TEXT | {("trees.py", "_check_count")}
-    stray = [f for f in raised_range_texts() if f[:2] not in allowed]
+    stray = [f for f in raised_range_texts() if f[:2] != ("trees.py", "_check_count")]
     assert stray == []
 
 

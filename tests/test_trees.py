@@ -14,6 +14,7 @@ from catbound import (
     centroids,
     diameter,
     diameter_path,
+    extremal_branch_star,
     format_tree,
     free_trees,
     is_caterpillar,
@@ -21,10 +22,11 @@ from catbound import (
     leaves,
     parse_tree,
 )
-from catbound.trees import _formatted_edges
+from catbound import trees as trees_module
 from helpers import (
     contract_edge,
     outcome,
+    parse_tree_by_lines,
     path_tree,
     relabeled,
     spider_tree,
@@ -189,13 +191,61 @@ def test_parse_reads_ascii_digits_after_at_most_one_minus():
     )
 )
 def test_formatted_text_reads_as_the_line_loop_reads_it(edges):
-    # text in format_tree's shape is read with one split; a comment line
-    # after it sends the same lines through the line loop
+    # text in format_tree's shape passes the shape check; a comment line
+    # after it sends the same lines through the line search
     text = "".join(f"{u} {v}\n" for u, v in edges)
-    assert _formatted_edges(text) == tuple(edges)
     assert outcome(lambda: parse_tree(text)) == outcome(
         lambda: parse_tree(text + "# end\n")
     )
+
+
+# ids, their separators and line ends, comment marks, what int() alone would
+# read, other Unicode whitespace and other Unicode digits
+HOSTILE = "0123 \t\n\r#-+_x\x0b\x0c\x1c\x85\xa0\u2028\u3000\u0661\uff11"
+
+
+@st.composite
+def rewritten_tree_texts(draw):
+    """``format_tree`` text of a tree rewritten with CRLF, tabs, extra
+    spaces, comment and blank lines, and maybe one line corrupted by a
+    character from ``HOSTILE``."""
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    gap = st.sampled_from([" ", "  ", "\t"])
+    blank_or_comment = st.sampled_from(["", " \t", "# c", " #0 1", "\t#\x85"])
+    lines = []
+    for u, v in draw(trees(min_vertices=2, max_vertices=10)).edges:
+        lines += draw(st.lists(blank_or_comment, max_size=1))
+        lines.append(draw(pad) + f"{u}{draw(gap)}{v}" + draw(pad))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(st.sampled_from(HOSTILE)) + lines[i][j:]
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = "".join(line + draw(ends) for line in lines[:-1])
+    return text + lines[-1] + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@given(st.text(HOSTILE) | rewritten_tree_texts())
+def test_parse_reads_every_text_as_the_line_loop_reads_it(text):
+    want = outcome(lambda: parse_tree_by_lines(text))
+    assert outcome(lambda: parse_tree(text)) == want
+
+
+def test_valid_text_never_walks_its_lines(monkeypatch):
+    def never(text, edge=-1):
+        raise AssertionError("a valid text was walked")
+
+    monkeypatch.setattr(trees_module, "_fault_line", never)
+    star = extremal_branch_star(36)
+    shaped = format_tree(star)
+    rewritten = "# tk-36\r\n\r\n" + "".join(
+        f"\t{u}  {v} \r\n" + ("\n# a comment\n" if i % 97 == 0 else "")
+        for i, (u, v) in enumerate(star.edges)
+    )
+    for text in (shaped, rewritten, "0 1\n\n1 2\n", "0 1"):
+        assert parse_tree(text) == parse_tree_by_lines(text)
+    with pytest.raises(AssertionError, match="a valid text was walked"):
+        parse_tree("0 1 2\n")
 
 
 @given(trees())
