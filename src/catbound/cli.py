@@ -22,7 +22,6 @@ import sys
 from typing import Any
 
 from .contraction import (
-    _facts,
     build_spider,
     contraction_guarantee,
     extremal_size_contraction,
@@ -49,7 +48,7 @@ from .induced import (
 )
 from .oracle import _SEARCH_LIMIT, MAX_SCORE, verify_all
 from .render import render_segments, render_tree
-from .trees import _check_count, format_tree, is_spider, parse_tree
+from .trees import _check_count, diameter, format_tree, is_spider, parse_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,17 +317,18 @@ def _cmd_build(args) -> int:
 def _cmd_analyze(args) -> int:
     tree = parse_tree(_read(args.tree))  # at least one edge
     witness = max_caterpillar(tree)
-    score, dpath, leaf_set = _facts(tree)
+    leaf_count, length = tree.degrees.count(1), diameter(tree)
     rows = [
         ("vertices", tree.vertex_count),
         ("edges", tree.m),
-        ("leaves", len(leaf_set)),
-        ("diameter", len(dpath) - 1),
+        ("leaves", leaf_count),
+        ("diameter", length),
         # a tree is a caterpillar exactly when its largest induced
         # caterpillar has every edge
         ("caterpillar", "yes" if witness.size == tree.m else "no"),
         ("spider", "yes" if is_spider(tree) else "no"),
-        ("score by contraction", score),
+        # max_caterpillar_by_contraction's score, from the two counts
+        ("score by contraction", leaf_count + length - 2),
         ("largest induced caterpillar", witness.size),
     ]
     for label, value in rows:

@@ -4,12 +4,12 @@ The largest caterpillar a tree contracts to has ``leaves + diameter - 2``
 edges; spiders with balanced legs are the extremal trees, and
 ``contraction_guarantee(m)`` is the size every m-edge tree reaches.
 
-Every plan, ``contract_to_caterpillar``'s and ``duality.among_path``'s,
-comes from ``_plan``: one ``_facts`` pass gives the score, the diameter
-path and the leaf set, ``_steps`` lists the contracted edges,
-``_contract_all`` replays them once, and one check accepts the result: its
-largest induced caterpillar has every edge.  Plans are O(n) to build and
-to apply.
+The score needs only the diameter's length (``trees.diameter``).  Every
+plan, ``contract_to_caterpillar``'s and ``duality.among_path``'s, comes
+from ``_plan``, the one reader of the tie-broken diameter path: ``_steps``
+lists the contracted edges, ``_contract_all`` replays them once, and one
+check accepts the result: its largest induced caterpillar has every edge.
+Plans are O(n) to build and to apply.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .trees import (
     _check_count,
     _check_integer_ids,
     _EdgeError,
+    diameter,
     diameter_path,
-    leaves,
 )
 
 
@@ -35,19 +35,12 @@ from .trees import (
 # ======================================================================
 
 
-def _facts(t: Tree) -> tuple[int, tuple[int, ...], frozenset[int]]:
-    """``t``'s contraction score, diameter path and leaf set, each computed
-    once, for callers that need more than the score."""
+def max_caterpillar_by_contraction(t: Tree) -> int:
+    """Largest caterpillar size reachable from ``t`` by edge contractions:
+    its leaf count plus its diameter, less 2."""
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    dpath = diameter_path(t)
-    leaf_set = leaves(t)
-    return len(leaf_set) + (len(dpath) - 1) - 2, dpath, leaf_set
-
-
-def max_caterpillar_by_contraction(t: Tree) -> int:
-    """Largest caterpillar size reachable from ``t`` by edge contractions."""
-    return _facts(t)[0]
+    return t.degrees.count(1) + diameter(t) - 2
 
 
 # ======================================================================
@@ -166,14 +159,17 @@ def _plan(
     largest induced caterpillar of the tree it reaches, which has every edge
     of that tree: a tree is a caterpillar exactly when it has such a
     witness, so this is the plan's one check."""
-    score, dpath, leaf_set = _facts(t)
+    if t.m < 1:
+        raise ValueError("needs at least one edge")
+    dpath = diameter_path(t)
+    score = t.degrees.count(1) + len(dpath) - 3  # leaves + diameter - 2
     if k is None:
         k = score
     if k == score == t.m:
         # only a caterpillar scores its edge count, and it keeps every edge
         current, steps = t, []
     else:
-        steps = _steps(t, k, score, dpath, leaf_set)
+        steps = _steps(t, k, score, dpath)
         current = _contract_all(t, steps)
     witness = max_caterpillar(current)
     if not witness.size == k == current.m:
@@ -182,17 +178,14 @@ def _plan(
     return plan, witness
 
 
-def _steps(
-    t: Tree, k: int, cap: int, dpath: tuple[int, ...], leaf_set: frozenset[int]
-) -> list[tuple[int, int]]:
+def _steps(t: Tree, k: int, cap: int, dpath: tuple[int, ...]) -> list[tuple[int, int]]:
     """The edges ``contract_to_caterpillar(t, k)`` contracts, in order, from
-    ``_facts(t)``."""
+    ``t``'s score ``cap`` and diameter path."""
     if not 1 <= k <= cap:
         raise ValueError(f"target size {k} outside 1..{cap}")
     keep = {(a, b) if a < b else (b, a) for a, b in zip(dpath, dpath[1:])}
-    for u, v in t.edges:
-        if u in leaf_set or v in leaf_set:
-            keep.add((u, v))
+    degrees = t.degrees
+    keep.update((u, v) for u, v in t.edges if degrees[u] == 1 or degrees[v] == 1)
 
     # DFS from the diameter path's first vertex, ascending neighbors
     contracted: list[tuple[int, int]] = []

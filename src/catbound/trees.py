@@ -119,8 +119,9 @@ class Tree:
     trees compare and hash equal.  Construction validates shape: exactly
     vertex_count - 1 edges, ids in range, no self-loops or duplicates, and
     no cycles (which at n-1 edges forces connectivity), in one union-find
-    pass.  Edges are checked in the order given, so the first offending
-    edge is the one reported.
+    pass that links the larger end's root under the smaller end's, so a
+    tree numbered parent first hangs each vertex under its root at once.
+    Edges are checked in the order given; the first offending one is reported.
     """
 
     vertex_count: int
@@ -161,7 +162,7 @@ class Tree:
                     if (u, v) in norm[:index]:
                         raise _EdgeError(index, f"duplicate edge ({u}, {v})")
                     raise _EdgeError(index, f"edge ({u}, {v}) closes a cycle")
-                parent[ru] = rv
+                parent[rv] = ru
         except _EdgeError as exc:  # a bool id at or before it is the first fault
             _check_integer_ids(islice(self.edges, exc.index + 1))
             raise
@@ -463,8 +464,14 @@ def diameter_path(t: Tree) -> tuple[int, ...]:
 
 
 def diameter(t: Tree) -> int:
-    """Edge count of a longest path."""
-    return len(diameter_path(t)) - 1
+    """Edge count of a longest path.  A breadth-first order from any vertex
+    ends at an end of one, so a second order, from there, ends at its other."""
+    order, _ = _rooted(t, 0)
+    order, parent = _rooted(t, order[-1])
+    v, length = order[-1], 0
+    while parent[v] >= 0:
+        v, length = parent[v], length + 1
+    return length
 
 
 # ======================================================================

@@ -3,7 +3,8 @@
 ``diameter_path``, the ``max_caterpillar`` witness, ``very_hungry_max``,
 contraction plans and ``validate_path`` must reproduce the slow oracles in
 ``helpers`` output for output, tie-break for tie-break, at sizes well past
-exhaustive reach.
+exhaustive reach.  The two-sweep ``diameter`` and the contraction score
+must read the lengths of the tie-broken path and plan.
 Operation counts guard against a quadratic relapse and against facts computed
 twice per tree; a time bound far above the expected cost guards the failure
 path of ``validate_path``, whose cost depends on what it reports.
@@ -32,7 +33,9 @@ from catbound import (
     contract_to_caterpillar,
     diameter_path,
     extremal_branch_star,
+    diameter,
     extremal_spider,
+    format_tree,
     free_trees,
     is_caterpillar,
     max_caterpillar,
@@ -44,11 +47,13 @@ from catbound import (
     verify_all,
     very_hungry_max,
 )
+from catbound.cli import main
 from catbound.oracle import _check_tree
 from helpers import (
     adversarial_tree,
     among_path_by_subfamily,
     broken_paths,
+    caterpillar_tree,
     contraction_plans_by_replay,
     family_error_by_sorting,
     fold_by_lists,
@@ -58,6 +63,7 @@ from helpers import (
     relabeled,
     relabeled_twin,
     spider_tree,
+    star_tree,
     trees as tree_strategy,
     validate_path_by_all_pairs,
     very_hungry_max_by_paths,
@@ -101,6 +107,57 @@ def test_kernels_match_oracles_on_random_trees(t):
         assert diameter_path(t) == heaviest_path_by_all_pairs(t, [1]) == (0,)
         return
     assert_kernels_match_oracles(t)
+
+
+# ----------------------------------------------------------------------
+# the diameter as a length: two sweeps against the tie-broken path
+# ----------------------------------------------------------------------
+
+
+def assert_lengths_match_paths(t: Tree) -> None:
+    assert diameter(t) == len(diameter_path(t)) - 1
+    assert max_caterpillar_by_contraction(t) == contraction._plan(t)[0].target_size
+
+
+def test_lengths_match_paths_on_every_small_class():
+    for m in range(1, 13):
+        for t in free_trees(m):
+            assert_lengths_match_paths(t)
+
+
+def test_lengths_match_paths_on_random_trees_and_their_relabellings():
+    rng = random.Random(29)
+    for _ in range(2000):
+        # sizes spread evenly on a log scale from 2 to 500 vertices
+        n = min(500, round(2 ** rng.uniform(1, 9)))
+        t = tree_from_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert_lengths_match_paths(t)
+        assert_lengths_match_paths(relabeled(t, perm))
+
+
+LENGTH_SHAPES = {
+    "single edge": lambda: path_tree(2),
+    "path": lambda: path_tree(9),
+    "star of 2 leaves": lambda: star_tree(3),
+    "star": lambda: star_tree(9),
+    "spider": lambda: spider_tree(1, 2, 3),
+    "spider, two long legs": lambda: spider_tree(4, 4, 1, 1),
+    "caterpillar, bare first spine vertex": lambda: caterpillar_tree(0, 3),
+    "caterpillar": lambda: caterpillar_tree(2, 0, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(LENGTH_SHAPES))
+def test_lengths_match_paths_on_named_shapes(name):
+    assert_lengths_match_paths(LENGTH_SHAPES[name]())
+
+
+def test_lengths_of_the_single_vertex():
+    assert diameter(Tree(1, ())) == 0
+    with pytest.raises(ValueError, match="needs at least one edge"):
+        max_caterpillar_by_contraction(Tree(1, ()))
 
 
 @settings(max_examples=50, deadline=None)
@@ -261,6 +318,16 @@ def test_diameter_path_makes_a_constant_number_of_passes(monkeypatch):
     assert len(passes) <= 2
 
 
+def test_analyze_runs_the_heaviest_path_once_for_its_witness(monkeypatch, tmp_path):
+    tree_file = tmp_path / "tk36.txt"
+    tree_file.write_text(format_tree(extremal_branch_star(36)))
+    passes: list = []
+    for module in (trees, induced):
+        count_calls(monkeypatch, module, "_heaviest_path", passes)
+    assert main(["analyze", "--tree", str(tree_file), "--witness"]) == 0
+    assert len(passes) == 1
+
+
 def test_contraction_plans_build_no_intermediate_trees(monkeypatch):
     built: list = []
     count_calls(monkeypatch, Tree, "__post_init__", built)
@@ -353,10 +420,10 @@ def test_among_path_on_every_small_caterpillar_class():
             if not is_caterpillar(t)[0]:
                 continue
             seen += 1
-            cap, dpath, leaf_set = contraction._facts(t)
+            cap = max_caterpillar_by_contraction(t)
             assert cap == t.m  # the rule the plan's shortcut relies on
             # the shortcut lists what the general route would
-            assert contraction._steps(t, cap, cap, dpath, leaf_set) == []
+            assert contraction._steps(t, cap, cap, diameter_path(t)) == []
             plan, witness = contraction._plan(t)
             assert plan.contract_sequence == () and plan.kept_caterpillar is t
             assert witness == max_caterpillar(t)

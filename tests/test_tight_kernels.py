@@ -5,7 +5,9 @@
 ``_contract_all`` must each reproduce its reference exactly: the same
 outputs and tie-breaks on every small tree class under relabelling, on
 random and 1000-edge trees, and the same exception, message and edge index
-or the same path issues, in the same order, on malformed input.
+or the same path issues, in the same order, on malformed input; ``Tree``
+also on the built trees' edges parent first and reversed, each with one
+fault put in.
 ``_heaviest_path`` is held to the all-pairs search under unit, {0, 1, 2}
 and deg - 1 weights, and, since its passes skip the leaves of weight 0,
 under weights that are 0 on leaves only, on inner vertices only, everywhere
@@ -27,13 +29,18 @@ from catbound import (
     CaterpillarWitness,
     Tree,
     among_path,
+    beautiful_tree,
+    build_spider,
     compatible_path,
     contract_to_caterpillar,
     extremal_branch_star,
     extremal_spider,
+    format_tree,
     free_trees,
     max_caterpillar,
     max_caterpillar_by_contraction,
+    parse_tree,
+    segments_to_tree,
     tree_from_pruefer,
     tree_to_segments,
     validate_path,
@@ -297,6 +304,54 @@ def test_zero_weights_on_random_trees(t, seed):
 )
 def test_malformed_edge_lists(n, edges):
     assert_tree_matches(n, edges)
+
+
+def with_one_fault(edges: tuple, at: int, kind: str) -> tuple:
+    """``edges`` with the edge at ``at`` replaced by a faulty one: a copy of
+    another edge, a chord of a path of two other edges, a self-loop, or an
+    id past the last vertex."""
+    n = len(edges) + 1
+    u, v = edges[at]
+    if kind == "duplicate":
+        bad = edges[at - 1][::-1]
+    elif kind == "chord":
+        nbrs: dict = {}
+        for i, (a, b) in enumerate(edges):
+            if i != at:
+                nbrs.setdefault(a, []).append(b)
+                nbrs.setdefault(b, []).append(a)
+        a, c = next(ws[:2] for ws in nbrs.values() if len(ws) > 1)
+        bad = (a, c)
+    elif kind == "loop":
+        bad = (v, v)
+    else:
+        bad = (u, n)
+    return edges[:at] + (bad,) + edges[at + 1 :]
+
+
+BUILT_TREES = {
+    "extremal spider": lambda: extremal_spider(40),
+    "spider by diameter and leaves": lambda: build_spider(7, 5),
+    "branch star": lambda: extremal_branch_star(13),
+    "beautiful branch": lambda: beautiful_tree(9)[0].tree,
+    "cell tree": lambda: segments_to_tree(tree_to_segments(relabeled_twin(300, seed=4), 0))[0],
+    "contracted tree": lambda: contract_to_caterpillar(extremal_spider(40), 30).kept_caterpillar,
+    "parsed file": lambda: parse_tree(format_tree(extremal_branch_star(8))),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILT_TREES))
+def test_built_trees_parent_first_and_reversed(name):
+    # these trees number each vertex after its parent, so their edges list
+    # it after its parent too, and the union-find hangs it right under its
+    # component's root; reversed, the components grow from the leaves
+    edges = BUILT_TREES[name]().edges
+    n = len(edges) + 1
+    rng = random.Random(name)
+    for order in (edges, edges[::-1]):
+        assert_tree_matches(n, order)
+        for kind in ("duplicate", "chord", "loop", "range"):
+            assert_tree_matches(n, with_one_fault(order, rng.randrange(1, n - 1), kind))
 
 
 @settings(max_examples=200, deadline=None)
