@@ -52,9 +52,6 @@ from .oracle import (
     FREE_TREE_COUNTS,
     CheckRecord,
     VerificationReport,
-    branch_size_recurrence,
-    brute_contraction_guarantee,
-    brute_induced_guarantee,
     brute_max_caterpillar,
     free_trees,
     guarantee_change_points,
@@ -63,7 +60,6 @@ from .oracle import (
 )
 from .render import render_segments, render_tree
 from .trees import (
-    RootedTree,
     Tree,
     TreeParseError,
     canonical_code,
@@ -73,7 +69,6 @@ from .trees import (
     format_tree,
     is_caterpillar,
     is_spider,
-    leaves,
     parse_tree,
 )
 

@@ -453,8 +453,6 @@ def _compatible_chain(
         order = at_cell[cell]
         if exit_chord is not None:
             insort(order, exit_chord)
-        if entry is None and not order:
-            raise ValueError("spine cell carries no witness segment")
         own = cell - 1
         back = False  # walking against boundary order
         if entry is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import RootedTree, Tree, _check_count, _check_counts, _heaviest_path, _rooted
+from .trees import Tree, _check_count, _check_counts, _heaviest_path, _rooted
 
 
 # ======================================================================
@@ -65,16 +65,17 @@ def max_caterpillar(t: Tree) -> CaterpillarWitness:
     return CaterpillarWitness(frozenset(vertex_set), path[lo:hi], best)
 
 
-def very_hungry_max(rt: RootedTree) -> int:
-    """Largest number of edges incident to a single root-to-leaf path."""
-    t = rt.tree
+def very_hungry_max(t: Tree, root: int) -> int:
+    """Largest number of edges incident to a single path from ``root`` to a
+    leaf of ``t``."""
+    _check_count(root, "root", 0, t.vertex_count - 1)
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    order, parent = _rooted(t, rt.root)
+    order, parent = _rooted(t, root)
     # acc[v]: the sum of deg - 1 along the root..v path.  It never falls on
     # the way down, so its maximum is reached at a leaf other than the root.
     acc = [0] * t.vertex_count
-    acc[rt.root] = t.degrees[rt.root] - 1
+    acc[root] = t.degrees[root] - 1
     for u in order[1:]:
         acc[u] = acc[parent[u]] + t.degrees[u] - 1
     return max(acc) + 1
@@ -142,9 +143,9 @@ def beautiful_profile(k: int) -> BeautifulProfile:
     return BeautifulProfile(tuple(counts))
 
 
-def tree_from_profile(profile: BeautifulProfile) -> RootedTree:
-    """Materialize a profile as a rooted tree, vertices numbered level by
-    level (root is 0)."""
+def tree_from_profile(profile: BeautifulProfile) -> Tree:
+    """Materialize a profile as a tree rooted at 0, vertices numbered level
+    by level."""
     edges: list[tuple[int, int]] = []
     level = [0]
     nxt = 1
@@ -156,15 +157,14 @@ def tree_from_profile(profile: BeautifulProfile) -> RootedTree:
                 new_level.append(nxt)
                 nxt += 1
         level = new_level
-    return RootedTree(Tree(nxt, tuple(edges)), 0)
+    return Tree(nxt, tuple(edges))
 
 
-def beautiful_tree(k: int) -> tuple[RootedTree, BeautifulProfile]:
-    """The extremal branch for very hungry maximum k, with its profile.
-    Its edge count is max_branch_size(k) and its largest induced
-    caterpillar has at most 2k - 1 edges."""
-    profile = beautiful_profile(k)
-    return tree_from_profile(profile), profile
+def beautiful_tree(k: int) -> Tree:
+    """The extremal branch for very hungry maximum k, rooted at 0: the tree
+    of ``beautiful_profile(k)``.  Its edge count is max_branch_size(k) and
+    its largest induced caterpillar has at most 2k - 1 edges."""
+    return tree_from_profile(beautiful_profile(k))
 
 
 # ======================================================================
@@ -205,7 +205,7 @@ def extremal_branch_star(k: int) -> Tree:
     if k == 1:
         return Tree(2, ((0, 1),))
     r, x = _star_shape(k)
-    branch = beautiful_tree(x)[0].tree
+    branch = beautiful_tree(x)
     edges: list[tuple[int, int]] = []
     # each copy shifts every branch vertex but the shared root 0, which
     # only an edge's smaller end can be

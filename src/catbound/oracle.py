@@ -245,35 +245,11 @@ def brute_max_caterpillar(t: Tree) -> int:
         level = smaller
 
 
-def brute_contraction_guarantee(edge_count: int) -> int:
-    """Worst contraction score over every tree class with that many edges.
-
-    Each class is scored by the ``leaves + diameter - 2`` formula of
-    ``max_caterpillar_by_contraction``; the minimum is exhaustive over
-    classes, but no sequence of contractions is searched, so this checks the
-    closed form against the formula, not the formula itself."""
-    _check_count(edge_count, "edge count", 1)
-    return min(max_caterpillar_by_contraction(t) for t in free_trees(edge_count))
-
-
-def brute_induced_guarantee(edge_count: int) -> int:
-    """Worst induced-caterpillar size over every tree with that many
-    edges."""
-    _check_count(edge_count, "edge count", 1)
-    return min(brute_max_caterpillar(t) for t in free_trees(edge_count))
-
-
-def branch_size_recurrence(k: int) -> int:
-    """Largest branch a score-k budget supports, from the defining
-    recurrence: spend one edge to the root, then split the remaining score
-    over equal children."""
-    _check_count(k, "score", 1)
-    return _branch_sizes(k)[k]
-
-
 def _branch_sizes(k: int) -> list[int]:
-    """``branch_size_recurrence`` for every score 1..k at index k, in
-    O(k^2) steps; index 0 is the empty branch."""
+    """The largest branch a score-j budget supports, for every score j in
+    1..k at index j, from the defining recurrence in O(k^2) steps: spend
+    one edge to the root, then split the remaining score over equal
+    children.  Index 0 is the empty branch."""
     best = [0, 1]
     for j in range(2, k + 1):
         best.append(max(c * best[j - c] + 1 for c in range(1, j)))
@@ -554,12 +530,12 @@ def _star_failures(top: int, sizes: list[int]) -> Iterator[str]:
 
 def _beautiful_failures(top: int, misstated: int | None) -> Iterator[str]:
     for k in range(1, top + 1):
-        rooted, _profile = beautiful_tree(k)
-        fed = very_hungry_max(rooted)
-        cat = max_caterpillar(rooted.tree).size
+        branch = beautiful_tree(k)
+        fed = very_hungry_max(branch, 0)
+        cat = max_caterpillar(branch).size
         want_edges = max_branch_size(k) + (k == misstated)
-        if rooted.tree.m != want_edges or fed != k or cat > 2 * k - 1:
-            yield f"k={k}: {rooted.tree.m} edges, hungry {fed}, caterpillar {cat}"
+        if branch.m != want_edges or fed != k or cat > 2 * k - 1:
+            yield f"k={k}: {branch.m} edges, hungry {fed}, caterpillar {cat}"
 
 
 def _sweep_failures(points: list[int], sizes: list[int]) -> Iterator[str]:

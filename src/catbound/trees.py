@@ -204,17 +204,6 @@ class Tree:
         return frozenset(self.edges)
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """A tree with a distinguished root vertex."""
-
-    tree: Tree
-    root: int
-
-    def __post_init__(self) -> None:
-        _check_count(self.root, "root", 0, self.tree.vertex_count - 1)
-
-
 # ======================================================================
 # text format
 # ======================================================================
@@ -305,13 +294,6 @@ def format_tree(t: Tree) -> str:
 # ======================================================================
 # basic measurements
 # ======================================================================
-
-
-def leaves(t: Tree) -> frozenset[int]:
-    """Degree-1 vertices. Raises on the single-vertex tree."""
-    if t.vertex_count < 2:
-        raise ValueError("leaf set undefined for a single-vertex tree")
-    return frozenset(v for v in range(t.vertex_count) if t.degrees[v] == 1)
 
 
 def _rooted(

@@ -22,7 +22,6 @@ from catbound import (
     contraction_guarantee,
     induced_guarantee,
     is_caterpillar,
-    leaves,
     max_caterpillar,
     max_caterpillar_by_contraction,
     tree_from_pruefer,
@@ -292,7 +291,7 @@ def contraction_plans_by_replay(t: Tree, ks) -> dict:
     larger one's, so one replay serves every k, largest first."""
     dpath = heaviest_path_by_all_pairs(t, [1] * t.vertex_count)
     keep = {(min(a, b), max(a, b)) for a, b in zip(dpath, dpath[1:])}
-    leaf_set = leaves(t)
+    leaf_set = {v for v, d in enumerate(t.degrees) if d == 1}
     keep |= {(u, v) for u, v in t.edges if u in leaf_set or v in leaf_set}
     cap = len(leaf_set) + len(dpath) - 3
     base = []

@@ -16,7 +16,6 @@ from catbound import (
     compatible_path,
     among_path,
     beautiful_tree,
-    branch_size_recurrence,
     build_spider,
     contraction_guarantee,
     extremal_branch_star,
@@ -34,6 +33,7 @@ from catbound import (
     very_hungry_max,
 )
 from catbound.cli import main
+from catbound.oracle import _branch_sizes
 from helpers import spider_tree
 
 
@@ -100,8 +100,9 @@ def test_criterion_04_branch_sizes_solve_the_recurrence():
     bad = []
     if [max_branch_size(k) for k in range(1, 12)] != pinned:
         bad.append("small table mismatch")
+    recurrence = _branch_sizes(60)
     for k in range(1, 61):
-        if max_branch_size(k) != branch_size_recurrence(k):
+        if max_branch_size(k) != recurrence[k]:
             bad.append(f"k={k} disagrees with the recurrence")
             break
     for k in range(2, 61):
@@ -143,11 +144,11 @@ def test_criterion_05_extremal_branch_stars():
 def test_criterion_06_beautiful_trees_feed_exactly_their_score():
     bad = []
     for k in range(1, 19):
-        rooted, _profile = beautiful_tree(k)
-        fed = very_hungry_max(rooted)
-        cat = max_caterpillar(rooted.tree).size
-        if rooted.tree.m != max_branch_size(k) or fed != k or cat > 2 * k - 1:
-            bad.append(f"k={k}: {rooted.tree.m} edges, fed {fed}, caterpillar {cat}")
+        branch = beautiful_tree(k)
+        fed = very_hungry_max(branch, 0)
+        cat = max_caterpillar(branch).size
+        if branch.m != max_branch_size(k) or fed != k or cat > 2 * k - 1:
+            bad.append(f"k={k}: {branch.m} edges, fed {fed}, caterpillar {cat}")
             break
     _conclude(
         "beautiful trees k<=18 are extremal and bounded",

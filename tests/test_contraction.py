@@ -18,13 +18,12 @@ from catbound import (
     extremal_spider,
     is_caterpillar,
     is_spider,
-    leaves,
     max_caterpillar_by_contraction,
     max_edges_diameter_leaves,
 )
 import catbound.contraction as contraction
 from catbound.contraction import _contract_all
-from helpers import path_tree, spider_tree, star_tree, trees
+from helpers import outcome, path_tree, spider_tree, star_tree, trees
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +92,7 @@ def test_build_spider_even_diameter():
     t = build_spider(4, 3)
     assert t.m == 6
     assert diameter(t) == 4
-    assert len(leaves(t)) == 3
+    assert t.degrees.count(1) == 3
     assert is_spider(t)
 
 
@@ -101,7 +100,7 @@ def test_build_spider_odd_diameter():
     t = build_spider(5, 4)
     assert t.m == 9
     assert diameter(t) == 5
-    assert len(leaves(t)) == 4
+    assert t.degrees.count(1) == 4
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -112,7 +111,7 @@ def test_spiders_meet_the_size_formula(d, l):
     t = build_spider(d, l)
     assert t.m == max_edges_diameter_leaves(d, l)
     assert diameter(t) == d
-    assert len(leaves(t)) == l
+    assert t.degrees.count(1) == l
 
 
 @pytest.mark.parametrize("d, l", [(1, 3), (0, 2), (2, 1)])
@@ -170,6 +169,31 @@ def test_plan_refuses_to_replay_on_the_wrong_tree():
     plan = contract_to_caterpillar(spider_tree(2, 2, 2), 4)
     with pytest.raises(ValueError):
         plan.apply(path_tree(7))
+
+
+SPIDER = spider_tree(2, 2, 2)
+SPIDER_PLAN = contract_to_caterpillar(SPIDER, 4)
+SPIDER_STEPS, SPIDER_KEPT = SPIDER_PLAN.contract_sequence, SPIDER_PLAN.kept_caterpillar
+
+# plans replayed on SPIDER, and the outcome of each: a step names its edge
+# by the two ends in either order
+REPLAYS = {
+    "ends swapped": (
+        ContractionPlan(
+            4, tuple(ContractionStep(s.edge[::-1]) for s in SPIDER_STEPS), SPIDER_KEPT
+        ),
+        ("ok", SPIDER_KEPT),
+    ),
+    "another kept caterpillar": (
+        ContractionPlan(4, SPIDER_STEPS, path_tree(5)),
+        (ValueError, "replay did not reproduce kept_caterpillar", None),
+    ),
+}
+
+
+@pytest.mark.parametrize("plan, want", REPLAYS.values(), ids=list(REPLAYS))
+def test_replays_of_the_spider_plan(plan, want):
+    assert outcome(lambda: plan.apply(SPIDER)) == want
 
 
 @pytest.mark.parametrize(

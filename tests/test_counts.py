@@ -10,16 +10,12 @@ import catbound.oracle as oracle
 from catbound import (
     AlternatingPath,
     BeautifulProfile,
-    RootedTree,
     SegmentFamily,
     Tree,
     beautiful_profile,
     beautiful_tree,
     branch_arity,
-    branch_size_recurrence,
     branch_star_bound,
-    brute_contraction_guarantee,
-    brute_induced_guarantee,
     build_spider,
     contract_to_caterpillar,
     contraction_guarantee,
@@ -39,6 +35,7 @@ from catbound import (
     tree_to_segments,
     validate_path,
     verify_all,
+    very_hungry_max,
 )
 from catbound.cli import main
 from catbound.trees import _EdgeError
@@ -51,7 +48,7 @@ SMALL_VERIFY = {"max_edges": 1, "max_score": 1, "sweep_limit": 1}
 # with the bad value in that place, and the name its refusal gives it
 COUNTS = {
     "Tree": (lambda x: Tree(x, ()), "vertex_count"),
-    "RootedTree": (lambda x: RootedTree(PATH, x), "root"),
+    "very_hungry_max": (lambda x: very_hungry_max(PATH, x), "root"),
     "SegmentFamily": (lambda x: SegmentFamily(x, ()), "n"),
     "AlternatingPath": (lambda x: AlternatingPath((), x), "k"),
     "tree_to_segments": (lambda x: tree_to_segments(PATH, x), "root"),
@@ -76,9 +73,6 @@ COUNTS = {
     "induced_guarantee_residue-r": (lambda x: induced_guarantee_residue(x, 200), "r"),
     "induced_guarantee_residue-m": (lambda x: induced_guarantee_residue(0, x), "m"),
     "free_trees": (lambda x: next(free_trees(x)), "edge count"),
-    "brute_contraction_guarantee": (brute_contraction_guarantee, "edge count"),
-    "brute_induced_guarantee": (brute_induced_guarantee, "edge count"),
-    "branch_size_recurrence": (branch_size_recurrence, "score"),
     "guarantee_change_points": (guarantee_change_points, "limit"),
     "tree_from_pruefer-count": (lambda x: tree_from_pruefer((), x), "vertex_count"),
     "tree_from_pruefer-entry": (lambda x: tree_from_pruefer((x, 0), 4), "code label"),
@@ -154,9 +148,6 @@ OUT_OF_RANGE = [
     (lambda: induced_guarantee(-5), "m must be positive"),
     (lambda: oracle._free_tree_count(-1), "m must be non-negative"),
     (lambda: next(free_trees(-1)), "edge count must be non-negative"),
-    (lambda: brute_contraction_guarantee(0), "edge count must be positive"),
-    (lambda: brute_induced_guarantee(0), "edge count must be positive"),
-    (lambda: branch_size_recurrence(0), "score must be positive"),
     (lambda: guarantee_change_points(0), "limit must be positive"),
     (lambda: verify_all(max_edges=0), "max_edges must be positive"),
     (lambda: verify_all(max_edges=20), "max_edges must be at most 19"),
@@ -175,6 +166,26 @@ def test_counts_out_of_range_are_refused_with_one_text(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+# each call on the smallest tree or count it meets, with its outcome: a
+# kernel that needs an edge refuses the single vertex with one text
+SMALLEST = {
+    "contraction plan": (lambda: contract_to_caterpillar(Tree(1, ()), 1),
+        (ValueError, "needs at least one edge", None)),
+    "segment family": (lambda: tree_to_segments(Tree(1, ())),
+        (ValueError, "needs at least one edge", None)),
+    "very hungry maximum": (lambda: very_hungry_max(Tree(1, ()), 0),
+        (ValueError, "needs at least one edge", None)),
+    "Pruefer code": (lambda: tree_from_pruefer((), 1),
+        (ValueError, "Prüfer codes describe trees on at least 2 vertices", None)),
+    "branch star": (lambda: extremal_branch_star(1), ("ok", Tree(2, ((0, 1),)))),
+}
+
+
+@pytest.mark.parametrize("call, want", SMALLEST.values(), ids=list(SMALLEST))
+def test_the_smallest_inputs_have_one_outcome(call, want):
+    assert outcome(call) == want
 
 
 # vertex ids judged by the count rule, with the outcome of each: the first
@@ -227,7 +238,7 @@ BAD_ROOTS = [
 def test_every_root_taker_refuses_a_bad_root_with_one_text(
     root, message, tmp_path, capsys
 ):
-    for call in (RootedTree, tree_to_segments, render_tree):
+    for call in (very_hungry_max, tree_to_segments, render_tree):
         assert outcome(lambda: call(PATH, root)) == (ValueError, message, None)
     tree = tmp_path / "path.txt"
     tree.write_text("0 1\n1 2\n")

@@ -217,7 +217,7 @@ def test_family_structure_is_built_once_per_family(monkeypatch):
         return structure(chords, tree)
 
     monkeypatch.setattr(duality, "_structure", counting)
-    family = tree_to_segments(beautiful_tree(4)[0].tree, 0)
+    family = tree_to_segments(beautiful_tree(4), 0)
     cell_tree, _ = segments_to_tree(family)
     compatible_path(family, max_caterpillar(cell_tree))
     among_path(family)
@@ -269,7 +269,7 @@ def _branch_star(appetites):
     edges = []
     offset = 1
     for k in appetites:
-        branch = beautiful_tree(k)[0].tree
+        branch = beautiful_tree(k)
         for a, b in branch.edges:
             edges.append(
                 (0 if a == 0 else offset + a - 1, 0 if b == 0 else offset + b - 1)

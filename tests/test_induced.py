@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from catbound import (
     BeautifulProfile,
-    RootedTree,
     Tree,
     beautiful_profile,
     beautiful_tree,
@@ -98,10 +97,10 @@ def test_witness_is_an_induced_caterpillar_of_the_claimed_size(t):
 
 
 def test_very_hungry_on_paths_and_stars():
-    assert very_hungry_max(RootedTree(star_tree(7), 0)) == 6
-    assert very_hungry_max(RootedTree(star_tree(7), 3)) == 6
-    assert very_hungry_max(RootedTree(path_tree(5), 0)) == 4
-    assert very_hungry_max(RootedTree(path_tree(5), 2)) == 3
+    assert very_hungry_max(star_tree(7), 0) == 6
+    assert very_hungry_max(star_tree(7), 3) == 6
+    assert very_hungry_max(path_tree(5), 0) == 4
+    assert very_hungry_max(path_tree(5), 2) == 3
 
 
 # ----------------------------------------------------------------------
@@ -148,20 +147,20 @@ def test_profile_validation(counts, hint):
 
 @pytest.mark.parametrize("k", range(1, 15))
 def test_grown_branches_match_their_claims(k):
-    rooted, profile = beautiful_tree(k)
-    assert rooted.root == 0
+    branch, profile = beautiful_tree(k), beautiful_profile(k)
+    assert tree_from_profile(profile) == branch
     assert sum(profile.counts) == k
     widths = itertools.accumulate(profile.counts[:-1], operator.mul)
     assert sum(widths) == max_branch_size(k)
-    assert rooted.tree.m == max_branch_size(k)
-    assert very_hungry_max(rooted) == k
-    assert max_caterpillar(rooted.tree).size <= 2 * k - 1
+    assert branch.m == max_branch_size(k)
+    assert very_hungry_max(branch, 0) == k
+    assert max_caterpillar(branch).size <= 2 * k - 1
 
 
 def test_branch_recursion_agrees_with_the_profile_route():
     # size-4 appetite: an edge into the shared root of two size-2 branches
     by_hand = Tree(6, ((0, 1), (1, 2), (1, 3), (2, 4), (3, 5)))
-    grown = beautiful_tree(4)[0].tree
+    grown = beautiful_tree(4)
     assert canonical_code(by_hand) == canonical_code(grown)
 
 
@@ -213,7 +212,7 @@ def test_small_star_shapes_are_pinned():
 def test_removing_one_branch_leaves_the_smaller_star():
     star = extremal_branch_star(10)  # four branches of appetite 4
     assert star.m == 20
-    branch = beautiful_tree(4)[0].tree
+    branch = beautiful_tree(4)
     first = set(range(1, branch.vertex_count))
     rest = induced_subtree(star, frozenset(range(star.vertex_count)) - first)
     assert rest.m == 15

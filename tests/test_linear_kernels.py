@@ -24,7 +24,6 @@ import catbound.oracle as oracle
 import catbound.trees as trees
 from catbound import (
     AlternatingPath,
-    RootedTree,
     SegmentFamily,
     Tree,
     among_path,
@@ -164,7 +163,7 @@ def test_lengths_of_the_single_vertex():
 @given(tree_strategy(min_vertices=2, max_vertices=16))
 def test_very_hungry_max_matches_path_listing_at_every_root(t):
     for root in range(t.vertex_count):
-        fast = very_hungry_max(RootedTree(t, root))
+        fast = very_hungry_max(t, root)
         assert fast == very_hungry_max_by_paths(t, root)
 
 

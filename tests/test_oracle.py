@@ -12,13 +12,9 @@ from catbound import (
     FREE_TREE_COUNTS,
     Tree,
     among_path,
-    branch_size_recurrence,
-    brute_contraction_guarantee,
-    brute_induced_guarantee,
     brute_max_caterpillar,
     canonical_code,
     compatible_path,
-    contraction_guarantee,
     free_trees,
     guarantee_change_points,
     induced_guarantee,
@@ -156,16 +152,11 @@ def test_subtree_search_equals_subset_search_at_the_limit(t, size):
     assert brute_max_caterpillar(t) == brute_max_caterpillar_by_subsets(t) == size
 
 
-def test_brute_guarantees_match_closed_forms():
-    for m in range(1, 10):
-        assert brute_contraction_guarantee(m) == contraction_guarantee(m)
-        assert brute_induced_guarantee(m) == induced_guarantee(m)
-
-
 def test_branch_recurrence():
-    assert [branch_size_recurrence(k) for k in range(1, 8)] == [1, 2, 3, 5, 7, 11, 16]
+    sizes = oracle._branch_sizes(60)
+    assert sizes[:8] == [0, 1, 2, 3, 5, 7, 11, 16]
     for k in range(1, 61):
-        assert branch_size_recurrence(k) == max_branch_size(k)
+        assert sizes[k] == max_branch_size(k)
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +254,22 @@ def test_a_wrong_branch_size_fails_the_ratio_and_beautiful_rows(monkeypatch):
         "branch-ratio k<=12": "2*size(8) >= 3*size(7)",
         "beautiful-tree k<=12": "k=8: 23 edges, hungry 8, caterpillar 13",
     }
+
+
+def test_branch_growth_below_seven_fifths_fails_the_ratio_row(monkeypatch, capsys):
+    # size(10) = 49 read as 47: 5 * 47 = 235 falls below 7 * size(9) = 238
+    size = oracle.max_branch_size
+    monkeypatch.setattr(oracle, "max_branch_size", lambda k: size(k) - 2 * (k == 10))
+    report = verify_all(max_edges=2, max_score=12, sweep_limit=500)
+    assert failed_rows(report) == {
+        "branch-size k=10": "47",
+        "branch-ratio k<=12": "5*size(10) < 7*size(9)",
+        "beautiful-tree k<=12": "k=10: 49 edges, hungry 10, caterpillar 16",
+    }
+    assert main(["verify", "--max-edges", "2", "--max-k", "12", "--sweep", "500"]) == 2
+    rows = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()[:-1]}
+    assert rows["branch-ratio"].startswith("FAIL")
+    assert rows["branch-ratio"].endswith("actual 5*size(10) < 7*size(9)")
 
 
 @pytest.mark.parametrize("k", [0, 13])

@@ -333,7 +333,7 @@ BUILT_TREES = {
     "extremal spider": lambda: extremal_spider(40),
     "spider by diameter and leaves": lambda: build_spider(7, 5),
     "branch star": lambda: extremal_branch_star(13),
-    "beautiful branch": lambda: beautiful_tree(9)[0].tree,
+    "beautiful branch": lambda: beautiful_tree(9),
     "cell tree": lambda: segments_to_tree(tree_to_segments(relabeled_twin(300, seed=4), 0))[0],
     "contracted tree": lambda: contract_to_caterpillar(extremal_spider(40), 30).kept_caterpillar,
     "parsed file": lambda: parse_tree(format_tree(extremal_branch_star(8))),
