@@ -5,6 +5,15 @@ edges (every m-edge tree reaches a guaranteed size, with spiders extremal)
 and taking induced subtrees after vertex removal (with stars of beautiful
 branches extremal).  A segment-family duality maps both questions to
 alternating paths through disjoint segments in convex position.
+
+A value the library judges (a count, a vertex id, a root, a segment label,
+a path endpoint) that is not an ``int`` or is out of range raises one
+``ValueError`` naming it.  That rule covers values only.  An argument of
+the wrong class, such as ``None`` where a ``Tree`` belongs, may raise
+``TypeError`` or ``AttributeError``: ``max_caterpillar(None)`` raises
+``AttributeError``, and so do ``diameter``, ``canonical_code`` and
+``is_spider``.  The library adds no ``isinstance`` checks for object
+parameters.
 """
 
 from types import ModuleType as _Module

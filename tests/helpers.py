@@ -652,8 +652,6 @@ def compatible_chain_by_min_max(chords, w: CaterpillarWitness) -> AlternatingPat
         wanted = set(at_cell[cell])
         if exit_chord is not None:
             wanted.add(exit_chord)
-        if entry is None and not wanted:
-            raise ValueError("spine cell carries no witness segment")
         if wanted:
             cell_chain = _chain_one_cell_by_modulo(
                 cycles[cell], wanted, entry, point, exit_chord
