@@ -61,7 +61,8 @@ def max_caterpillar(t: Tree) -> CaterpillarWitness:
     while hi - lo > 1 and degrees[path[hi - 1]] == 1:
         hi -= 1
     induced = len([1 for u, v in t.edges if u in vertex_set and v in vertex_set])
-    assert induced == best, "witness edge count disagrees with optimum"
+    if induced != best:
+        raise AssertionError("witness edge count disagrees with optimum")
     return CaterpillarWitness(frozenset(vertex_set), path[lo:hi], best)
 
 

@@ -1,34 +1,27 @@
 """Builders and hypothesis strategies shared across test modules."""
 
 import itertools
-import math
 import random
-import re
-from collections import Counter
 
 import hypothesis.strategies as st
 
+import catbound.duality as duality
 from catbound import (
     FREE_TREE_COUNTS,
     AlternatingPath,
     CaterpillarWitness,
     CheckRecord,
-    ContractionPlan,
     PathReport,
     SegmentFamily,
     Tree,
     canonical_code,
-    contract_to_caterpillar,
     contraction_guarantee,
     induced_guarantee,
     is_caterpillar,
-    max_caterpillar,
-    max_caterpillar_by_contraction,
     tree_from_pruefer,
+    validate_path,
 )
-from catbound.duality import _checked, _compatible_chain, _crossing_pairs
 from catbound.oracle import _verdict
-from catbound.render import _CHORD, _DOT, _PATH, _RIM, _TEXT
 from catbound.trees import TreeParseError, _EdgeError, _rooted
 
 
@@ -186,8 +179,11 @@ def broken_paths(e: tuple, limit: int, rng: random.Random) -> dict:
 
 
 # ----------------------------------------------------------------------
-# slow oracles: definitions and quadratic kernels, one reference per fast
-# kernel, which must reproduce it
+# slow oracles, definitions or the quadratic code a kernel replaced:
+# heaviest_path_by_all_pairs, max_caterpillar_by_all_pairs,
+# very_hungry_max_by_paths, contract_edge (replayed by the two *_by_replay),
+# validate_path_by_all_pairs, family_error_by_sorting, fold_by_lists,
+# extremal_size_induced_by_residues and ceil_6log3_by_steps
 # ----------------------------------------------------------------------
 
 
@@ -284,6 +280,19 @@ def contract_edge(t: Tree, edge: tuple[int, int]) -> tuple[Tree, dict[int, int]]
     return Tree(t.vertex_count - 1, tuple(new_edges)), mapping
 
 
+def contract_all_by_replay(t: Tree, edges, acc: list | None = None) -> tuple:
+    """``contraction._contract_all`` one ``contract_edge`` at a time.  Each
+    edge names its ends by source ids, and source vertex x is ``acc[x]`` in
+    ``t`` (default: x itself).  Returns the contracted tree and ``acc`` for
+    it."""
+    if acc is None:
+        acc = list(range(t.vertex_count))
+    for u, v in edges:
+        t, mapping = contract_edge(t, (acc[u], acc[v]))
+        acc = [mapping[x] for x in acc]
+    return t, acc
+
+
 def contraction_plans_by_replay(t: Tree, ks) -> dict:
     """``contract_to_caterpillar``'s edge sequence and kept caterpillar for
     each k in ``ks``, built on the all-pairs diameter path and replayed
@@ -307,15 +316,12 @@ def contraction_plans_by_replay(t: Tree, ks) -> dict:
                 if e not in keep:
                     base.append(e)
                 stack.append(w)
-    current = t
-    acc = list(range(t.vertex_count))
+    current, acc = t, None
     done = 0
     plans = {}
     for k in sorted(set(ks), reverse=True):
         seq = base + sorted(keep)[: cap - k]
-        for u0, v0 in seq[done:]:
-            current, mp = contract_edge(current, (acc[u0], acc[v0]))
-            acc = [mp[x] for x in acc]
+        current, acc = contract_all_by_replay(current, seq[done:], acc)
         done = len(seq)
         assert is_caterpillar(current)[0] and current.m == k
         plans[k] = (tuple(seq), current)
@@ -324,11 +330,11 @@ def contraction_plans_by_replay(t: Tree, ks) -> dict:
 
 def _interleave(p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Cyclic interleaving of two endpoint pairs sharing no endpoint."""
-    a, b = min(p), max(p)
+    a, b = p
+    if a > b:
+        a, b = b, a
     c, d = q
-    if len({a, b, c, d}) < 4:
-        return False
-    return (a < c < b) != (a < d < b)
+    return c != a and c != b and d != a and d != b and (a < c < b) != (a < d < b)
 
 
 def validate_path_by_all_pairs(
@@ -397,26 +403,6 @@ def family_error_by_sorting(pairs) -> str | None:
     return None
 
 
-def among_path_by_subfamily(s: SegmentFamily) -> tuple[AlternatingPath, ContractionPlan]:
-    """``among_path`` through a relabelled subfamily: rank the labels of the
-    kept segments, build them as a new family on 0..2k-1, chain that
-    family's witness caterpillar and lift the endpoints back by rank."""
-    t = s._tree
-    cap = max_caterpillar_by_contraction(t)
-    plan = contract_to_caterpillar(t, cap)
-    dropped = {max(step.edge) - 1 for step in plan.contract_sequence}
-    keep = [s.pairs[i] for i in range(s.n) if i not in dropped]
-    labels = sorted(x for pair in keep for x in pair)
-    rank = {x: i for i, x in enumerate(labels)}
-    sub = SegmentFamily(len(keep), tuple((rank[a], rank[b]) for a, b in keep))
-
-    witness = max_caterpillar(sub._tree)
-    assert witness.size == cap
-    inner = _compatible_chain(sub.pairs, sub._tree, witness)
-    endpoints = tuple(labels[x] for x in inner.endpoints)
-    return _checked(s, AlternatingPath(endpoints, cap), "simple"), plan
-
-
 def fold_by_lists(m: int, checks) -> list:
     """The census rows for edge count m from ``(code, score, brute, agrees,
     failure)`` tuples, one per tree: unzipped into lists, so every tree needs
@@ -479,8 +465,12 @@ def ceil_6log3_by_steps(num: int, den: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# the per-tree kernels before their inner loops were tightened, kept as
-# the reference the current ones must reproduce check for check
+# kernels before their inner loops were tightened, each its kernel's one
+# reference: tree_by_set_check, tree_to_segments_by_phase_stack,
+# structure_by_index_stack with compatible_chain_by_min_max,
+# brute_max_caterpillar_by_subsets, centroids_by_components,
+# ahu_code_by_child_lists, parse_tree_by_lines; and validate_path_by_sweep,
+# the library's reporter with no accepting scan
 # ----------------------------------------------------------------------
 
 
@@ -666,73 +656,15 @@ def compatible_chain_by_min_max(chords, w: CaterpillarWitness) -> AlternatingPat
 
 
 def validate_path_by_sweep(s: SegmentFamily, p: AlternatingPath, mode: str) -> PathReport:
-    """``validate_path`` with no accepting scan: every path, valid or not,
-    goes through the segment lookups and the ``_crossing_pairs`` sweep."""
-    if mode == "among":
-        mode = "simple"
-    if mode not in ("simple", "compatible"):
-        raise ValueError(f"unknown mode {mode!r}")
-    issues: list = []
-    e = p.endpoints
-    limit = 2 * s.n
-    if min(e) < 0 or max(e) >= limit:
-        for x in e:
-            if not 0 <= x < limit:
-                issues.append(f"label {x} out of range 0..{limit - 1}")
-    if len(set(e)) != len(e):
-        dups = sorted(x for x, count in Counter(e).items() if count > 1)
-        issues.append(f"repeated labels {dups}")
-    family = frozenset(s.pairs)
-    for i in range(0, len(e) - 1, 2):
-        a, b = e[i], e[i + 1]
-        if ((a, b) if a <= b else (b, a)) not in family:
-            issues.append(f"position {i}: ({a}, {b}) is not a segment")
-    edges = p.edges()
-    unused = []
-    if mode == "compatible":
-        used = {(a, b) if a <= b else (b, a) for a, b in edges}
-        unused = [seg for seg in s.pairs if seg not in used]
-    k = len(edges)
-    crossings = _crossing_pairs(edges + unused)
-    for i, j in crossings:
-        if j < k:
-            issues.append(f"chain edges {edges[i]} and {edges[j]} cross")
-    for j, i in sorted((j, i) for i, j in crossings if j >= k):
-        issues.append(f"chain edge {edges[i]} crosses unused segment {unused[j - k]}")
-    return PathReport(not issues, mode, tuple(issues))
-
-
-def contract_all_by_find(t: Tree, edges) -> Tree:
-    """``contraction._contract_all`` with a ``find`` closure, and the class
-    of every id looked up by ``find`` again when relabelling."""
-    parent = list(range(t.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in edges:
-        u, v = min(edge), max(edge)
-        if (u, v) not in t.edge_set:
-            raise ValueError(f"{edge} is not an edge of the source tree")
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise ValueError(f"edge {edge} already collapsed")
-        parent[max(ru, rv)] = min(ru, rv)
-    label = [-1] * t.vertex_count
-    count = 0
-    for v in range(t.vertex_count):
-        r = find(v)
-        if r == v:
-            label[v] = count
-            count += 1
-        else:
-            label[v] = label[r]
-    return Tree(
-        count, tuple((label[u], label[v]) for u, v in t.edges if label[u] != label[v])
-    )
+    """``validate_path`` with no accepting scan: ``duality._accepts`` is
+    switched off, so every path, valid or not, goes through the reporter's
+    segment lookups and ``_crossing_pairs`` sweep."""
+    accepts = duality._accepts
+    duality._accepts = lambda *args: False
+    try:
+        return validate_path(s, p, mode)
+    finally:
+        duality._accepts = accepts
 
 
 def brute_max_caterpillar_by_subsets(t: Tree) -> int:
@@ -806,89 +738,20 @@ def ahu_code_by_child_lists(t: Tree, root: int) -> bytes:
     return codes[root]
 
 
-def render_segments_by_elements(s: SegmentFamily, path: AlternatingPath | None = None) -> str:
-    """``render.render_segments`` formatting every coordinate on its own,
-    label coordinates included, and each element with its own f-string,
-    the header too."""
-    size = 640.0
-    cx = cy = size / 2
-    radius = 250.0
-    label_radius = radius + 24
-    count = 2 * s.n
-    xs, ys, labels = [], [], []
-    for i in range(count):
-        angle = -math.pi / 2 + 2 * math.pi * i / count
-        cos_a, sin_a = math.cos(angle), math.sin(angle)
-        xs.append(format(cx + radius * cos_a, ".2f"))
-        ys.append(format(cy + radius * sin_a, ".2f"))
-        label_x, label_y = cx + label_radius * cos_a, cy + label_radius * sin_a
-        labels.append((format(label_x, ".2f"), format(label_y, ".2f")))
-    side = format(size, ".2f")
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
-        f'viewBox="0 0 {side} {side}">\n'
-        f'<rect width="{side}" height="{side}" fill="#ffffff"/>\n'
-    ]
-    parts.append(
-        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
-        f'fill="none" stroke="{_RIM}" stroke-width="1"/>\n'
-    )
-    for a, b in s.pairs:
-        parts.append(
-            f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
-            f'stroke="{_CHORD}" stroke-width="2"/>\n'
-        )
-    if path is not None:
-        pts = " ".join(f"{xs[e]},{ys[e]}" for e in path.endpoints)
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{_PATH}" '
-            'stroke-width="3.5" stroke-linejoin="round" opacity="0.85"/>\n'
-        )
-        e0 = path.endpoints[0]
-        parts.append(
-            f'<circle cx="{xs[e0]}" cy="{ys[e0]}" r="7" fill="none" '
-            f'stroke="{_PATH}" stroke-width="2"/>\n'
-        )
-    for i, (lx, ly) in enumerate(labels):
-        parts.append(f'<circle cx="{xs[i]}" cy="{ys[i]}" r="4" fill="{_DOT}"/>\n')
-        parts.append(
-            f'<text x="{lx}" y="{ly}" font-family="monospace" '
-            f'font-size="13" fill="{_TEXT}" text-anchor="middle" '
-            f'dominant-baseline="central">{i}</text>\n'
-        )
-    parts.append("</svg>\n")
-    return "".join(parts)
-
-
 def parse_tree_by_lines(text: str) -> Tree:
-    """``trees.parse_tree`` as two readers: text in exactly ``format_tree``'s
-    shape read with one split, and every other text by a line loop that
-    judges each line."""
-    pairs = _formatted_edges(text)
-    if pairs is not None:
-        try:
-            return Tree(len(pairs) + 1, pairs)
-        except _EdgeError as exc:
-            raise TreeParseError(f"line {exc.index + 1}: {exc}") from None
+    """``trees.parse_tree`` by a line loop that judges each line."""
     edges: list[tuple[int, int]] = []
     lines: list[int] = []
     rows = text.split("\n")
     if "\r" in text:
         rows = [row[:-1] if row.endswith("\r") else row for row in rows]
     for lineno, raw in enumerate(rows, 1):
-        parts = raw.replace("\t", " ").split(" ")
-        # only a line other than two words and one separator, as format_tree
-        # writes an edge, drops the empty words between separators
-        if len(parts) != 2 or not (parts[0] and parts[1]) or parts[0][0] == "#":
-            parts = [part for part in parts if part]
-            if not parts or parts[0][0] == "#":
-                continue
-            if len(parts) != 2:
-                got = raw.strip(" \t")
-                raise TreeParseError(
-                    f"line {lineno}: expected two vertex ids, got {got!r}"
-                )
+        parts = [part for part in raw.replace("\t", " ").split(" ") if part]
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) != 2:
+            got = raw.strip(" \t")
+            raise TreeParseError(f"line {lineno}: expected two vertex ids, got {got!r}")
         u, v = parts
         try:
             # int() alone would also read "+1", "1_0" and non-ASCII digits
@@ -913,22 +776,3 @@ def parse_tree_by_lines(text: str) -> Tree:
     except _EdgeError as exc:
         raise TreeParseError(f"line {lines[exc.index]}: {exc}") from None
 
-
-def _formatted_edges(text: str) -> tuple[tuple[int, int], ...] | None:
-    """The edges of text in exactly ``format_tree``'s shape, read with one
-    split; None for any other text, or an id past ``int()``'s digit limit.
-
-    The shape is checked as: ASCII digits, spaces and line ends only, a
-    line end last, no line with two spaces and two ids on every line.  One
-    regex over whole lines would hold some 200 bytes of matcher state per
-    line while it runs."""
-    if not re.fullmatch(r"[0-9 \n]*\n", text) or re.search(" [0-9]* ", text):
-        return None
-    ids = text.split()
-    if len(ids) != 2 * text.count("\n"):
-        return None
-    try:
-        numbers = map(int, ids)
-        return tuple(zip(numbers, numbers))
-    except ValueError:  # an id past the digit limit
-        return None

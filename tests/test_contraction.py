@@ -188,6 +188,14 @@ REPLAYS = {
         ContractionPlan(4, SPIDER_STEPS, path_tree(5)),
         (ValueError, "replay did not reproduce kept_caterpillar", None),
     ),
+    "first step repeated": (
+        ContractionPlan(4, SPIDER_STEPS + SPIDER_STEPS[:1], SPIDER_KEPT),
+        (ValueError, "edge (0, 5) already collapsed", None),
+    ),
+    "a step past the last vertex": (
+        ContractionPlan(4, (ContractionStep((0, 7)),), SPIDER_KEPT),
+        (ValueError, "(0, 7) is not an edge of the source tree", None),
+    ),
 }
 
 

@@ -1,8 +1,13 @@
 """Induced caterpillars: the search, branches, stars, and guarantee q."""
 
+import ast
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +44,7 @@ from helpers import (
     trees,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 BRANCH_SIZES = [1, 2, 3, 5, 7, 11, 16, 23, 34, 49, 70]
 STAR_BOUNDS = [2, 3, 4, 6, 8, 10, 12, 15, 20, 25, 30, 35, 44]
 INDUCED_SIZES_15_TO_21 = [55, 66, 80, 96, 115, 138, 170]
@@ -78,6 +84,39 @@ def test_witness_of_a_star_has_central_spine():
 def test_search_needs_an_edge():
     with pytest.raises(ValueError):
         max_caterpillar(Tree(1, ()))
+
+
+# a spine search gone wrong: (0, 2) is no path of the 3-vertex path, and
+# its caterpillar would claim 1 of the 2 edges it induces
+WRONG_SPINE = """
+import catbound.induced as induced
+from catbound import Tree
+induced._heaviest_path = lambda t, weight: (0, 2)
+print(induced.max_caterpillar(Tree(3, ((0, 1), (1, 2)))))
+"""
+
+
+def test_the_witness_check_survives_python_O():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_SPINE], capture_output=True, text=True, env=env
+    )
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "AssertionError: witness edge count disagrees with optimum"
+    )
+
+
+def test_no_invariant_is_an_assert_statement():
+    # python -O strips assert statements; an invariant raises AssertionError,
+    # which the command line turns into exit 2
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "catbound").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @settings(max_examples=150)

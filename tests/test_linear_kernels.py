@@ -3,8 +3,15 @@
 ``diameter_path``, the ``max_caterpillar`` witness, ``very_hungry_max``,
 contraction plans and ``validate_path`` must reproduce the slow oracles in
 ``helpers`` output for output, tie-break for tie-break, at sizes well past
-exhaustive reach.  The two-sweep ``diameter`` and the contraction score
-must read the lengths of the tie-broken path and plan.
+exhaustive reach: ``heaviest_path_by_all_pairs``,
+``max_caterpillar_by_all_pairs``, ``very_hungry_max_by_paths``,
+``contraction_plans_by_replay`` and ``validate_path_by_all_pairs``.  The
+among chain over the plan's kept chords must match
+``compatible_chain_by_min_max``, through ``test_path_kernels``'
+``assert_chains_like_the_edge_scan``; the census fold must match
+``fold_by_lists`` and family errors ``family_error_by_sorting``.  The
+two-sweep ``diameter`` and the contraction score must read the lengths of
+the tie-broken path and plan.
 Operation counts guard against a quadratic relapse and against facts computed
 twice per tree; a time bound far above the expected cost guards the failure
 path of ``validate_path``, whose cost depends on what it reports.
@@ -50,7 +57,6 @@ from catbound.cli import main
 from catbound.oracle import _check_tree
 from helpers import (
     adversarial_tree,
-    among_path_by_subfamily,
     broken_paths,
     caterpillar_tree,
     contraction_plans_by_replay,
@@ -67,6 +73,7 @@ from helpers import (
     validate_path_by_all_pairs,
     very_hungry_max_by_paths,
 )
+from test_path_kernels import assert_chains_like_the_edge_scan
 
 
 def assert_kernels_match_oracles(t: Tree) -> None:
@@ -254,16 +261,17 @@ def test_family_crossing_errors_match_the_label_scan(labels, fault, data):
 
 
 # ----------------------------------------------------------------------
-# among paths: the kept chords in place against a relabelled subfamily
+# among paths: the chain over the kept subfamily against the edge scan's
 # ----------------------------------------------------------------------
 
 
 def assert_among_matches_subfamily(family: SegmentFamily) -> None:
-    path, plan = among_path(family)
-    want_path, want_plan = among_path_by_subfamily(family)
-    assert path.endpoints == want_path.endpoints
+    assert_chains_like_the_edge_scan(family)
+    plan = among_path(family)[1]
+    t = family._tree
+    public = contract_to_caterpillar(t, max_caterpillar_by_contraction(t))
     edges = tuple(step.edge for step in plan.contract_sequence)
-    assert edges == tuple(step.edge for step in want_plan.contract_sequence)
+    assert edges == tuple(step.edge for step in public.contract_sequence)
     # the chords the plan keeps cut out exactly the plan's caterpillar
     dropped = {max(edge) - 1 for edge in edges}
     kept = [c for i, c in enumerate(family.pairs) if i not in dropped]

@@ -4,9 +4,12 @@
 and sends only a path that fails it through the segment lookups and the
 crossing sweep; ``_compatible_chain`` sorts the witness cells and reads
 its chords off parent cells.  Each must reproduce its reference in
-``helpers``: ``validate_path_by_sweep``, which sends every path through the
-sweep, and ``compatible_chain_by_min_max``, which finds the witness chords
-with a scan over every tree edge and chains each cell with its own
+``helpers``.  ``validate_path_by_sweep`` is ``validate_path`` with the
+accepting scan switched off, so the scan must accept exactly the paths
+the reporter finds clean; on the census families the reports must also
+match ``validate_path_by_all_pairs``, the definition, which shares no code
+with the reporter.  ``compatible_chain_by_min_max`` finds the witness
+chords with a scan over every tree edge and chains each cell with its own
 ``_chain_one_cell_by_modulo`` over the boundary cycles that
 ``structure_by_index_stack`` lists, so it shares no chaining code with the
 library.  So the same chain or the same ``ValueError``, and the same
@@ -43,6 +46,7 @@ from helpers import (
     compatible_chain_by_min_max,
     outcome,
     path_tree,
+    validate_path_by_all_pairs,
     validate_path_by_sweep,
 )
 
@@ -68,13 +72,16 @@ def large_family(name: str):
     return tree_to_segments(t, 0)
 
 
-def reports(family, endpoints) -> list:
-    """Both modes' reports, each checked against the sweep's."""
+def reports(family, endpoints, all_pairs: bool = False) -> list:
+    """Both modes' reports, each checked against the sweep's and, when
+    ``all_pairs`` is set, against the definition's."""
     path = AlternatingPath(tuple(endpoints), len(endpoints) // 2)
     out = []
     for mode in MODES:
         report = validate_path(family, path, mode)
         assert report == validate_path_by_sweep(family, path, mode)
+        if all_pairs:  # too slow for the 1,000-segment families
+            assert report == validate_path_by_all_pairs(family, path, mode)
         out.append(report)
     return out
 
@@ -117,7 +124,7 @@ def test_valid_paths_never_reach_the_crossing_sweep(monkeypatch):
     for family in families:
         chain = compatible_path(family, max_caterpillar(family._tree))
         among = among_path(family)[0]
-        assert [r.ok for r in reports(family, chain.endpoints)] == [True, True]
+        assert [validate_path(family, chain, mode).ok for mode in MODES] == [True, True]
         assert validate_path(family, among, "simple").ok
 
 
@@ -127,9 +134,9 @@ def test_every_census_class_reports_broken_paths_like_the_sweep():
         chain = compatible_path(family, max_caterpillar(family._tree))
         among = among_path(family)[0]
         for e in (chain.endpoints, among.endpoints):
-            reports(family, e)  # the among chain may cross unused segments
+            reports(family, e, True)  # the among chain may cross unused segments
             for bad in broken_paths(e, 2 * family.n, rng).values():
-                reports(family, bad)
+                reports(family, bad, True)
 
 
 @pytest.mark.parametrize("name", ["pruefer-250", "pruefer-1000", "path-250", "path-1000"])

@@ -7,15 +7,20 @@ outputs and tie-breaks on every small tree class under relabelling, on
 random and 1000-edge trees, and the same exception, message and edge index
 or the same path issues, in the same order, on malformed input; ``Tree``
 also on the built trees' edges parent first and reversed, each with one
-fault put in.
+fault put in.  The references are ``tree_by_set_check``,
+``heaviest_path_by_all_pairs``, ``tree_to_segments_by_phase_stack``,
+``structure_by_index_stack``, ``compatible_chain_by_min_max``,
+``validate_path_by_sweep`` and ``contract_all_by_replay``, which contracts
+one edge at a time; ``test_contraction`` pins ``_contract_all``'s refusals.
 ``_heaviest_path`` is held to the all-pairs search under unit, {0, 1, 2}
 and deg - 1 weights, and, since its passes skip the leaves of weight 0,
 under weights that are 0 on leaves only, on inner vertices only, everywhere
 or nowhere, or positive on every leaf; ``max_caterpillar`` is held to the
-all-pairs witness.  ``validate_path`` is held to the sweep with no
-accepting scan, and ``_compatible_chain`` to the reference's per-cell
-chaining on a witness along every path of a small cell tree, walked both
-ways.
+all-pairs witness.  ``validate_path`` is held to its own reporter with the
+accepting scan switched off, and on arbitrary endpoint lists also to the
+all-pairs definition, ``validate_path_by_all_pairs``; ``_compatible_chain``
+to the reference's per-cell chaining on a witness along every path of a
+small cell tree, walked both ways.
 """
 
 import random
@@ -53,7 +58,7 @@ from helpers import (
     broken_paths,
     caterpillar_tree,
     compatible_chain_by_min_max,
-    contract_all_by_find,
+    contract_all_by_replay,
     heaviest_path_by_all_pairs,
     max_caterpillar_by_all_pairs,
     outcome,
@@ -65,6 +70,7 @@ from helpers import (
     structure_by_index_stack,
     tree_by_set_check,
     tree_to_segments_by_phase_stack,
+    validate_path_by_all_pairs,
     validate_path_by_sweep,
 )
 from helpers import trees as tree_strategy
@@ -125,12 +131,13 @@ def assert_spines_chain_alike(family, rng: random.Random) -> None:
         assert validate_path(family, chain, "compatible").ok
 
 
-def assert_reports_match(family, endpoints) -> None:
+def assert_reports_match(family, endpoints, all_pairs: bool = False) -> None:
     path = AlternatingPath(tuple(endpoints), len(endpoints) // 2)
     for mode in ("simple", "compatible"):
-        assert validate_path(family, path, mode) == validate_path_by_sweep(
-            family, path, mode
-        )
+        report = validate_path(family, path, mode)
+        assert report == validate_path_by_sweep(family, path, mode)
+        if all_pairs:  # an independent reporter, too slow for large families
+            assert report == validate_path_by_all_pairs(family, path, mode)
 
 
 def assert_matches_previous(t: Tree, rng: random.Random, exhaustive: bool = True) -> None:
@@ -169,16 +176,7 @@ def assert_matches_previous(t: Tree, rng: random.Random, exhaustive: bool = True
     cap = max_caterpillar_by_contraction(t)
     for k in {1, cap}:
         steps = [s.edge for s in contract_to_caterpillar(t, k).contract_sequence]
-        assert _contract_all(t, steps) == contract_all_by_find(t, steps)
-        if steps:
-            again = steps + steps[:1]  # an edge already collapsed
-            assert outcome(lambda: _contract_all(t, again)) == outcome(
-                lambda: contract_all_by_find(t, again)
-            )
-    stranger = [(0, n)]  # not an edge
-    assert outcome(lambda: _contract_all(t, stranger)) == outcome(
-        lambda: contract_all_by_find(t, stranger)
-    )
+        assert _contract_all(t, steps) == contract_all_by_replay(t, steps)[0]
 
 
 def test_every_small_class_under_relabelling():
@@ -380,4 +378,4 @@ def test_arbitrary_paths_report_the_same_issues(t, data):
     k = data.draw(st.integers(1, family.n + 1))
     labels = st.integers(-2, limit + 2)
     endpoints = data.draw(st.lists(labels, min_size=2 * k, max_size=2 * k))
-    assert_reports_match(family, endpoints)
+    assert_reports_match(family, endpoints, all_pairs=True)

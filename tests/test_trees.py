@@ -148,6 +148,9 @@ def test_format_is_one_edge_per_line():
         ("0 1\n0 1\n", "line 2: duplicate"),
         ("0 2\n", "out of range"),
         ("", "no edges"),
+        # digits, spaces and line ends only, but not two ids on every line
+        ("\n", "^no edges found$"),
+        ("0 1\n2\n", "^line 2: expected two vertex ids, got '2'$"),
         ("0 1\n1 5\n", "^line 2: .* out of range"),
         ("0 1_0\n", "^line 1: vertex ids must be base-10 integers$"),
         ("+0 1\n", "^line 1: vertex ids must be base-10 integers$"),
