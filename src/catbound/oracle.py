@@ -8,14 +8,13 @@ sizes from the defining recurrence.  ``verify_all`` runs the whole battery and
 returns a line-per-check report instead of raising, so a regression shows up
 as a FAIL row with a canonical-code witness attached.  Each row is a minimum,
 ties broken by canonical code, so the report is the same whether the census
-runs in this process or in a process pool.
+runs in this process or in shares, one per worker of a process pool.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
@@ -47,10 +46,6 @@ from .trees import Tree, _check_count, _check_counts, canonical_code
 #: pool: from m = 13 on, one edge count takes over a second in one process,
 #: while all of m <= 12 takes about 0.6 s
 _POOL_FROM = 13
-
-#: trees per task sent to a worker: enough to hide the pickling round trip,
-#: few enough that both workers finish an edge count at about the same time
-_CHUNK = 32
 
 #: most vertices the exhaustive caterpillar search takes: it tries every
 #: subtree, and a tree on 20 vertices can have hundreds of thousands
@@ -176,24 +171,28 @@ def tree_from_pruefer(seq: tuple[int, ...], vertex_count: int) -> Tree:
     return Tree(n, tuple(edges))
 
 
-def free_trees(edge_count: int) -> Iterator[Tree]:
-    """All isomorphism classes of trees with the given number of edges, one
-    per canonical level sequence."""
-    _check_count(edge_count, "edge count", 0)
-    if edge_count == 0:
-        yield Tree(1, ())
+def _layouts(m: int) -> Iterator[list[int]]:
+    """The canonical level sequences of the free trees with ``m`` edges, in
+    order, each a list of its own."""
+    _check_count(m, "edge count", 0)
+    if m == 0:
+        yield [0]
         return
-    n = edge_count + 1
+    n = m + 1
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         cand = _jump_to_free(layout)
-        if cand is None:
-            return
         if cand == layout:
-            yield _levels_to_tree(layout)
+            yield layout
             layout = _next_rooted_layout(layout)
-        else:
+        else:  # past an invalid stretch, or None past the last sequence
             layout = cand
+
+
+def free_trees(edge_count: int) -> Iterator[Tree]:
+    """All isomorphism classes of trees with the given number of edges, one
+    per canonical level sequence."""
+    yield from map(_levels_to_tree, _layouts(edge_count))
 
 
 # ======================================================================
@@ -211,6 +210,9 @@ def brute_max_caterpillar(t: Tree) -> int:
     larger with v as a leaf.  A subtree is a caterpillar when each of its
     heavy vertices (induced degree at least 2) has at most 2 heavy
     neighbours; any single edge is one, so the search stops by size 2.
+    Each mask carries its heavy set: removing a leaf lowers the induced
+    degree of its one neighbour alone, which leaves the heavy set when that
+    degree falls to 1.
     """
     n = t.vertex_count
     if t.m < 1:
@@ -221,19 +223,10 @@ def brute_max_caterpillar(t: Tree) -> int:
     for a, b in t.edges:
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
-    level = {(1 << n) - 1}
+    level = {(1 << n) - 1: sum(1 << v for v in range(n) if nbr[v].bit_count() >= 2)}
     while True:
-        smaller = set()
-        for inside in level:
-            heavy = 0
-            rest = inside
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if (nbr[bit.bit_length() - 1] & inside).bit_count() >= 2:
-                    heavy |= bit
-                else:  # induced degree 1: a leaf, as the subtree has 2 or more
-                    smaller.add(inside ^ bit)
+        smaller: dict[int, int] = {}
+        for inside, heavy in level.items():
             rest = heavy
             while rest:
                 bit = rest & -rest
@@ -242,6 +235,15 @@ def brute_max_caterpillar(t: Tree) -> int:
                     break
             else:
                 return inside.bit_count() - 1
+            rest = inside ^ heavy  # the leaves, as the subtree has 3 or more
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                child = inside ^ bit
+                if child not in smaller:
+                    up = nbr[bit.bit_length() - 1] & inside  # the leaf's neighbour
+                    falls = (nbr[up.bit_length() - 1] & child).bit_count() == 1
+                    smaller[child] = heavy ^ up if falls else heavy
         level = smaller
 
 
@@ -415,27 +417,6 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
     return score, brute, size == brute, failure
 
 
-def _check_chunk(trees: list[Tree]) -> list[tuple[int, int, bool, str | None]]:
-    """``_check_tree`` of each tree, one pool task."""
-    return [_check_tree(t) for t in trees]
-
-
-def _pooled(pool, workers: int, trees: Iterator[Tree]) -> Iterator[tuple]:
-    """Each of ``trees`` with its ``_check_tree`` result, in order, checked
-    in ``pool`` ``_CHUNK`` trees per task with at most ``2 * workers`` tasks
-    in flight: enough to keep every worker busy, while this holds at most
-    ``(2 * workers + 1) * _CHUNK`` trees (``Executor.map`` would submit them
-    all at once)."""
-    window: deque = deque()
-    for chunk in iter(lambda: list(itertools.islice(trees, _CHUNK)), []):
-        window.append((chunk, pool.submit(_check_chunk, chunk)))
-        if len(window) > 2 * workers:
-            done, future = window.popleft()
-            yield from zip(done, future.result())
-    for done, future in window:
-        yield from zip(done, future.result())
-
-
 def _verdict(
     section: str, label: str, expected: str, bad: str | None, note: str = ""
 ) -> CheckRecord:
@@ -445,14 +426,11 @@ def _verdict(
     )
 
 
-def _fold(m: int, checked: Iterable[tuple[Tree, tuple]]) -> list[CheckRecord]:
-    """The rows for edge count m from its trees paired with their
-    ``_check_tree`` results, read as a stream.
-
-    Only trees a row may name are held: for each bound the trees at the
-    running minimum, and every tree whose search clashes or whose duality
-    fails.  Canonical codes are computed for those alone, and each row names
-    the smallest, so the rows do not depend on the order of the results."""
+def _fold(checked: Iterable[tuple[Tree, tuple]]) -> tuple:
+    """Trees paired with their ``_check_tree`` results, read as a stream
+    into a tally: how many there were, for each bound the least value and
+    the trees that reach it, the trees whose search clashes, and each tree
+    whose duality fails with why.  Only trees a row may name are held."""
     count = 0
     # per bound, the least value so far and the trees that reach it
     lows: list[list] = [[None, []], [None, []]]
@@ -469,31 +447,51 @@ def _fold(m: int, checked: Iterable[tuple[Tree, tuple]]) -> list[CheckRecord]:
             clashes.append(t)
         if failure:
             failures.append((t, failure))
+    return count, *lows, clashes, failures
+
+
+def _rows(m: int, tallies: Iterable[tuple]) -> list[CheckRecord]:
+    """The rows for edge count m from the ``_fold`` tallies of its shares.
+
+    Canonical codes are computed for the trees the tallies hold alone, and
+    each row names the smallest, so the rows depend neither on how the
+    classes were shared nor on the order of the results."""
+    counts, scores, brutes, clashes, failures = zip(*tallies)
     label = f"m={m}"
-    want = _free_tree_count(m)
+    want, count = _free_tree_count(m), sum(counts)
     rows = [CheckRecord("tree-census", label, count == want, str(want), str(count))]
-    for section, guarantee, (low, worst) in (
-        ("contraction-bound", contraction_guarantee, lows[0]),
-        ("induced-bound", induced_guarantee, lows[1]),
+    for section, guarantee, reached in (
+        ("contraction-bound", contraction_guarantee, scores),
+        ("induced-bound", induced_guarantee, brutes),
     ):
+        low = min((value for value, _ in reached if value is not None), default=None)
+        worst = [t for value, trees in reached if value == low for t in trees]
         # no trees at all fails the census row above and these rows too
         note = f"worst tree {min(map(canonical_code, worst))}" if worst else "no trees"
         want = guarantee(m)
         rows.append(CheckRecord(section, label, low == want, str(want), str(low), note))
-    clash = min(map(canonical_code, clashes), default=None)
-    rows.append(
-        CheckRecord(
-            "caterpillar-search",
-            label,
-            clash is None,
-            "dp equals subset search",
-            "agree" if clash is None else f"clash at {clash}",
-        )
+    clash = min((canonical_code(t) for share in clashes for t in share), default=None)
+    agree = "agree" if clash is None else f"clash at {clash}"
+    expect = "dp equals subset search"
+    rows.append(CheckRecord("caterpillar-search", label, clash is None, expect, agree))
+    failed = min(
+        ((canonical_code(t), why) for share in failures for t, why in share),
+        default=None,
     )
-    failed = min(((canonical_code(t), why) for t, why in failures), default=None)
     bad = None if failed is None else "failed at {} ({})".format(*failed)
     rows.append(_verdict("duality", label, "round trips and valid paths", bad))
     return rows
+
+
+def _tally(m: int, part: int = 0, workers: int = 1) -> tuple:
+    """The ``_fold`` of every ``workers``-th class of ``free_trees(m)`` from
+    index ``part``, each checked by ``_check_tree``: a worker's share, built
+    from three integers, so that no tree is sent to it.  One share takes
+    ``free_trees(m)`` itself, the census that runs in this process."""
+    trees = free_trees(m) if workers == 1 else map(
+        _levels_to_tree, itertools.islice(_layouts(m), part, None, workers)
+    )
+    return _fold((t, _check_tree(t)) for t in trees)
 
 
 # Each section below yields a failure string for every score or budget it
@@ -565,10 +563,11 @@ def verify_all(
     Every free tree class with 1 to ``max_edges`` edges goes through one
     ``_check_tree``; ``max_edges`` is at most 19, so that the exhaustive
     search sees at most 20 vertices.  From ``max_edges`` = ``_POOL_FROM``
-    on, when this process may run on 2 or more CPUs, ``_pooled`` streams the
-    checks through one process pool of that many workers, opened for the
-    whole call.  A smaller census runs in this process, so that its cost is
-    this process's own.
+    on, when this process may run on 2 or more CPUs, one process pool of
+    that many workers is opened for the whole call, and each edge count is
+    split into that many shares, one ``_tally`` per worker, whose tallies
+    ``_rows`` merges here.  A smaller census runs in this process, so that
+    its cost is this process's own.
     """
     _check_count(max_edges, "max_edges", 1, _SEARCH_LIMIT - 1)
     _check_count(max_score, "max_score", 1, MAX_SCORE)
@@ -576,22 +575,21 @@ def verify_all(
     if misstated_branch is not None:
         _check_count(misstated_branch, "misstated_branch", 1, max_score)
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = cpus if max_edges >= _POOL_FROM else 1
     records: list[CheckRecord] = []
 
     pool = None
-    if max_edges >= _POOL_FROM and workers > 1:
+    if workers > 1:
         # imported here, so that no other run loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
         for m in range(1, max_edges + 1):
-            if pool is None:
-                checked = ((t, _check_tree(t)) for t in free_trees(m))
-            else:
-                checked = _pooled(pool, workers, free_trees(m))
-            records += _fold(m, checked)
+            shares = [m] * workers, range(workers), [workers] * workers
+            tallies = pool.map(_tally, *shares) if pool else map(_tally, *shares)
+            records += _rows(m, tallies)
 
     # one table serves the branch-size rows and the searched thresholds of
     # the guarantee sweep, which reach m = 170 at k = 21, so at x <= 10

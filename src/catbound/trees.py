@@ -45,7 +45,9 @@ def _check_integer_ids(edges: Iterable[Any]) -> None:
     call it only once a fault has shown, so valid input pays no per-edge
     type or length test."""
     if not isinstance(edges, Iterable):
-        raise ValueError(f"edges must be a sequence of vertex id pairs, got {edges!r}")
+        raise ValueError(
+            f"edges must be a sequence of vertex id pairs, got {edges!r}"
+        ) from None  # one error, not a chain on the TypeError a caller is handling
     for index, edge in enumerate(edges):
         try:
             u, v = edge

@@ -2,14 +2,22 @@
 ``trees._check_count``."""
 
 import ast
+import itertools
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import catbound
 import catbound.oracle as oracle
 from catbound import (
     AlternatingPath,
     BeautifulProfile,
+    CaterpillarWitness,
+    ContractionPlan,
+    ContractionStep,
     SegmentFamily,
     Tree,
     beautiful_profile,
@@ -23,14 +31,19 @@ from catbound import (
     extremal_size_contraction,
     extremal_size_induced,
     extremal_spider,
+    among_path,
     free_trees,
     guarantee_change_points,
     induced_guarantee,
     induced_guarantee_reference,
     induced_guarantee_residue,
     max_branch_size,
+    max_caterpillar,
     max_edges_diameter_leaves,
+    render_segments,
     render_tree,
+    segments_to_tree,
+    tree_from_profile,
     tree_from_pruefer,
     tree_to_segments,
     validate_path,
@@ -294,3 +307,188 @@ def test_the_range_scan_sees_check_count_itself():
     # a scan that found nothing at all would pass the test above vacuously
     found = {f[:2] for f in raised_range_texts()}
     assert ("trees.py", "_check_count") in found
+
+
+# ----------------------------------------------------------------------
+# every public callable under hostile values
+# ----------------------------------------------------------------------
+
+# values that are not plain ints: bools, floats, strings, containers and
+# an int subclass
+OTHERS = [None, True, False, 1.0, 2.5, -0.0, math.inf, math.nan, 1j, "3", "", b"1",
+          (), [2], {3}, frozenset({1}), Label(2)]
+
+
+def values(low: int = -40, high: int = 40):
+    """A hostile value: an integer in [low, high], so that no exponential
+    construction runs long, or a value of another type."""
+    others = st.sampled_from(OTHERS) | st.floats() | st.text(max_size=3)
+    return st.integers(low, high) | others
+
+
+def sequences(items):
+    """A tuple or a list of ``items``, or a single hostile value."""
+    return st.one_of(
+        st.lists(items, max_size=6).map(tuple), st.lists(items, max_size=6), values()
+    )
+
+
+@st.composite
+def trees(draw):
+    """A tree on 1 to 22 vertices: the subtree search refuses more than 20."""
+    n = draw(st.integers(1, 22))
+    if n == 1:
+        return Tree(1, ())
+    code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return tree_from_pruefer(code, n)
+
+
+FAMILIES = trees().filter(lambda t: t.m >= 1).flatmap(
+    lambda t: st.integers(0, t.m).map(lambda root: tree_to_segments(t, root))
+)
+
+
+@st.composite
+def witnessed_families(draw):
+    """A family with the witness of its cell tree, or with a field of that
+    witness replaced by a hostile one."""
+    family = draw(FAMILIES)
+    w = max_caterpillar(segments_to_tree(family)[0])
+    fields = [w.vertex_set, w.spine, w.size]
+    hostile = [
+        st.frozensets(st.integers(-2, 2 * family.n)) | sequences(values()),
+        sequences(values(-2, family.n + 1)),
+        values(),
+    ]
+    for i in draw(st.sets(st.integers(0, 2))):
+        fields[i] = draw(hostile[i])
+    return family, CaterpillarWitness(*fields)
+
+
+@st.composite
+def paths(draw):
+    """A family with the among path's endpoints, or with endpoints drawn
+    around its labels, as the arguments of an ``AlternatingPath``."""
+    family = draw(FAMILIES)
+    labels = st.integers(-2, 2 * family.n + 1)
+    k = draw(st.integers(1, family.n + 1))
+    endpoints = draw(
+        st.just(among_path(family)[0].endpoints)
+        | st.lists(labels, min_size=2 * k, max_size=2 * k)
+    )
+    return family, endpoints
+
+
+MODES = st.sampled_from(["simple", "compatible", "among"]) | values()
+PAIRS = sequences(st.tuples(values(-2, 24), values(-2, 24)) | values(-2, 24))
+# steps with hostile edges: a step is an object, so it is always a ContractionStep
+STEPS = st.lists(st.builds(ContractionStep, sequences(values(-2, 24))), max_size=6)
+
+# each public callable, and each method that judges values, with the
+# strategy of its arguments; a call that takes an argument it builds names
+# its own callee, and free_trees takes a few trees of its iterator
+CALLS = {
+    "AlternatingPath": (None, st.tuples(sequences(values()), values())),
+    "BeautifulProfile": (None, st.tuples(sequences(values(-1, 4)))),
+    "CaterpillarWitness": (None, st.tuples(values(), values(), values())),
+    "CheckRecord": (None, st.tuples(*[values()] * 6)),
+    "ContractionPlan": (None, st.tuples(values(), STEPS, trees())),
+    "ContractionPlan.apply": (
+        lambda steps, kept, source: ContractionPlan(1, steps, kept).apply(source),
+        st.tuples(STEPS, trees(), trees()),
+    ),
+    "ContractionStep": (None, st.tuples(values())),
+    "PathReport": (None, st.tuples(values(), values(), values())),
+    "SegmentFamily": (None, st.tuples(values(-2, 12), PAIRS)),
+    "Tree": (None, st.tuples(values(-2, 24), PAIRS)),
+    "TreeParseError": (None, st.tuples(values())),
+    "VerificationReport": (None, st.tuples(sequences(values()))),
+    "among_path": (None, st.tuples(FAMILIES)),
+    "beautiful_profile": (None, st.tuples(values())),
+    "beautiful_tree": (None, st.tuples(values(-40, 20))),
+    "branch_arity": (None, st.tuples(values())),
+    "branch_star_bound": (None, st.tuples(values())),
+    "brute_max_caterpillar": (None, st.tuples(trees())),
+    "build_spider": (None, st.tuples(values(), values())),
+    "canonical_code": (None, st.tuples(trees())),
+    "centroids": (None, st.tuples(trees())),
+    "compatible_path": (None, witnessed_families()),
+    "contract_to_caterpillar": (None, st.tuples(trees(), values())),
+    "contraction_guarantee": (None, st.tuples(values())),
+    "diameter": (None, st.tuples(trees())),
+    "diameter_path": (None, st.tuples(trees())),
+    "extremal_branch_star": (None, st.tuples(values())),
+    "extremal_size_contraction": (None, st.tuples(values())),
+    "extremal_size_induced": (None, st.tuples(values())),
+    "extremal_spider": (None, st.tuples(values())),
+    "format_tree": (None, st.tuples(trees())),
+    "free_trees": (
+        lambda m: list(itertools.islice(free_trees(m), 3)), st.tuples(values())
+    ),
+    "guarantee_change_points": (None, st.tuples(values())),
+    "induced_guarantee": (None, st.tuples(values())),
+    "induced_guarantee_reference": (None, st.tuples(values())),
+    "induced_guarantee_residue": (None, st.tuples(values(), values())),
+    "is_caterpillar": (None, st.tuples(trees())),
+    "is_spider": (None, st.tuples(trees())),
+    "max_branch_size": (None, st.tuples(values())),
+    "max_caterpillar": (None, st.tuples(trees())),
+    "max_caterpillar_by_contraction": (None, st.tuples(trees())),
+    "max_edges_diameter_leaves": (None, st.tuples(values(), values())),
+    "parse_tree": (None, st.tuples(st.text(max_size=40))),
+    "realize_coordinates": (None, st.tuples(FAMILIES)),
+    "render_segments": (
+        lambda family, endpoints, k: render_segments(
+            family, None if k is None else AlternatingPath(endpoints, k)
+        ),
+        paths().flatmap(
+            lambda fe: st.tuples(st.just(fe[0]), st.just(fe[1]),
+                                 st.none() | st.just(len(fe[1]) // 2) | values())
+        ),
+    ),
+    "render_tree": (None, st.tuples(trees(), st.none() | values())),
+    "segments_to_tree": (None, st.tuples(FAMILIES)),
+    "tree_from_profile": (
+        lambda counts: tree_from_profile(BeautifulProfile(counts)),
+        st.tuples(sequences(values(-1, 4))),
+    ),
+    "tree_from_pruefer": (None, st.tuples(sequences(values(-2, 24)), values(-2, 24))),
+    "tree_to_segments": (None, st.tuples(trees(), values())),
+    "validate_path": (
+        lambda family, endpoints, k, mode: validate_path(
+            family, AlternatingPath(endpoints, k), mode
+        ),
+        paths().flatmap(
+            lambda fe: st.tuples(st.just(fe[0]), st.just(fe[1]),
+                                 st.just(len(fe[1]) // 2) | values(), MODES)
+        ),
+    ),
+    # below _POOL_FROM, so that no process starts
+    "verify_all": (
+        None,
+        st.tuples(
+            values(-40, oracle._POOL_FROM - 1), values(), values(), st.none() | values()
+        ),
+    ),
+    "very_hungry_max": (None, st.tuples(trees(), values())),
+}
+
+
+def test_the_hostile_calls_cover_every_public_callable():
+    public = {name for name in catbound.__all__ if callable(getattr(catbound, name))}
+    assert {name.split(".")[0] for name in CALLS} == public
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_public_call_returns_or_raises_one_value_error(name, data):
+    callee, arguments = CALLS[name]
+    args = data.draw(arguments, label="arguments")
+    try:
+        (callee or getattr(catbound, name))(*args)
+    except ValueError as exc:
+        # one line, with no other exception behind it
+        assert "\n" not in str(exc)
+        assert exc.__cause__ is None
+        assert exc.__context__ is None or exc.__suppress_context__

@@ -499,18 +499,22 @@ def test_non_isomorphic_round_trips_fail_the_duality_row(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the census fold: streamed over (tree, result) pairs against the list
-# fold, which needs every tree's canonical code
+# the census fold: (tree, result) pairs streamed into the tallies of 1 to 4
+# shares, merged into rows, against the list fold, which needs every tree's
+# canonical code
 # ----------------------------------------------------------------------
 
 
 def folds_agree(m: int, pairs: list, rng: random.Random) -> None:
     listed = fold_by_lists(m, [(str(canonical_code(t)), *r) for t, r in pairs])
-    assert oracle._fold(m, iter(pairs)) == listed
-    for _ in range(3):
+    assert oracle._rows(m, [oracle._fold(iter(pairs))]) == listed
+    for workers in (1, 2, 3, 4):
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert oracle._fold(m, iter(shuffled)) == listed
+        shares = [shuffled[part::workers] for part in range(workers)]
+        tallies = [oracle._fold(iter(share)) for share in shares]
+        rng.shuffle(tallies)
+        assert oracle._rows(m, tallies) == listed
 
 
 def test_streamed_fold_matches_the_list_fold_on_real_results():

@@ -57,7 +57,7 @@ def test_free_tree_counts_are_computed():
 
 def test_census_row_past_the_literal_table():
     # an edge count the literal table does not reach still gets its count row
-    row = oracle._fold(17, iter(()))[0]
+    row = oracle._rows(17, [oracle._fold(())])[0]
     assert (row.section, row.label, row.expected, row.actual) == (
         "tree-census",
         "m=17",
@@ -307,10 +307,11 @@ def test_workers_do_not_change_the_report(monkeypatch):
 
 
 class InlinePool:
-    """A stand-in for ProcessPoolExecutor that records its size and runs
-    each task in this process."""
+    """A stand-in for ProcessPoolExecutor that records its size and the
+    arguments of each task, and runs the tasks in this process."""
 
     sizes: list = []
+    tasks: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -321,10 +322,10 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        tasks = list(zip(*iterables))
+        self.tasks += tasks
+        return [fn(*task) for task in tasks]
 
 
 def report_cpus(monkeypatch, affinity, cpus):
@@ -347,6 +348,7 @@ def inline_pools(monkeypatch, pool_from) -> None:
     # verify_all imports the pool when it opens one, so patch it at its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(InlinePool, "tasks", [])
 
 
 def assert_pools(monkeypatch, pools):
@@ -387,36 +389,20 @@ def test_workers_are_clamped_to_the_cpus_this_process_may_use(
     assert_pools(monkeypatch, pools)
 
 
-def test_the_pooled_census_generates_trees_a_bounded_window_ahead(monkeypatch):
-    # Executor.map would take every class of an edge count before the
-    # first result came back: 1,300 trees ahead of the fold at m = 12
-    report_cpus(monkeypatch, 2, 2)
-    inline_pools(monkeypatch, 12)
-    generated = folded = lead = 0
-    real_free_trees, real_fold = oracle.free_trees, oracle._fold
-
-    def counted(m):
-        nonlocal generated
-        for t in real_free_trees(m):
-            generated += 1
-            yield t
-
-    def watched(m, checked):
-        def pairs():
-            nonlocal folded, lead
-            for pair in checked:
-                folded += 1
-                lead = max(lead, generated - folded)
-                yield pair
-
-        return real_fold(m, pairs())
-
-    monkeypatch.setattr(oracle, "free_trees", counted)
-    monkeypatch.setattr(oracle, "_fold", watched)
-    report = verify_all(max_edges=12, max_score=1, sweep_limit=1)
-    assert InlinePool.sizes == [2]
-    assert report.ok and folded == sum(FREE_TREE_COUNTS[1:13])
-    assert 0 < lead < 5 * oracle._CHUNK  # two tasks per worker, and one more
+def test_the_rows_do_not_depend_on_how_the_classes_are_shared(monkeypatch):
+    # each worker gets an edge count, its share and the number of shares,
+    # and builds its own trees; one share is the census in this process
+    serial = verify_all(max_edges=9, max_score=1, sweep_limit=1)
+    for workers in (1, 2, 3, 4):
+        report_cpus(monkeypatch, workers, workers)
+        inline_pools(monkeypatch, 1)
+        shared = verify_all(max_edges=9, max_score=1, sweep_limit=1)
+        assert shared.records == serial.records
+        assert InlinePool.sizes == ([workers] if workers > 1 else [])
+        shares = range(workers) if workers > 1 else ()
+        tasks = [(m, part, workers) for m in range(1, 10) for part in shares]
+        assert InlinePool.tasks == tasks
+        assert all(type(arg) is int for task in InlinePool.tasks for arg in task)
 
 
 def test_failed_duality_rows_name_the_step_and_the_exception(monkeypatch):
@@ -510,17 +496,29 @@ def test_the_census_builds_one_tree_per_class_and_one_chain_per_caterpillar(
     assert len(chains) == contracted
 
 
-def test_census_past_the_subset_search_limit_is_refused_before_enumerating(
-    monkeypatch, capsys
-):
+def forbid_enumeration(monkeypatch, cpus) -> None:
+    """Make this process see ``cpus`` CPUs, run each pool inline, and make
+    enumerating the classes of any edge count raise ``LookupError``, in this
+    process and in each share of a pool alike."""
+
     def never(m):
         raise LookupError("trees were enumerated")
 
-    monkeypatch.setattr(oracle, "free_trees", never)
-    with pytest.raises(ValueError, match="at most 19"):
-        verify_all(max_edges=20)
-    with pytest.raises(LookupError):  # 19 edges pass the check
-        verify_all(max_edges=19)
+    report_cpus(monkeypatch, cpus, cpus)
+    inline_pools(monkeypatch, oracle._POOL_FROM)
+    monkeypatch.setattr(oracle, "_layouts", never)
+
+
+def test_census_past_the_subset_search_limit_is_refused_before_enumerating(
+    monkeypatch, capsys
+):
+    for cpus in (1, 2):  # in this process, and in the shares of a pool
+        forbid_enumeration(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="at most 19"):
+            verify_all(max_edges=20)
+        with pytest.raises(LookupError):  # 19 edges pass the check
+            verify_all(max_edges=19)
+        assert InlinePool.sizes == ([2] if cpus == 2 else [])
     assert main(["verify", "--max-edges", "25"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
@@ -547,14 +545,13 @@ def test_scores_past_the_cap_are_refused_before_any_spider_is_built(
 
 
 def test_sweep_below_one_is_refused_before_enumerating(monkeypatch, capsys):
-    def never(m):
-        raise LookupError("trees were enumerated")
-
-    monkeypatch.setattr(oracle, "free_trees", never)
-    with pytest.raises(ValueError, match="must be positive"):
-        verify_all(max_edges=14, sweep_limit=0)
-    with pytest.raises(LookupError):  # a sweep of 1 passes the check
-        verify_all(max_edges=14, sweep_limit=1)
+    for cpus in (1, 2):  # in this process, and in the shares of a pool
+        forbid_enumeration(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="must be positive"):
+            verify_all(max_edges=14, sweep_limit=0)
+        with pytest.raises(LookupError):  # a sweep of 1 passes the check
+            verify_all(max_edges=14, sweep_limit=1)
+        assert InlinePool.sizes == ([2] if cpus == 2 else [])
     assert main(["verify", "--max-edges", "14", "--sweep", "0"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
