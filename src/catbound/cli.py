@@ -46,7 +46,7 @@ from .induced import (
     max_branch_size,
     max_caterpillar,
 )
-from .oracle import _SEARCH_LIMIT, MAX_SCORE, verify_all
+from .oracle import _SEARCH_LIMIT, MAX_SCORE, MAX_SWEEP, verify_all
 from .render import render_segments, render_tree
 from .trees import _check_count, diameter, format_tree, is_spider, parse_tree
 
@@ -372,7 +372,7 @@ def _cmd_verify(args) -> int:
     # parameter; the library keeps its own checks
     _check_count(args.max_edges, "--max-edges", 1, _SEARCH_LIMIT - 1)
     _check_count(args.max_k, "--max-k", 1, MAX_SCORE)
-    _check_count(args.sweep, "--sweep", 1)
+    _check_count(args.sweep, "--sweep", 1, MAX_SWEEP)
     # only k <= --max-k is checked, so any other K would corrupt nothing
     if args.corrupt_f is not None and not 1 <= args.corrupt_f <= args.max_k:
         raise ValueError(

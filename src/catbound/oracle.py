@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
@@ -35,7 +36,6 @@ from .induced import (
     extremal_branch_star,
     extremal_size_induced,
     induced_guarantee,
-    induced_guarantee_reference,
     max_branch_size,
     max_caterpillar,
     very_hungry_max,
@@ -55,6 +55,11 @@ _SEARCH_LIMIT = 20
 #: extremal spider of every score up to it, about k^2/8 edges each, so its
 #: cost grows with the cube of ``max_score``
 MAX_SCORE = 200
+
+#: largest ``sweep_limit`` that ``verify_all`` takes: the sweep's cost grows
+#: faster than the square of the limit's digit count, and on a 2-core host
+#: 10^30 takes about 0.3 s, 10^100 about 5 s
+MAX_SWEEP = 10**30
 
 
 # ======================================================================
@@ -258,21 +263,18 @@ def _branch_sizes(k: int) -> list[int]:
     return best
 
 
-def _searched_star_bound(k: int, sizes: list[int]) -> int:
-    """Largest edge count of r >= 2 equal branches of parameter x >= 1 glued
-    at a root whose induced caterpillar maximum is k, searched over every
-    such shape: a spine through two branches takes 2x + r - 2 edges, and
-    ``sizes[x]`` is the largest branch (``_branch_sizes``, x <= k / 2)."""
-    return max((k + 2 - 2 * x) * sizes[x] for x in range(1, k // 2 + 1))
-
-
-def _searched_thresholds(limit: int, sizes: list[int]) -> list[int]:
-    """``extremal_size_induced(k)`` by search, for k = 0, 1, ... up to the
-    first threshold that reaches ``limit``: k itself through k = 1, then
-    ``_searched_star_bound`` over the branch sizes ``sizes``."""
+def _searched_thresholds(sizes: list[int], top: int, limit: int) -> list[int]:
+    """``extremal_size_induced(k)`` by search, for k = 0, 1, ... through
+    ``top`` and on to the first threshold that reaches ``limit``: k itself
+    through k = 1, then the most edges of r >= 2 equal branches of
+    parameter x >= 1 glued at a root, over every such shape whose induced
+    caterpillar maximum is k.  A spine through two branches takes
+    2x + r - 2 edges, and ``sizes[x]`` (``_branch_sizes``) is the largest
+    branch."""
     thresholds = [0, 1]
-    while thresholds[-1] < limit:
-        thresholds.append(_searched_star_bound(len(thresholds), sizes))
+    while len(thresholds) <= top or thresholds[-1] < limit:
+        k = len(thresholds)
+        thresholds.append(max((k + 2 - 2 * x) * sizes[x] for x in range(1, k // 2 + 1)))
     return thresholds
 
 
@@ -282,10 +284,11 @@ def _searched_thresholds(limit: int, sizes: list[int]) -> list[int]:
 
 
 def guarantee_change_points(limit: int) -> list[int]:
-    """Every edge budget in [1, limit] where ``induced_guarantee`` or its
-    reference can change value, padded with both neighbours of each
-    candidate so each constant interval gets its endpoints checked.  Both
-    never fall as m grows, so agreeing here they agree on all of [1, limit].
+    """Every edge budget in [1, limit] where ``induced_guarantee`` can
+    change value, padded with both neighbours of each candidate so each
+    constant interval gets its endpoints checked.  A reference that never
+    falls as m grows and agrees with it here agrees on all of [1, limit]:
+    inside an interval, it lies between its values at the two ends.
     """
     _check_count(limit, "limit", 1)
     last = _INVERTED_THROUGH
@@ -514,15 +517,11 @@ def _spider_failures(top: int) -> Iterator[str]:
             yield f"k={k}: {spider.m} edges, score {score}"
 
 
-def _star_failures(top: int, sizes: list[int]) -> Iterator[str]:
+def _star_failures(top: int, searched: list[int]) -> Iterator[str]:
     for k in range(2, top + 1):
         star = extremal_branch_star(k)
         found = max_caterpillar(star).size
-        if (
-            star.m != branch_star_bound(k)
-            or star.m != _searched_star_bound(k, sizes)
-            or found != k
-        ):
+        if star.m != branch_star_bound(k) or star.m != searched[k] or found != k:
             yield f"k={k}: {star.m} edges, caterpillar {found}"
 
 
@@ -536,15 +535,9 @@ def _beautiful_failures(top: int, misstated: int | None) -> Iterator[str]:
             yield f"k={k}: {branch.m} edges, hungry {fed}, caterpillar {cat}"
 
 
-def _sweep_failures(points: list[int], sizes: list[int]) -> Iterator[str]:
-    searched = _searched_thresholds(_INVERTED_THROUGH, sizes)
+def _sweep_failures(points: list[int], searched: list[int]) -> Iterator[str]:
     for m in points:
-        # through that m induced_guarantee inverts the table thresholds
-        # itself, so there it is checked against the searched ones
-        if m <= _INVERTED_THROUGH:
-            want = next(k for k, size in enumerate(searched) if size >= m)
-        else:
-            want = induced_guarantee_reference(m)
+        want = bisect_left(searched, m)  # the least k whose threshold reaches m
         if induced_guarantee(m) != want:
             yield f"m={m}: {induced_guarantee(m)} vs {want}"
 
@@ -571,7 +564,7 @@ def verify_all(
     """
     _check_count(max_edges, "max_edges", 1, _SEARCH_LIMIT - 1)
     _check_count(max_score, "max_score", 1, MAX_SCORE)
-    _check_count(sweep_limit, "sweep_limit", 1)
+    _check_count(sweep_limit, "sweep_limit", 1, MAX_SWEEP)
     if misstated_branch is not None:
         _check_count(misstated_branch, "misstated_branch", 1, max_score)
     affinity = getattr(os, "sched_getaffinity", None)
@@ -591,11 +584,15 @@ def verify_all(
             tallies = pool.map(_tally, *shares) if pool else map(_tally, *shares)
             records += _rows(m, tallies)
 
-    # one table serves the branch-size rows and the searched thresholds of
-    # the guarantee sweep, which reach m = 170 at k = 21, so at x <= 10
-    recurrence = _branch_sizes(max(max_score, 10))
+    # one table serves every induced row: the recurrence's branch sizes, and
+    # the thresholds searched over them for the star rows and the sweep.  A
+    # branch of parameter x >= 2 has at least 2^(x/2) edges, so branch sizes
+    # through twice the sweep's bit length carry the thresholds past it
+    star_top, beautiful_top = min(max_score, 26), min(max_score, 18)
+    sizes = _branch_sizes(max(max_score, 2 * sweep_limit.bit_length()))
+    searched = _searched_thresholds(sizes, star_top, sweep_limit)
     for k in range(1, max_score + 1):
-        want = recurrence[k]
+        want = sizes[k]
         got = max_branch_size(k) + (k == misstated_branch)
         records.append(
             CheckRecord(
@@ -603,7 +600,6 @@ def verify_all(
             )
         )
 
-    star_top, beautiful_top = min(max_score, 26), min(max_score, 18)
     points = guarantee_change_points(sweep_limit)
     for section, label, expected, failures, note in (
         ("branch-ratio", f"k<={max_score}", "growth stays within [7/5, 3/2)",
@@ -611,11 +607,11 @@ def verify_all(
         ("extremal-spider", f"k<={max_score}", "sizes and scores match",
          _spider_failures(max_score), ""),
         ("extremal-branch-star", f"k<={star_top}", "sizes and caterpillars match",
-         _star_failures(star_top, recurrence), ""),
+         _star_failures(star_top, searched), ""),
         ("beautiful-tree", f"k<={beautiful_top}", "sizes, appetites, caterpillar cap",
          _beautiful_failures(beautiful_top, misstated_branch), ""),
         ("guarantee-sweep", f"m<={sweep_limit}", "closed form equals reference",
-         _sweep_failures(points, recurrence), f"{len(points)} change points"),
+         _sweep_failures(points, searched), f"{len(points)} change points"),
     ):
         records.append(_verdict(section, label, expected, next(failures, None), note))
     return VerificationReport(tuple(records))

@@ -1,7 +1,14 @@
-"""Builders and hypothesis strategies shared across test modules."""
+"""Builders and hypothesis strategies shared across test modules, and the
+references the library's kernels are checked against.  The adversarial
+trees and their relabelled twins are the benchmark's own, built by
+``bench/workloads.py``."""
 
+import functools
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 
@@ -100,36 +107,23 @@ def trees(draw, min_vertices: int = 2, max_vertices: int = 16) -> Tree:
     return tree_from_pruefer(tuple(code), n)
 
 
-def adversarial_tree(n: int) -> tuple[Tree, list[int]]:
-    """A bare path on the low labels, hung off the middle of a heavy spine
-    on the high labels whose vertices each carry 3 pendant leaves; with the
-    ends of its optimal induced caterpillars (the two end spine vertices
-    and their leaves).  No optimal caterpillar's spine path ends on the
-    bare path, so a witness search that tries start vertices in label order
-    does one sweep per bare path vertex before its first hit."""
-    spine = 2 * n // 9
-    bare = n - 4 * spine
-    first, last = bare, bare + spine - 1
-    edges = [(i, i + 1) for i in range(bare - 1)]
-    edges += [(v, v + 1) for v in range(first, last)]
-    edges += [(first + i // 3, first + spine + i) for i in range(3 * spine)]
-    edges.append((bare - 1, first + spine // 2))
-    pendants = first + spine
-    ends = [first, last, *range(pendants, pendants + 3), *range(n - 3, n)]
-    return Tree(n, tuple(edges)), ends
+@functools.cache
+def workloads():
+    """``bench/workloads.py``, loaded from its file: the benchmark's input
+    builders, so the tests check the very inputs it times."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def relabeled_twin(n: int, seed: int) -> Tree:
-    """The adversarial tree with shuffled labels, then label 0 moved onto
-    one end of an optimal caterpillar, so the witness search hits at once."""
-    t, ends = adversarial_tree(n)
-    rng = random.Random(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    end = rng.choice(ends)
-    zero = perm.index(0)
-    perm[zero], perm[end] = perm[end], 0
-    return relabeled(t, perm)
+    """The benchmark's relabelled control of its adversarial tree on ``n``
+    vertices, drawn with ``random.Random(seed)``."""
+    t, ends = workloads().adversarial_tree(n)
+    return workloads().relabelled(t, ends, random.Random(seed))
 
 
 # ----------------------------------------------------------------------

@@ -665,6 +665,10 @@ def test_verify_refuses_a_non_positive_bound_naming_the_flag(capsys, monkeypatch
         (["--max-k", "201", "--sweep", "0"], "--max-k must be at most 200"),
         (["--max-k", "-1", "--sweep", "0"], "--max-k must be positive"),
         (["--sweep", "-5", "--corrupt-f", "99"], "--sweep must be positive"),
+        (
+            ["--corrupt-f", "99", "--sweep", str(10**30 + 1)],
+            f"--sweep must be at most {10**30}",
+        ),
     ],
 )
 def test_verify_names_the_first_bad_flag_in_a_fixed_order(

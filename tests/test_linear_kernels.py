@@ -56,7 +56,6 @@ from catbound import (
 from catbound.cli import main
 from catbound.oracle import _check_tree
 from helpers import (
-    adversarial_tree,
     broken_paths,
     caterpillar_tree,
     contraction_plans_by_replay,
@@ -72,6 +71,7 @@ from helpers import (
     trees as tree_strategy,
     validate_path_by_all_pairs,
     very_hungry_max_by_paths,
+    workloads,
 )
 from test_path_kernels import assert_chains_like_the_edge_scan
 
@@ -92,7 +92,7 @@ def assert_kernels_match_oracles(t: Tree) -> None:
 
 
 SHAPES = {
-    **{f"adversarial-{n}": lambda n=n: adversarial_tree(n)[0] for n in (300, 600)},
+    **{f"adversarial-{n}": lambda n=n: workloads().adversarial_tree(n)[0] for n in (300, 600)},
     **{f"relabeled-{n}": lambda n=n: relabeled_twin(n, seed=n) for n in (300, 600)},
     "spider-40": lambda: extremal_spider(40),
     "spider-43": lambda: extremal_spider(43),
@@ -175,7 +175,7 @@ def test_very_hungry_max_matches_path_listing_at_every_root(t):
 
 
 def test_adversarial_shape_hides_the_witness_from_low_labels():
-    t, ends = adversarial_tree(600)
+    t, ends = workloads().adversarial_tree(600)
     witness = max_caterpillar(t)
     assert {witness.spine[0], witness.spine[-1]} <= set(ends)
     bare = t.vertex_count - 4 * (2 * t.vertex_count // 9)

@@ -15,6 +15,7 @@ from catbound import (
     brute_max_caterpillar,
     canonical_code,
     compatible_path,
+    extremal_size_induced,
     free_trees,
     guarantee_change_points,
     induced_guarantee,
@@ -74,10 +75,12 @@ def test_enumeration_yields_distinct_classes():
         assert all(t.m == m for t in free_trees(m))
 
 
-def test_both_routes_agree():
-    for m, grown in enumerate(free_trees_by_leaf_growth(12)):
+def test_both_routes_agree(edge_counts=range(13)):
+    # CI carries this through m = 13 and 14, past Tier-1's time budget
+    grown = free_trees_by_leaf_growth(max(edge_counts))
+    for m in edge_counts:
         via_levels = {canonical_code(t) for t in free_trees(m)}
-        assert via_levels == {canonical_code(t) for t in grown}
+        assert via_levels == {canonical_code(t) for t in grown[m]}, f"m={m}"
 
 
 def test_levels_route_matches_networkx():
@@ -157,6 +160,20 @@ def test_branch_recurrence():
     assert sizes[:8] == [0, 1, 2, 3, 5, 7, 11, 16]
     for k in range(1, 61):
         assert sizes[k] == max_branch_size(k)
+
+
+def test_searched_thresholds_are_the_extremal_sizes_through_the_sweep_cap():
+    # verify_all sizes the table from the sweep's bit length alone
+    cap = oracle.MAX_SWEEP
+    sizes = oracle._branch_sizes(2 * cap.bit_length())
+    searched = oracle._searched_thresholds(sizes, 26, cap)
+    assert searched == [extremal_size_induced(k) for k in range(len(searched))]
+    assert searched[-2] < cap <= searched[-1]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 5, 6, 170, 171, 10**5, oracle.MAX_SWEEP])
+def test_the_sweep_inverts_a_table_that_reaches_its_limit(limit):
+    assert verify_all(max_edges=1, max_score=1, sweep_limit=limit).ok
 
 
 # ----------------------------------------------------------------------
@@ -558,6 +575,21 @@ def test_sweep_below_one_is_refused_before_enumerating(monkeypatch, capsys):
     assert err == "catbound: error: --sweep must be positive\n"
 
 
+def test_sweep_past_the_cap_is_refused_before_enumerating(monkeypatch, capsys):
+    cap = oracle.MAX_SWEEP
+    for cpus in (1, 2):  # in this process, and in the shares of a pool
+        forbid_enumeration(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=f"^sweep_limit must be at most {cap}$"):
+            verify_all(max_edges=14, sweep_limit=cap + 1)
+        with pytest.raises(LookupError):  # the cap itself passes the check
+            verify_all(max_edges=14, sweep_limit=cap)
+        assert InlinePool.sizes == ([2] if cpus == 2 else [])
+    assert main(["verify", "--max-edges", "14", "--sweep", str(cap + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"catbound: error: --sweep must be at most {cap}\n"
+
+
 def test_a_wrong_star_shape_fails_both_star_rows(monkeypatch, capsys, request):
     # five single edges at k = 5 have 5 edges and caterpillar 5, as the table
     # then says, but three branches of parameter 2 have 6: only the search
@@ -572,6 +604,27 @@ def test_a_wrong_star_shape_fails_both_star_rows(monkeypatch, capsys, request):
     assert "actual k=5: 5 edges, caterpillar 5" in rows["extremal-branch-star"]
     assert rows["guarantee-sweep"].startswith("FAIL")
     assert "actual m=6: 6 vs 5" in rows["guarantee-sweep"]
+
+
+def test_an_error_in_both_closed_form_bindings_fails_the_sweep(monkeypatch, capsys):
+    # f(40) = 6 * size(18) = 5,586 read as 5,585 by the threshold table and
+    # by the residue forms alike: q(5,586) becomes 41, and only the searched
+    # thresholds still give 40
+    size = induced._extremal_size_induced
+
+    def wrong(k):
+        return size(k) - (k == 40)
+
+    monkeypatch.setattr(induced, "_extremal_size_induced", wrong)
+    monkeypatch.setattr(oracle, "extremal_size_induced", wrong)
+    guarantee = oracle.induced_guarantee
+    monkeypatch.setattr(oracle, "induced_guarantee", lambda m: guarantee(m) + (m == 5586))
+    assert induced_guarantee_reference(5586) == oracle.induced_guarantee(5586) == 41
+    assert main(["verify", "--max-edges", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    (failed,) = [line for line in lines if line.startswith("FAIL")]
+    assert failed.split()[1] == "guarantee-sweep"
+    assert "actual m=5586: 41 vs 40" in failed
 
 
 def test_branch_size_table_is_built_once_per_run(monkeypatch):

@@ -13,9 +13,7 @@ file the commands wrote; its sha256 is the entry's literal, or the
 ``why`` says why an output is pinned and is not read.
 """
 
-import functools
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -28,6 +26,7 @@ import pytest
 
 from catbound import tree_from_pruefer
 from catbound.cli import _build_parser
+from helpers import workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = json.loads((ROOT / "tests" / "pinned_outputs.json").read_text())
@@ -35,16 +34,6 @@ TABLE = json.loads((ROOT / "tests" / "pinned_outputs.json").read_text())
 
 def _bench_digests() -> dict:
     return json.loads((ROOT / "bench" / "digests.json").read_text())
-
-
-@functools.cache
-def _workloads():
-    """``bench/workloads.py``, whose ``generate`` writes the benchmark's inputs."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def _rewritten_4000(work: Path) -> None:
@@ -90,8 +79,8 @@ def _files(contents: dict):
 
 
 BUILDERS = {
-    "dual-large": lambda work: _workloads().generate("dual-large", 1, work),
-    "extremal": lambda work: _workloads().generate("extremal", 1, work),
+    "dual-large": lambda work: workloads().generate("dual-large", 1, work),
+    "extremal": lambda work: workloads().generate("extremal", 1, work),
     "rewritten-4000": _rewritten_4000,
     "random-3000": _random_3000,
     "broken-chain": _broken_chain,

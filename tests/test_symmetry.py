@@ -27,7 +27,7 @@ from catbound import (
     tree_from_pruefer,
     tree_to_segments,
 )
-from helpers import adversarial_tree, caterpillar_tree, relabeled, spider_tree
+from helpers import caterpillar_tree, relabeled, spider_tree, workloads
 from helpers import trees as tree_strategy
 
 
@@ -76,7 +76,7 @@ SHAPES = {
     "spider, one long leg": lambda: spider_tree(5, 1, 1, 1),
     "branch star": lambda: extremal_branch_star(7),
     "caterpillar": lambda: caterpillar_tree(2, 0, 3, 1, 0, 2),
-    "adversarial": lambda: adversarial_tree(60)[0],
+    "adversarial": lambda: workloads().adversarial_tree(60)[0],
 }
 
 

@@ -54,7 +54,6 @@ from catbound.contraction import _contract_all
 from catbound.duality import _compatible_chain, _structure
 from catbound.trees import _heaviest_path
 from helpers import (
-    adversarial_tree,
     broken_paths,
     caterpillar_tree,
     compatible_chain_by_min_max,
@@ -72,6 +71,7 @@ from helpers import (
     tree_to_segments_by_phase_stack,
     validate_path_by_all_pairs,
     validate_path_by_sweep,
+    workloads,
 )
 from helpers import trees as tree_strategy
 
@@ -262,7 +262,7 @@ ZERO_WEIGHT_SHAPES = {
     "extremal spider": lambda: extremal_spider(13),
     "branch star 6": lambda: extremal_branch_star(6),
     "branch star 13": lambda: extremal_branch_star(13),
-    "adversarial": lambda: adversarial_tree(300)[0],
+    "adversarial": lambda: workloads().adversarial_tree(300)[0],
     "relabelled twin": lambda: relabeled_twin(300, seed=25),
 }
 
