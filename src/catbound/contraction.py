@@ -9,7 +9,8 @@ plan, ``contract_to_caterpillar``'s and ``duality.among_path``'s, comes
 from ``_plan``, the one reader of the tie-broken diameter path: ``_steps``
 lists the contracted edges, ``_contract_all`` replays them once, and one
 check accepts the result: its largest induced caterpillar has every edge.
-Plans are O(n) to build and to apply.
+A caterpillar kept whole contracts nothing, so its plan skips the diameter
+path.  Plans are O(n) to build and to apply.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .trees import (
     _check_count,
     _check_integer_ids,
     _EdgeError,
+    _is_caterpillar,
     diameter,
     diameter_path,
 )
@@ -158,23 +160,29 @@ def _plan(
     """``contract_to_caterpillar(t, k)`` (k defaults to the score) and the
     largest induced caterpillar of the tree it reaches, which has every edge
     of that tree: a tree is a caterpillar exactly when it has such a
-    witness, so this is the plan's one check."""
+    witness, so this is the plan's one check.
+
+    Only a caterpillar scores its edge count, and kept whole it contracts
+    nothing, so when ``k`` is ``t.m`` or not given, a caterpillar (no vertex
+    with three non-leaf neighbours) skips the diameter path; any other tree
+    or target takes it."""
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    dpath = diameter_path(t)
-    score = t.degrees.count(1) + len(dpath) - 3  # leaves + diameter - 2
-    if k is None:
-        k = score
-    if k == score == t.m:
-        # only a caterpillar scores its edge count, and it keeps every edge
+    if (k is None or k == t.m) and _is_caterpillar(t):
+        if k is None:
+            k = t.m
         current, steps = t, []
     else:
+        dpath = diameter_path(t)
+        score = t.degrees.count(1) + len(dpath) - 3  # leaves + diameter - 2
+        if k is None:
+            k = score
         steps = _steps(t, k, score, dpath)
         current = _contract_all(t, steps)
     witness = max_caterpillar(current)
     if not witness.size == k == current.m:
         raise AssertionError("contraction plan failed to reach a caterpillar")
-    plan = ContractionPlan(k, tuple(ContractionStep(e) for e in steps), current)
+    plan = ContractionPlan(k, tuple(map(ContractionStep, steps)), current)
     return plan, witness
 
 

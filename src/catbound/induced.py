@@ -60,7 +60,10 @@ def max_caterpillar(t: Tree) -> CaterpillarWitness:
         lo += 1
     while hi - lo > 1 and degrees[path[hi - 1]] == 1:
         hi -= 1
-    induced = len([1 for u, v in t.edges if u in vertex_set and v in vertex_set])
+    if len(vertex_set) == t.vertex_count:  # a tree induces all its edges
+        induced = t.m
+    else:
+        induced = len([1 for u, v in t.edges if u in vertex_set and v in vertex_set])
     if induced != best:
         raise AssertionError("witness edge count disagrees with optimum")
     return CaterpillarWitness(frozenset(vertex_set), path[lo:hi], best)

@@ -26,7 +26,7 @@ from .contraction import (
     extremal_spider,
     max_caterpillar_by_contraction,
 )
-from .duality import among_path, compatible_path, segments_to_tree, tree_to_segments
+from .duality import among_path, compatible_path, tree_to_segments
 from .induced import (
     _INVERTED_THROUGH,
     _RESIDUE_PARAMS,
@@ -43,8 +43,8 @@ from .induced import (
 from .trees import Tree, _check_count, _check_counts, canonical_code
 
 #: smallest ``max_edges`` whose census ``verify_all`` runs in a process
-#: pool: from m = 13 on, one edge count takes over a second in one process,
-#: while all of m <= 12 takes about 0.6 s
+#: pool: m = 13 alone took 0.75-1.2 s in one process, while all of m <= 12
+#: took 0.48-0.70 s, median 0.51 s (six runs, 2-core host, Python 3.11)
 _POOL_FROM = 13
 
 #: most vertices the exhaustive caterpillar search takes: it tries every
@@ -388,18 +388,21 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
 
     ``t`` must be labelled in preorder from 0, as ``free_trees`` labels it,
     so that the round trip through its family at root 0 returns ``t``
-    itself; any other tree fails as ``round trip``.  A caterpillar class
-    builds one witness and one chain: a plan that contracts nothing has
-    checked that ``max_caterpillar(t)`` has every edge, and the among path
-    chains it through every segment, so its size is the DP size, its
-    'simple' validation is the 'compatible' one, and ``compatible_path`` is
-    not called.  Any other class computes ``max_caterpillar(t)`` once."""
+    itself; any other tree fails as ``round trip``.  The round trip is read
+    as the family's cell tree, ``family._tree``: the tree half of
+    ``segments_to_tree``, without the segment map the census never reads.
+    A caterpillar class builds one witness and one chain: a plan that
+    contracts nothing has checked that ``max_caterpillar(t)`` has every
+    edge, and the among path chains it through every segment, so its size
+    is the DP size, its 'simple' validation is the 'compatible' one, and
+    ``compatible_path`` is not called.  Any other class computes
+    ``max_caterpillar(t)`` once."""
     brute = brute_max_caterpillar(t)
     score = size = None
     failure = step = "round trip"
     try:
         family = tree_to_segments(t, 0)
-        if segments_to_tree(family)[0] == t:
+        if family._tree == t:
             step = "among"
             path, plan = among_path(family)
             score = plan.target_size

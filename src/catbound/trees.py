@@ -62,10 +62,10 @@ def _check_count(
     value: Any, name: str, low: int | None = None, high: int | None = None
 ) -> None:
     """Raise ``ValueError`` naming the count ``name`` unless ``value`` is an
-    integer (its type has ``__index__``) other than a ``bool`` and lies in
+    ``int`` or an int subclass, other than a ``bool``, and lies in
     ``low``..``high``, each bound None for none.  Every count the package
     takes is checked here, so each refusal of one reads the same."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
@@ -77,8 +77,9 @@ def _check_count(
 def _check_counts(values: Any, name: str) -> tuple[int, ...]:
     """``values`` as a tuple, once ``_check_count`` finds each item an
     integer called ``name``; anything but a sequence raises ``ValueError``
-    naming it ``name`` + "s".  Plain ints pass on one look at their types."""
-    if not isinstance(values, Sequence):
+    naming it ``name`` + "s".  A tuple or a list of plain ints passes on one
+    look at its types."""
+    if type(values) not in (tuple, list) and not isinstance(values, Sequence):
         raise ValueError(f"{name}s must be a sequence of integers, got {values!r}")
     if not {int}.issuperset(map(type, values)):
         for x in values:
@@ -463,15 +464,26 @@ def diameter(t: Tree) -> int:
 # ======================================================================
 
 
+def _is_caterpillar(t: Tree) -> bool:
+    """Whether no vertex has three non-leaf neighbours, read up to the first
+    vertex that has: the non-leaf vertices of a tree span a subtree, so
+    then they form a (possibly empty) path."""
+    degrees = t.degrees
+    for ws in t.adjacency:
+        if len(ws) > 2 and [degrees[w] for w in ws].count(1) < len(ws) - 2:
+            return False
+    return True
+
+
 def is_caterpillar(t: Tree) -> tuple[bool, tuple[int, ...] | None]:
     """Whether removing all leaves yields a (possibly empty) path; returns the
     spine (the non-leaf vertices in path order) as witness."""
     if t.vertex_count == 1:
         return True, (0,)
+    if not _is_caterpillar(t):
+        return False, None
     inner = {v for v, d in enumerate(t.degrees) if d >= 2}
     links = {v: [w for w in t.adjacency[v] if w in inner] for v in inner}
-    if any(len(ws) > 2 for ws in links.values()):
-        return False, None
     # the non-leaf set of a tree is always connected, so here it is a path;
     # walk it from its smaller end for a deterministic spine order
     spine = sorted(v for v in inner if len(links[v]) < 2)[:1]

@@ -98,7 +98,20 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [7.5, 7.0, True, "7", [7]])
+class Index:
+    """An integer-like object that is no ``int``: it has ``__index__`` and
+    ``__int__``, but no ``<``."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    __int__ = __index__
+
+
+@pytest.mark.parametrize("bad", [7.5, 7.0, True, "7", [7], Index(7)])
 @pytest.mark.parametrize("call, name", COUNTS.values(), ids=list(COUNTS))
 def test_every_count_must_be_an_integer(call, name, bad):
     with pytest.raises(ValueError) as caught:
@@ -313,10 +326,10 @@ def test_the_range_scan_sees_check_count_itself():
 # every public callable under hostile values
 # ----------------------------------------------------------------------
 
-# values that are not plain ints: bools, floats, strings, containers and
-# an int subclass
+# values that are not plain ints: bools, floats, strings, containers, an
+# int subclass and an integer-like object
 OTHERS = [None, True, False, 1.0, 2.5, -0.0, math.inf, math.nan, 1j, "3", "", b"1",
-          (), [2], {3}, frozenset({1}), Label(2)]
+          (), [2], {3}, frozenset({1}), Label(2), Index(2)]
 
 
 def values(low: int = -40, high: int = 40):

@@ -370,6 +370,67 @@ def test_among_path_runs_diameter_path_once(monkeypatch):
     assert len(passes) == 1
 
 
+@pytest.mark.parametrize("shape", ["path-300", "star-300", "caterpillar"])
+def test_among_path_runs_no_diameter_path_on_a_caterpillar(monkeypatch, shape):
+    t = {
+        "path-300": lambda: path_tree(300),
+        "star-300": lambda: star_tree(300),
+        "caterpillar": lambda: caterpillar_tree(3, 0, 2, 5, 1),
+    }[shape]()
+    family = tree_to_segments(t, 0)
+    calls: list = []
+    for module in (trees, contraction):
+        count_calls(monkeypatch, module, "diameter_path", calls)
+    among_path(family)
+    assert len(calls) == 0  # a non-caterpillar runs it once (the test above)
+
+
+def test_plans_match_the_replay_on_every_small_class():
+    classes = plans = 0
+    for m in range(1, 11):
+        for t in free_trees(m):
+            classes += 1
+            cap = max_caterpillar_by_contraction(t)
+            # only a caterpillar scores its edge count
+            assert trees._is_caterpillar(t) == (cap == t.m)
+            replayed = contraction_plans_by_replay(t, range(1, cap + 1))
+            for k in (None, *range(1, cap + 1)):
+                plan, witness = contraction._plan(t, k)
+                sequence, kept = replayed[cap if k is None else k]
+                assert plan.target_size == (cap if k is None else k)
+                assert tuple(step.edge for step in plan.contract_sequence) == sequence
+                assert plan.kept_caterpillar == kept
+                assert witness == max_caterpillar(kept)
+                plans += 1
+    assert (classes, plans) == (435, 4219)  # every k, and the default, per class
+
+
+def test_a_caterpillar_plan_keeps_the_target_it_is_given():
+    class Edges(int):
+        pass
+
+    t = caterpillar_tree(2, 1, 3)
+    k = Edges(t.m)
+    assert contract_to_caterpillar(t, k).target_size is k
+
+
+def test_a_witness_short_of_a_spine_end_fails_a_caterpillar_plan(monkeypatch):
+    t = caterpillar_tree(2, 1, 3)
+    original = induced._heaviest_path
+
+    def short(tree, weight):
+        path = list(original(tree, weight))
+        while tree.degrees[path[0]] == 1:
+            path.pop(0)
+        return tuple(path[1:])  # the witness loses the spine end's leaves
+
+    monkeypatch.setattr(induced, "_heaviest_path", short)
+    with pytest.raises(AssertionError, match="failed to reach a caterpillar"):
+        contract_to_caterpillar(t, t.m)
+    with pytest.raises(AssertionError, match="failed to reach a caterpillar"):
+        among_path(tree_to_segments(t, 0))
+
+
 def test_among_path_builds_no_second_family(monkeypatch):
     family = tree_to_segments(relabeled_twin(300, seed=3), 0)
     built: list = []
@@ -486,11 +547,10 @@ def test_a_relabelled_round_trip_fails_the_duality_check():
 
 
 def test_non_isomorphic_round_trips_fail_the_duality_row(monkeypatch):
-    def wrong(family):
-        cell_tree, _ = segments_to_tree(family)
-        return path_tree(cell_tree.vertex_count + 1), {}
+    def wrong(t, root):
+        return tree_to_segments(path_tree(t.vertex_count + 1), root)
 
-    monkeypatch.setattr(oracle, "segments_to_tree", wrong)
+    monkeypatch.setattr(oracle, "tree_to_segments", wrong)
     report = verify_all(max_edges=3, max_score=6, sweep_limit=500)
     failed = report.failures()
     assert [r.label for r in failed] == ["m=1", "m=2", "m=3"]
