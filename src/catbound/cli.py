@@ -33,7 +33,6 @@ from .duality import (
     SegmentFamily,
     among_path,
     compatible_path,
-    segments_to_tree,
     tree_to_segments,
     validate_path,
 )
@@ -152,6 +151,8 @@ def _read_json(path: str) -> Any:
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_family(path: str) -> SegmentFamily:
@@ -351,16 +352,14 @@ def _cmd_dual(args) -> int:
     else:
         if args.segments is None:
             raise ValueError("dual to-tree needs --segments")
-        tree, _chords = segments_to_tree(_load_family(args.segments))
-        _emit(format_tree(tree), args.out)
+        _emit(format_tree(_load_family(args.segments)._tree), args.out)
     return 0
 
 
 def _cmd_path(args) -> int:
     family = _load_family(args.segments)
     if args.mode == "compatible":
-        tree, _ = segments_to_tree(family)
-        chain = compatible_path(family, max_caterpillar(tree))
+        chain = compatible_path(family, max_caterpillar(family._tree))
     else:
         chain, _plan = among_path(family)
     _emit(_path_json(args.mode, chain), args.out)

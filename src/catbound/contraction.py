@@ -8,9 +8,14 @@ The score needs only the diameter's length (``trees.diameter``).  Every
 plan, ``contract_to_caterpillar``'s and ``duality.among_path``'s, comes
 from ``_plan``, the one reader of the tie-broken diameter path: ``_steps``
 lists the contracted edges, ``_contract_all`` replays them once, and one
-check accepts the result: its largest induced caterpillar has every edge.
-A caterpillar kept whole contracts nothing, so its plan skips the diameter
-path.  Plans are O(n) to build and to apply.
+check accepts the result: a largest induced caterpillar of it has every
+edge.  The contracted tree's witness comes from its spine walk
+(``trees._spine``): every vertex, the spine, and every edge, and a walk
+that finds no spine fails the check.  A caterpillar kept whole contracts
+nothing, so its plan skips the diameter path; its witness stays
+``induced.max_caterpillar``'s, so that the census compares that dynamic
+programme with its exhaustive search on every caterpillar class.  Plans
+are O(n) to build and to apply.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .trees import (
     _check_count,
     _check_integer_ids,
     _EdgeError,
-    _is_caterpillar,
+    _spine,
     diameter,
     diameter_path,
 )
@@ -157,21 +162,25 @@ def contract_to_caterpillar(t: Tree, k: int) -> ContractionPlan:
 def _plan(
     t: Tree, k: int | None = None
 ) -> tuple[ContractionPlan, CaterpillarWitness]:
-    """``contract_to_caterpillar(t, k)`` (k defaults to the score) and the
-    largest induced caterpillar of the tree it reaches, which has every edge
-    of that tree: a tree is a caterpillar exactly when it has such a
+    """``contract_to_caterpillar(t, k)`` (k defaults to the score) and a
+    largest induced caterpillar of the tree it reaches, which has every
+    edge of that tree: a tree is a caterpillar exactly when it has such a
     witness, so this is the plan's one check.
 
     Only a caterpillar scores its edge count, and kept whole it contracts
-    nothing, so when ``k`` is ``t.m`` or not given, a caterpillar (no vertex
-    with three non-leaf neighbours) skips the diameter path; any other tree
-    or target takes it."""
+    nothing, so when ``k`` is ``t.m`` or not given, a tree with a spine
+    (``trees._spine``) skips the diameter path, and its witness is
+    ``max_caterpillar``'s.  Any other tree or target takes the diameter
+    path, and the tree it contracts to is checked by its spine walk, whose
+    witness holds every vertex."""
     if t.m < 1:
         raise ValueError("needs at least one edge")
-    if (k is None or k == t.m) and _is_caterpillar(t):
+    spine = _spine(t) if k is None or k == t.m else None
+    if spine is not None:
         if k is None:
             k = t.m
         current, steps = t, []
+        witness = max_caterpillar(t)
     else:
         dpath = diameter_path(t)
         score = t.degrees.count(1) + len(dpath) - 3  # leaves + diameter - 2
@@ -179,8 +188,11 @@ def _plan(
             k = score
         steps = _steps(t, k, score, dpath)
         current = _contract_all(t, steps)
-    witness = max_caterpillar(current)
-    if not witness.size == k == current.m:
+        spine = _spine(current)
+        witness = CaterpillarWitness(
+            frozenset(range(current.vertex_count)), spine, current.m
+        )
+    if spine is None or not witness.size == k == current.m:
         raise AssertionError("contraction plan failed to reach a caterpillar")
     plan = ContractionPlan(k, tuple(map(ContractionStep, steps)), current)
     return plan, witness
@@ -188,12 +200,18 @@ def _plan(
 
 def _steps(t: Tree, k: int, cap: int, dpath: tuple[int, ...]) -> list[tuple[int, int]]:
     """The edges ``contract_to_caterpillar(t, k)`` contracts, in order, from
-    ``t``'s score ``cap`` and diameter path."""
+    ``t``'s score ``cap`` and diameter path.
+
+    An edge is kept when it ends at a leaf or joins two vertices of the
+    path, which in a tree are neighbours on it; the other edges are
+    contracted in DFS order.  The kept edges number ``cap``, and a
+    surplus is the first ``cap - k`` of them in ``t.edges``, sorted order."""
     if not 1 <= k <= cap:
         raise ValueError(f"target size {k} outside 1..{cap}")
-    keep = {(a, b) if a < b else (b, a) for a, b in zip(dpath, dpath[1:])}
     degrees = t.degrees
-    keep.update((u, v) for u, v in t.edges if degrees[u] == 1 or degrees[v] == 1)
+    on_path = [False] * t.vertex_count
+    for v in dpath:
+        on_path[v] = True
 
     # DFS from the diameter path's first vertex, ascending neighbors
     contracted: list[tuple[int, int]] = []
@@ -206,12 +224,17 @@ def _steps(t: Tree, k: int, cap: int, dpath: tuple[int, ...]) -> list[tuple[int,
         for w in reversed(adjacency[u]):
             if not seen[w]:
                 seen[w] = True
-                e = (u, w) if u < w else (w, u)
-                if e not in keep:
-                    contracted.append(e)
+                if degrees[w] > 1 and degrees[u] > 1:
+                    if not (on_path[u] and on_path[w]):
+                        contracted.append((u, w) if u < w else (w, u))
                 stack.append(w)
-    if k < cap:  # surplus kept edges go in sorted order
-        contracted += sorted(keep)[: cap - k]
+    if k < cap:
+        kept = [
+            (u, v)
+            for u, v in t.edges
+            if degrees[u] == 1 or degrees[v] == 1 or on_path[u] and on_path[v]
+        ]
+        contracted += kept[: cap - k]
     return contracted
 
 

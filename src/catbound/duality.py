@@ -178,20 +178,23 @@ def _structure(chords: tuple[tuple[int, int], ...], tree: Tree | None = None) ->
     chords ascending, then its own chord.  Labels are only compared, so a
     subfamily keeps its family's labels.  A ``tree`` said to be the cell
     tree, such as a contracted tree or the preorder tree a family came from,
-    becomes the cell tree once its edges equal the cells', and the check
-    raises ``AssertionError`` unless they do."""
-    edges = []
+    becomes the cell tree once the smallest neighbours of its vertices
+    1, 2, ... are the parent cells of cells 1, 2, ...: that holds exactly
+    when its edges are the cells', and a tree of another vertex count has
+    another number of them.  The check raises ``AssertionError`` unless it
+    does."""
+    parents = []  # the parent cell of the cell behind each chord
     # (closing label, cell behind it) of the chords enclosing the current
     # label, innermost last
     stack: list[tuple[int, int]] = []
-    for i, (a, b) in enumerate(chords):
+    for i, (a, b) in enumerate(chords, 1):
         while stack and stack[-1][0] < a:
             stack.pop()
-        edges.append((stack[-1][1] if stack else 0, i + 1))
-        stack.append((b, i + 1))
+        parents.append(stack[-1][1] if stack else 0)
+        stack.append((b, i))
     if tree is None:
-        return Tree(len(chords) + 1, tuple(edges))
-    if tree.edges != tuple(sorted(edges)):
+        return Tree(len(chords) + 1, tuple(zip(parents, range(1, len(chords) + 1))))
+    if [ws[0] for ws in tree.adjacency[1:]] != parents:
         raise AssertionError("chords do not cut out the tree given as their cells")
     return tree
 

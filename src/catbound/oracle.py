@@ -395,8 +395,12 @@ def _check_tree(t: Tree) -> tuple[int, int, bool, str | None]:
     contracts nothing has checked that ``max_caterpillar(t)`` has every
     edge, and the among path chains it through every segment, so its size
     is the DP size, its 'simple' validation is the 'compatible' one, and
-    ``compatible_path`` is not called.  Any other class computes
-    ``max_caterpillar(t)`` once."""
+    ``compatible_path`` is not called.  The plan keeps the DP's witness
+    for a tree kept whole, though its spine walk would give the same one,
+    so that the DP size meets the exhaustive search on every caterpillar
+    class too.  Any other class chains, on its among path, the witness of
+    the contracted tree's spine walk (``trees._spine``), and computes
+    ``max_caterpillar(t)`` once, for its compatible path."""
     brute = brute_max_caterpillar(t)
     score = size = None
     failure = step = "round trip"

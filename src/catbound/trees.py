@@ -464,35 +464,65 @@ def diameter(t: Tree) -> int:
 # ======================================================================
 
 
-def _is_caterpillar(t: Tree) -> bool:
-    """Whether no vertex has three non-leaf neighbours, read up to the first
-    vertex that has: the non-leaf vertices of a tree span a subtree, so
-    then they form a (possibly empty) path."""
+def _spine(t: Tree) -> tuple[int, ...] | None:
+    """A caterpillar's spine, its non-leaf vertices in path order, or None
+    when ``t`` is no caterpillar.
+
+    The non-leaf vertices of a tree span a subtree, and ``t`` is a
+    caterpillar when they form a path, that is when no vertex has three
+    non-leaf neighbours.  The walk leaves vertex 0, or its neighbour when
+    0 is a leaf, by at most two of its non-leaf neighbours and goes on
+    through non-leaf vertices as far as each way leads; it covers every
+    non-leaf vertex exactly when they form a path.
+
+    The spine starts at the end whose group, the end and its leaf
+    neighbours, holds the smaller vertex: a group holds the vertices where
+    a caterpillar's heaviest paths end on that side, so the spine reads as
+    ``induced.max_caterpillar``'s does.  A tree of two vertices gives (0,).
+    """
+    if t.vertex_count < 3:
+        return (0,)
     degrees = t.degrees
-    for ws in t.adjacency:
-        if len(ws) > 2 and [degrees[w] for w in ws].count(1) < len(ws) - 2:
-            return False
-    return True
+    adjacency = t.adjacency
+    start = 0 if degrees[0] > 1 else adjacency[0][0]
+    spine = [start]
+    for way in [w for w in adjacency[start] if degrees[w] > 1][:2]:
+        spine.reverse()  # the first way's end comes first
+        prev, v = start, way
+        while v >= 0:
+            spine.append(v)
+            for w in adjacency[v]:
+                if w != prev and degrees[w] > 1:
+                    prev, v = v, w
+                    break
+            else:
+                v = -1
+    if len(spine) != t.vertex_count - degrees.count(1):
+        return None
+    a, b = spine[0], spine[-1]
+    if a != b:
+        # an end has one non-leaf neighbour, so its smallest leaf
+        # neighbour is one of its two smallest neighbours
+        ws = adjacency[a]
+        low_a = min(a, ws[0] if degrees[ws[0]] == 1 else ws[1])
+        ws = adjacency[b]
+        if min(b, ws[0] if degrees[ws[0]] == 1 else ws[1]) < low_a:
+            spine.reverse()
+    return tuple(spine)
 
 
 def is_caterpillar(t: Tree) -> tuple[bool, tuple[int, ...] | None]:
     """Whether removing all leaves yields a (possibly empty) path; returns the
-    spine (the non-leaf vertices in path order) as witness."""
+    spine (the non-leaf vertices in path order, from the smaller end) as
+    witness."""
     if t.vertex_count == 1:
         return True, (0,)
-    if not _is_caterpillar(t):
+    if t.vertex_count == 2:
+        return True, ()
+    spine = _spine(t)
+    if spine is None:
         return False, None
-    inner = {v for v, d in enumerate(t.degrees) if d >= 2}
-    links = {v: [w for w in t.adjacency[v] if w in inner] for v in inner}
-    # the non-leaf set of a tree is always connected, so here it is a path;
-    # walk it from its smaller end for a deterministic spine order
-    spine = sorted(v for v in inner if len(links[v]) < 2)[:1]
-    prev = -1
-    while len(spine) < len(inner):
-        nxt = next(w for w in links[spine[-1]] if w != prev)
-        prev = spine[-1]
-        spine.append(nxt)
-    return True, tuple(spine)
+    return True, spine if spine[0] <= spine[-1] else spine[::-1]
 
 
 def is_spider(t: Tree) -> bool:

@@ -81,6 +81,25 @@ def free_trees_by_leaf_growth(max_edges: int) -> list[list[Tree]]:
     return levels
 
 
+def is_caterpillar_by_leaf_removal(t: Tree) -> tuple:
+    """``is_caterpillar`` by its definition: the non-leaf vertices, each
+    with its non-leaf neighbours, must form a path, walked from its smaller
+    end; a tree of two vertices has the empty spine."""
+    if t.vertex_count == 1:
+        return True, (0,)
+    inner = {v for v, d in enumerate(t.degrees) if d >= 2}
+    links = {v: [w for w in t.adjacency[v] if w in inner] for v in inner}
+    if any(len(ws) > 2 for ws in links.values()):
+        return False, None
+    spine = sorted(v for v in inner if len(links[v]) < 2)[:1]
+    prev = -1
+    while len(spine) < len(inner):
+        nxt = next(w for w in links[spine[-1]] if w != prev)
+        prev = spine[-1]
+        spine.append(nxt)
+    return True, tuple(spine)
+
+
 def relabeled(t: Tree, perm: list[int]) -> Tree:
     return Tree(t.vertex_count, tuple((perm[a], perm[b]) for a, b in t.edges))
 

@@ -312,6 +312,26 @@ def test_dual_to_segments_builds_no_family_structure(capsys, tmp_path, monkeypat
     assert json.loads(out) == {"n": 3, "segments": [[0, 3], [1, 2], [4, 5]]}
 
 
+def test_dual_to_tree_and_compatible_path_build_no_segment_map(
+    capsys, tmp_path, monkeypatch
+):
+    # both read the family's cell tree; the map from tree edges to segments
+    # that segments_to_tree adds is never read
+    def never(*args):
+        raise AssertionError("segment map was built")
+
+    for module in (cli, duality):
+        if hasattr(module, "segments_to_tree"):
+            monkeypatch.setattr(module, "segments_to_tree", never)
+    seg_file = tmp_path / "fam.json"
+    seg_file.write_text('{"n": 3, "segments": [[0, 3], [1, 2], [4, 5]]}')
+    code, out, _ = run(capsys, "dual", "to-tree", "--segments", str(seg_file))
+    assert code == 0 and out == "0 1\n0 3\n1 2\n"
+    code, out, _ = run(capsys, "path", "compatible", "--segments", str(seg_file))
+    assert code == 0
+    assert json.loads(out) == {"mode": "compatible", "segments": 3, "endpoints": [4, 5, 0, 3, 2, 1]}
+
+
 def test_dual_argument_checks(capsys):
     code, _, err = run(capsys, "dual", "to-segments")
     assert code == 1 and "--tree" in err
@@ -368,6 +388,11 @@ def test_path_rejects_malformed_family_files(capsys, tmp_path):
         ("nope", "not valid JSON (Expecting value)"),
         ('{"n": 0, "segments": []}', "need at least one segment"),
         ('{"n": 2, "segments": [[0, 2], [1, 3]]}', "segments (0, 2) and (1, 3) cross"),
+        pytest.param(
+            "[" * 100_000 + "]" * 100_000,
+            "JSON nested too deeply to read",
+            id="nested-100000",
+        ),
     ],
 )
 def test_family_errors_name_the_file(capsys, tmp_path, text, message):
@@ -462,6 +487,11 @@ def test_render_rejects_malformed_path_files(tmp_path, capsys, endpoints, messag
         ('{"segments": "x", "endpoints": [0, 5]}', "segments must be an integer, got 'x'"),
         ('{"segments": true, "endpoints": [0, 5]}', "segments must be an integer, got True"),
         ('{"segments": 1}', f"expected {_NOT_A_PATH}"),
+        pytest.param(
+            '{"endpoints": %s}' % ("[" * 100_000 + "]" * 100_000),
+            "JSON nested too deeply to read",
+            id="nested-100000",
+        ),
     ],
 )
 def test_path_file_errors_name_the_file(tmp_path, capsys, text, message):

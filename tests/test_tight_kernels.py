@@ -210,6 +210,38 @@ def test_thousand_edge_trees(shape):
     assert_structure_matches(family.pairs, family._tree)
 
 
+def moved_edge_trees(t: Tree):
+    """Every tree ``t`` becomes when one edge is moved: taken out and put
+    back between another pair of vertices that joins the two parts."""
+    for cut in t.edges:
+        rest = tuple(e for e in t.edges if e != cut)
+        side = [cut[0]]  # the part holding cut[0]
+        for u in side:
+            side += [w for w in t.adjacency[u] if w != cut[1] and w not in side]
+        for u in side:
+            for v in range(t.vertex_count):
+                if v not in side and (min(u, v), max(u, v)) != cut:
+                    yield Tree(t.vertex_count, rest + ((u, v),))
+
+
+def test_a_tree_other_than_the_cells_fails_the_structure_check():
+    # each cell's smallest neighbour is compared with its parent cell only
+    # once the vertex counts agree, so no other tree gets as far as an index
+    # past its end
+    moved = 0
+    for m in range(1, 7):
+        for t in free_trees(m):
+            chords = tree_to_segments(t, 0).pairs
+            others = [*moved_edge_trees(t), Tree(1, ()), path_tree(m), path_tree(m + 2)]
+            for other in others:
+                with pytest.raises(AssertionError, match="chords do not cut out"):
+                    _structure(chords, other)
+                with pytest.raises(AssertionError, match="chords do not cut out"):
+                    structure_by_index_stack(chords, other)
+            moved += len(others) - 3
+    assert moved == 649
+
+
 # ----------------------------------------------------------------------
 # zero leaves: the heaviest path's passes run over the rest of the tree
 # ----------------------------------------------------------------------

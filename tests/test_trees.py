@@ -1,10 +1,11 @@
 """Tree container, text format, measurements, and canonical codes."""
 
 import pickle
+import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from catbound import (
@@ -19,11 +20,15 @@ from catbound import (
     free_trees,
     is_caterpillar,
     is_spider,
+    max_caterpillar,
     parse_tree,
+    tree_from_pruefer,
 )
 from catbound import trees as trees_module
 from helpers import (
+    caterpillar_tree,
     contract_edge,
+    is_caterpillar_by_leaf_removal,
     outcome,
     parse_tree_by_lines,
     path_tree,
@@ -233,6 +238,39 @@ def test_parse_reads_every_text_as_the_line_loop_reads_it(text):
     assert outcome(lambda: parse_tree(text)) == want
 
 
+def test_seeded_texts_read_as_the_line_loop_reads_them(count=1_000):
+    # CI carries this through 20,000 texts, past Tier-1's time budget: half
+    # drawn from the hostile alphabet and half random trees rewritten with
+    # tabs, spaces, CRLF, comment and blank lines, and up to two inserted
+    # hostile characters
+    rng = random.Random(28)
+    for i in range(count):
+        if i % 2:
+            text = "".join(rng.choices(HOSTILE, k=rng.randrange(40)))
+        else:
+            n = rng.randrange(2, 40)
+            t = tree_from_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
+            lines = []
+            for line in format_tree(t).splitlines():
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(["", " \t", "# c", " #0 1", "\t#\x85"]))
+                u, v = line.split()
+                pad = rng.choice(["", " ", "\t"])
+                gap = rng.choice([" ", "  ", "\t"])
+                tail = rng.choice(["", " ", "\t"])
+                lines.append(pad + u + gap + v + tail)
+            for _ in range(rng.randrange(3)):
+                k = rng.randrange(len(lines))
+                j = rng.randrange(len(lines[k]) + 1)
+                lines[k] = lines[k][:j] + rng.choice(HOSTILE) + lines[k][j:]
+            text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+            if rng.random() < 0.2:
+                text = text.rstrip("\r\n")
+        got = outcome(lambda: parse_tree(text))
+        want = outcome(lambda: parse_tree_by_lines(text))
+        assert got == want, f"{text!r}: {got} != {want}"
+
+
 def test_valid_text_never_walks_its_lines(monkeypatch):
     def never(text, edge=-1):
         raise AssertionError("a valid text was walked")
@@ -299,6 +337,64 @@ def test_paths_and_stars_are_caterpillars():
 def test_three_long_legs_break_the_caterpillar():
     ok, spine = is_caterpillar(spider_tree(2, 2, 2))
     assert not ok and spine is None
+
+
+@st.composite
+def end_leaf_caterpillars(draw):
+    """A caterpillar relabelled so that vertex 0 is a leaf of a spine end
+    drawn from either end, its other labels drawn at random."""
+    legs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    legs[0] += 1
+    legs[-1] += 1
+    t = caterpillar_tree(*legs)
+    end = draw(st.sampled_from([0, len(legs) - 1]))
+    leaf = next(w for w in t.adjacency[end] if t.degrees[w] == 1)
+    labels = iter(draw(st.permutations(range(1, t.vertex_count))))
+    return relabeled(t, [0 if v == leaf else next(labels) for v in range(t.vertex_count)])
+
+
+# vertex 0 hangs off spine end 2, the larger one
+ZERO_AT_THE_LARGER_END = Tree(5, ((0, 2), (2, 3), (1, 3), (1, 4)))
+
+
+def assert_walk_is_the_witness(t):
+    witness = max_caterpillar(t)
+    assert witness.vertex_set == frozenset(range(t.vertex_count))
+    assert witness.size == t.m
+    assert trees_module._spine(t) == witness.spine
+    assert is_caterpillar(t) == is_caterpillar_by_leaf_removal(t)
+
+
+def test_the_walk_is_the_witness_spine_on_every_small_caterpillar_class():
+    seen = 0
+    for m in range(1, 13):
+        for t in free_trees(m):
+            if is_caterpillar_by_leaf_removal(t)[0]:
+                seen += 1
+                assert_walk_is_the_witness(t)
+            else:
+                assert trees_module._spine(t) is None
+                assert is_caterpillar(t) == (False, None)
+    assert seen == 1087
+
+
+@given(end_leaf_caterpillars())
+@example(ZERO_AT_THE_LARGER_END)
+def test_the_walk_is_the_witness_spine_on_relabelled_caterpillars(t):
+    assert_walk_is_the_witness(t)
+
+
+def test_a_walk_from_the_smaller_spine_end_fails_the_witness_test(monkeypatch):
+    walk = trees_module._spine
+
+    def from_the_smaller_end(t):
+        spine = walk(t)
+        return spine if spine[0] <= spine[-1] else spine[::-1]
+
+    monkeypatch.setattr(trees_module, "_spine", from_the_smaller_end)
+    assert from_the_smaller_end(ZERO_AT_THE_LARGER_END) == (1, 3, 2)
+    with pytest.raises(AssertionError):
+        test_the_walk_is_the_witness_spine_on_relabelled_caterpillars()
 
 
 def test_spider_recognition():
